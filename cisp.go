@@ -25,6 +25,7 @@ package cisp
 
 import (
 	"fmt"
+	"strings"
 
 	"cisp/internal/capacity"
 	"cisp/internal/cities"
@@ -74,6 +75,20 @@ const (
 	ScaleMedium              // ~60 cities (tens of seconds)
 	ScaleFull                // all centers, paper-scale towers (minutes)
 )
+
+// ParseScale parses a scale name — small, medium or full, in any case —
+// as the command-line tools take it.
+func ParseScale(name string) (Scale, error) {
+	switch strings.ToLower(name) {
+	case "small":
+		return ScaleSmall, nil
+	case "medium":
+		return ScaleMedium, nil
+	case "full":
+		return ScaleFull, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want small, medium or full)", name)
+}
 
 // ScenarioConfig controls scenario synthesis.
 type ScenarioConfig struct {

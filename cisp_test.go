@@ -187,3 +187,22 @@ func TestScaleToHelper(t *testing.T) {
 		t.Fatalf("scaled total = %v", d.Total())
 	}
 }
+
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Scale
+		ok   bool
+	}{
+		{"small", ScaleSmall, true},
+		{"Medium", ScaleMedium, true},
+		{"FULL", ScaleFull, true},
+		{"fulll", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseScale(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

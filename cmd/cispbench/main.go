@@ -16,7 +16,7 @@
 // full on small machines.
 // -workers bounds the inner worker pool the design and link-build hot
 // paths fan out on. Each figure's output is the same rows/series the paper
-// reports; see EXPERIMENTS.md for the paper-vs-measured record.
+// reports.
 // -mode and -flows drive the "6s" traffic-mix replay: -mode=packet runs
 // the discrete-event engine (clamped to ~1.5k flows), -mode=fluid the
 // flow-level max-min engine, which replays the same scenario with 10⁵-10⁶
@@ -29,11 +29,6 @@
 // workloads — evening peak, flash crowd, disaster surge, CDN placement —
 // replayed end to end on the hybrid backbone against a fiber-only
 // baseline in both engines.
-//
-// -benchjson writes the engines' machine-readable throughput record
-// (flows/sec, ns/event) instead of figures; -benchcompare gates a new
-// record against a baseline, exiting 1 when either metric of either
-// engine regresses past -benchtolerance (default 10%).
 //
 // -obs serves live observability (internal/obs) while the run executes:
 // Prometheus /metrics, /metrics.json, the stage trace at /trace, a
@@ -67,9 +62,6 @@ func main() {
 	workers := flag.Int("workers", 0, "inner worker-pool width for the design/link-build hot paths (0 = GOMAXPROCS)")
 	modeStr := flag.String("mode", "fluid", "simulation engine for the 6s traffic-mix replay: packet or fluid")
 	flows := flag.Int("flows", 100_000, "concurrent flows for the 6s traffic-mix replay and the te comparison (packet engines clamp to ~1.5k)")
-	benchJSON := flag.String("benchjson", "", "run the engine benchmark (both modes) and write a machine-readable JSON record to this file, skipping figures")
-	benchCompare := flag.String("benchcompare", "", "baseline benchmark JSON; compares the record named by the positional argument against it and exits 1 on regression, skipping figures")
-	benchTol := flag.Float64("benchtolerance", 0.10, "relative tolerance for -benchcompare (0.10 = 10%; CI uses a looser bound across runner generations)")
 	obsAddr := flag.String("obs", "", "serve live observability on this address (e.g. :9090): /metrics, /metrics.json, /trace, /healthz, /debug/pprof")
 	traceFile := flag.String("trace", "", "write the run's stage trace (Chrome trace_event JSON, chrome://tracing / Perfetto) to this file on exit")
 	progress := flag.Bool("progress", false, "print per-stage progress lines (stage, elapsed, items/sec) to stderr as spans complete")
@@ -146,17 +138,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
 	opt := experiments.Options{Seed: *seed, Out: os.Stdout, Parallelism: *par}
-	switch strings.ToLower(*scale) {
-	case "small":
-		opt.Scale = cisp.ScaleSmall
-	case "medium":
-		opt.Scale = cisp.ScaleMedium
-	case "full":
-		opt.Scale = cisp.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	if opt.Scale, err = cisp.ParseScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *workers > 0 {
@@ -221,46 +205,6 @@ func main() {
 			}
 			obsSrv.Close()
 		}
-	}
-
-	if *benchCompare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: cispbench -benchcompare baseline.json [-benchtolerance F] new.json")
-			os.Exit(2)
-		}
-		old, err := experiments.LoadBenchRecord(*benchCompare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cur, err := experiments.LoadBenchRecord(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		regs, err := experiments.CompareBenchRecords(old, cur, *benchTol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "benchcompare:", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("benchcompare: %d engine(s) within %.0f%% of the baseline\n",
-			len(old.Engines), *benchTol*100)
-		return
-	}
-
-	if *benchJSON != "" {
-		if err := experiments.BenchNetsim(opt, *flows, *flows, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		finishObs()
-		return
 	}
 
 	// "all" derives from the spec table itself, so new figures can't be

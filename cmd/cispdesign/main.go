@@ -36,20 +36,17 @@ func main() {
 		parallel.SetWorkers(*workers)
 	}
 
-	cfg := cisp.ScenarioConfig{Seed: *seed}
+	sc, err := cisp.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	cfg := cisp.ScenarioConfig{Seed: *seed, Scale: sc}
 	switch strings.ToLower(*region) {
 	case "europe":
 		cfg.Region = cisp.Europe
 	default:
 		cfg.Region = cisp.US
-	}
-	switch strings.ToLower(*scale) {
-	case "medium":
-		cfg.Scale = cisp.ScaleMedium
-	case "full":
-		cfg.Scale = cisp.ScaleFull
-	default:
-		cfg.Scale = cisp.ScaleSmall
 	}
 
 	fmt.Fprintf(os.Stderr, "building scenario (%s, %s, seed %d)...\n", *region, *scale, *seed)

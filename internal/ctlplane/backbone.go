@@ -1,7 +1,6 @@
 package ctlplane
 
 import (
-	"fmt"
 	"sort"
 
 	"cisp/internal/cities"
@@ -10,53 +9,20 @@ import (
 	"cisp/internal/units"
 )
 
-// Backbone is the physical substrate a daemon owns: the microwave links
-// (weather-gradable, endpoints indexing Sites) followed by the fiber
-// conduits (rain-proof, midpoint transit nodes allowed). The microwave
-// prefix ordering is the same contract internal/weather grading,
-// resilience schedules, and te.Controller positional updates rely on.
-type Backbone struct {
-	Sites []cities.City
-	Nodes int               // sites plus fiber midpoint transit nodes
-	Mw    []netsim.TopoLink // microwave links; A/B index Sites
-	Fiber []netsim.TopoLink // fiber conduits, incl. midpoint halves
-}
+// Backbone aliases netsim.Backbone, kept because the benchmark module names it.
+type Backbone = netsim.Backbone
 
-// Hybrid returns the combined link list, microwave first.
-func (b *Backbone) Hybrid() []netsim.TopoLink {
-	return append(append([]netsim.TopoLink(nil), b.Mw...), b.Fiber...)
-}
-
-// validate checks the structural contract New depends on.
-func (b *Backbone) validate() error {
-	if b == nil {
-		return fmt.Errorf("ctlplane: nil backbone")
-	}
-	if b.Nodes < len(b.Sites) {
-		return fmt.Errorf("ctlplane: %d nodes < %d sites", b.Nodes, len(b.Sites))
-	}
-	for li, l := range b.Mw {
-		if l.A < 0 || l.A >= len(b.Sites) || l.B < 0 || l.B >= len(b.Sites) {
-			return fmt.Errorf("ctlplane: microwave link %d endpoints %d-%d outside site range [0,%d)", li, l.A, l.B, len(b.Sites))
-		}
-	}
-	return nil
-}
-
-// SyntheticBackbone builds a deterministic hybrid substrate over the given
+// SyntheticBackbone builds a deterministic netsim.Backbone over the given
 // sites without running the design pipeline: each site gets microwave
-// links to its nearestK nearest neighbors (deduplicated), every microwave
-// link gets a parallel fiber conduit through a midpoint transit node at
-// the paper's ~1.5× fiber stretch, and fiberGbps/mwGbps set the uniform
-// capacities. It is the fast-boot substrate for cmd/cispd and the ctltest
-// harness; production deployments hand the daemon a designed topology
+// links to its nearestK nearest neighbors (deduplicated), laid out by
+// PairBackbone. It is the fast-boot substrate for cmd/cispd; production
+// deployments hand the daemon a designed topology
 // (experiments.DesignedTETopology) instead.
 func SyntheticBackbone(sites []cities.City, nearestK int, mwGbps, fiberGbps float64) *Backbone {
 	if nearestK <= 0 {
 		nearestK = 2
 	}
-	type pair struct{ a, b int }
-	chosen := map[pair]bool{}
+	chosen := map[[2]int]bool{}
 	for i := range sites {
 		type cand struct {
 			j int
@@ -79,36 +45,44 @@ func SyntheticBackbone(sites []cities.City, nearestK int, mwGbps, fiberGbps floa
 			if a > b {
 				a, b = b, a
 			}
-			chosen[pair{a, b}] = true
+			chosen[[2]int{a, b}] = true
 		}
 	}
-	var pairs []pair
+	var pairs [][2]int
 	for p := range chosen {
 		pairs = append(pairs, p)
 	}
 	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x].a != pairs[y].a {
-			return pairs[x].a < pairs[y].a
+		if pairs[x][0] != pairs[y][0] {
+			return pairs[x][0] < pairs[y][0]
 		}
-		return pairs[x].b < pairs[y].b
+		return pairs[x][1] < pairs[y][1]
 	})
+	return PairBackbone(sites, pairs, mwGbps, fiberGbps)
+}
 
+// PairBackbone lays a hybrid backbone over explicit site pairs: one
+// microwave link per pair at geodesic delay, in pair order, then for each
+// pair a parallel fiber conduit through its own midpoint transit node at
+// the paper's ~1.5× fiber stretch. mwGbps and fiberGbps set the uniform
+// capacities.
+func PairBackbone(sites []cities.City, pairs [][2]int, mwGbps, fiberGbps float64) *Backbone {
 	b := &Backbone{Sites: sites, Nodes: len(sites)}
 	for _, p := range pairs {
-		d := float64(sites[p.a].Loc.DistanceTo(sites[p.b].Loc))
+		d := float64(sites[p[0]].Loc.DistanceTo(sites[p[1]].Loc))
 		b.Mw = append(b.Mw, netsim.TopoLink{
-			A: p.a, B: p.b,
+			A: p[0], B: p[1],
 			RateBps:   units.Gbps(mwGbps),
 			PropDelay: units.Seconds(d / geo.C),
 		})
 	}
 	for _, p := range pairs {
-		d := float64(sites[p.a].Loc.DistanceTo(sites[p.b].Loc)) * 1.5
+		d := float64(sites[p[0]].Loc.DistanceTo(sites[p[1]].Loc)) * 1.5
 		mid := b.Nodes
 		b.Nodes++
 		b.Fiber = append(b.Fiber,
-			netsim.TopoLink{A: p.a, B: mid, RateBps: units.Gbps(fiberGbps), PropDelay: units.Seconds(d / 2 / geo.C)},
-			netsim.TopoLink{A: mid, B: p.b, RateBps: units.Gbps(fiberGbps), PropDelay: units.Seconds(d / 2 / geo.C)})
+			netsim.TopoLink{A: p[0], B: mid, RateBps: units.Gbps(fiberGbps), PropDelay: units.Seconds(d / 2 / geo.C)},
+			netsim.TopoLink{A: mid, B: p[1], RateBps: units.Gbps(fiberGbps), PropDelay: units.Seconds(d / 2 / geo.C)})
 	}
 	return b
 }

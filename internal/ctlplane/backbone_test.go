@@ -20,7 +20,7 @@ func fourSites() []cities.City {
 
 func TestSyntheticBackboneShape(t *testing.T) {
 	b := SyntheticBackbone(fourSites(), 2, 10, 40)
-	if err := b.validate(); err != nil {
+	if err := b.Validate(); err != nil {
 		t.Fatalf("synthetic backbone invalid: %v", err)
 	}
 	if len(b.Mw) == 0 || len(b.Fiber) != 2*len(b.Mw) {
@@ -29,13 +29,13 @@ func TestSyntheticBackboneShape(t *testing.T) {
 	if want := len(b.Sites) + len(b.Mw); b.Nodes != want {
 		t.Fatalf("Nodes = %d, want %d (sites + one transit node per conduit)", b.Nodes, want)
 	}
-	hybrid := b.Hybrid()
+	hybrid := b.Links()
 	if len(hybrid) != len(b.Mw)+len(b.Fiber) {
-		t.Fatalf("Hybrid length %d, want %d", len(hybrid), len(b.Mw)+len(b.Fiber))
+		t.Fatalf("Links length %d, want %d", len(hybrid), len(b.Mw)+len(b.Fiber))
 	}
 	for i, l := range hybrid[:len(b.Mw)] {
 		if l != b.Mw[i] {
-			t.Fatalf("hybrid[%d] != Mw[%d]: microwave prefix ordering broken", i, i)
+			t.Fatalf("Links()[%d] != Mw[%d]: microwave prefix ordering broken", i, i)
 		}
 	}
 	// Fiber conduits must run ~1.5× the microwave propagation delay.
@@ -48,6 +48,29 @@ func TestSyntheticBackboneShape(t *testing.T) {
 	// Determinism: same inputs, same backbone.
 	if again := SyntheticBackbone(fourSites(), 2, 10, 40); !reflect.DeepEqual(b, again) {
 		t.Fatalf("SyntheticBackbone is not deterministic")
+	}
+}
+
+// TestNewRejectsMalformedBackbone: New must refuse a backbone that breaks
+// the structural contract before it builds anything over it.
+func TestNewRejectsMalformedBackbone(t *testing.T) {
+	midpointMw := SyntheticBackbone(fourSites(), 2, 10, 40)
+	midpointMw.Mw[0].B = midpointMw.Nodes - 1 // the last conduit's midpoint
+	cases := []struct {
+		name string
+		b    *Backbone
+	}{
+		{"nil", nil},
+		{"nodes below sites", &Backbone{Sites: fourSites(), Nodes: 3}},
+		{"microwave on a fiber midpoint", midpointMw},
+	}
+	comms := GravityCommodities(fourSites(), 20)
+	for _, tc := range cases {
+		d, err := New(Config{Backbone: tc.b, Comms: comms})
+		if err == nil {
+			d.Close()
+			t.Errorf("%s: New accepted a malformed backbone", tc.name)
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ type result struct {
 // precomputation, initial snapshot (version 1, epoch 1) — and starts the
 // event loop.
 func New(cfg Config) (*Daemon, error) {
-	if err := cfg.Backbone.validate(); err != nil {
+	if err := cfg.Backbone.Validate(); err != nil {
 		return nil, err
 	}
 	if len(cfg.Comms) == 0 {
@@ -123,7 +123,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:   cfg,
 		nodes: cfg.Backbone.Nodes,
 		nMw:   len(cfg.Backbone.Mw),
-		clear: cfg.Backbone.Hybrid(),
+		clear: cfg.Backbone.Links(),
 		comms: cfg.Comms,
 		reqs:  make(chan request),
 	}

@@ -28,13 +28,13 @@ import (
 	"cisp/internal/obs"
 	"cisp/internal/resilience"
 	"cisp/internal/te"
-	"cisp/internal/units"
 )
 
 // Backbone returns the harness's standard substrate: four population
 // centers and one data center, a microwave backbone with route diversity,
 // and parallel fiber conduits through midpoint transit nodes at the
-// paper's ~1.5× stretch — the same shape the workload pipeline tests use.
+// paper's ~1.5× stretch (ctlplane.PairBackbone) — the same shape the
+// workload pipeline tests use.
 func Backbone() *ctlplane.Backbone {
 	sites := []cities.City{
 		{Name: "A", Loc: geo.Point{Lat: 40, Lon: -75}, Population: 8_000_000},
@@ -43,25 +43,7 @@ func Backbone() *ctlplane.Backbone {
 		{Name: "D", Loc: geo.Point{Lat: 40, Lon: -105}, Population: 1_000_000},
 		{Name: "DC", Loc: geo.Point{Lat: 38, Lon: -90}, Population: 500_000},
 	}
-	mwPairs := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {2, 4}}
-	b := &ctlplane.Backbone{Sites: sites, Nodes: len(sites)}
-	for _, p := range mwPairs {
-		d := float64(sites[p[0]].Loc.DistanceTo(sites[p[1]].Loc))
-		b.Mw = append(b.Mw, netsim.TopoLink{
-			A: p[0], B: p[1],
-			RateBps:   units.Gbps(10),
-			PropDelay: units.Seconds(d / geo.C),
-		})
-	}
-	for _, p := range mwPairs {
-		d := float64(sites[p[0]].Loc.DistanceTo(sites[p[1]].Loc)) * 1.5
-		mid := b.Nodes
-		b.Nodes++
-		b.Fiber = append(b.Fiber,
-			netsim.TopoLink{A: p[0], B: mid, RateBps: units.Gbps(40), PropDelay: units.Seconds(d / 2 / geo.C)},
-			netsim.TopoLink{A: mid, B: p[1], RateBps: units.Gbps(40), PropDelay: units.Seconds(d / 2 / geo.C)})
-	}
-	return b
+	return ctlplane.PairBackbone(sites, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {2, 4}}, 10, 40)
 }
 
 // Commodities returns the standard gravity-model demand over Backbone's

@@ -238,7 +238,7 @@ func TestSnapshotInstallsIntoScenario(t *testing.T) {
 	h.Inject(ctlplane.Event{Type: ctlplane.EventFail, Link: 2})
 	snap, _ := h.GetSnapshot()
 	b := Backbone()
-	sc := &netsim.Scenario{Nodes: b.Nodes, Links: b.Hybrid(), Comms: Commodities()}
+	sc := &netsim.Scenario{Nodes: b.Nodes, Links: b.Links(), Comms: Commodities()}
 	if err := snap.Install(sc); err != nil {
 		t.Fatalf("installing live snapshot: %v", err)
 	}

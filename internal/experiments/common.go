@@ -2,7 +2,7 @@
 // evaluation. Each FigN function runs the corresponding experiment at a
 // configurable scale, writes the same rows/series the paper reports to an
 // io.Writer, and returns a structured result for programmatic checks
-// (tests, benchmarks, EXPERIMENTS.md).
+// (tests, benchmarks).
 //
 // Absolute numbers differ from the paper — the substrates are synthetic
 // (see DESIGN.md §2) — but each experiment preserves the published shape:

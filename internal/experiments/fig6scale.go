@@ -19,9 +19,7 @@ type Fig6ScaleResult struct {
 	FCT99Ms      float64
 	MeanRateKbps float64 // mean of per-flow mean rates, completed or not
 	WallSeconds  float64
-	Events       int64   // simulator events executed during the run
-	FlowsPerSec  float64 // offered flows / wall second
-	NsPerEvent   float64 // wall nanoseconds per simulator event
+	Events       int64 // simulator events executed during the run
 }
 
 // maxPacketScaleFlows bounds the packet engine in Fig6Scale: per-packet
@@ -33,17 +31,6 @@ const maxPacketScaleFlows = 1500
 // simRateScale scales all simulated link rates down from design capacity,
 // keeping packet counts sane exactly as the Fig 5/11 studies do.
 const simRateScale = 1.0 / 50
-
-// HybridScenarioLinks provisions a designed topology for the demand matrix
-// (scaled to designGbps aggregate) and returns the combined microwave +
-// fiber TopoLink list for simulation plus the node count, with link rates
-// scaled by simRateScale as in the packet-level studies. It is the bridge
-// the engine benchmarks use to replay traffic over a real design.
-func HybridScenarioLinks(s *cisp.Scenario, top *cisp.Topology, tm traffic.Matrix, designGbps float64) ([]netsim.TopoLink, int, error) {
-	plan := s.Provision(top, scaleTo(tm, designGbps))
-	mw, fiberLs := hybridSimLinks(s, top, plan, designGbps, simRateScale, 100, nil)
-	return append(mw, fiberLs...), len(s.Cities), nil
-}
 
 // designMixPoint builds the §6.4 design point shared by Fig6Scale, the
 // engine benchmarks and the TE experiment: the option's cities plus the
@@ -77,15 +64,17 @@ func designMixPoint(opt Options) (s *cisp.Scenario, top *cisp.Topology, designTM
 }
 
 // DesignedMixTopology builds the §6.4 design point plus the provisioned
-// hybrid simulation links. Returns the link list, node count and the
-// (relative-weight) design mix.
+// hybrid simulation links — microwave then fiber, rates scaled by
+// simRateScale as in the packet-level studies. Returns the link list,
+// node count and the (relative-weight) design mix.
 func DesignedMixTopology(opt Options) (links []netsim.TopoLink, nodes int, designTM traffic.Matrix, err error) {
 	s, top, designTM, err := designMixPoint(opt)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	links, nodes, err = HybridScenarioLinks(s, top, designTM, opt.simAggregateGbps())
-	return links, nodes, designTM, err
+	plan := s.Provision(top, scaleTo(designTM, opt.simAggregateGbps()))
+	mw, fiberLs := hybridSimLinks(s, top, plan, opt.simAggregateGbps(), simRateScale, 100, nil)
+	return append(mw, fiberLs...), len(s.Cities), designTM, nil
 }
 
 // MixCommodities apportions totalFlows across the mix's site pairs
@@ -150,12 +139,6 @@ func Fig6Scale(opt Options, mode netsim.Mode, totalFlows int) *Fig6ScaleResult {
 		WallSeconds: wall,
 		Events:      res.EventsProcessed,
 	}
-	if wall > 0 {
-		out.FlowsPerSec = float64(out.Flows) / wall
-	}
-	if out.Events > 0 {
-		out.NsPerEvent = wall * 1e9 / float64(out.Events)
-	}
 	if fcts := res.FCTs(); len(fcts) > 0 {
 		out.FCTMedianMs = netsim.Percentile(fcts, 50) * 1000
 		out.FCT95Ms = netsim.Percentile(fcts, 95) * 1000
@@ -173,9 +156,7 @@ func Fig6Scale(opt Options, mode netsim.Mode, totalFlows int) *Fig6ScaleResult {
 	if clamped {
 		fprintf(w, "  (packet mode clamped to %d flows; use -mode=fluid for more)\n", maxPacketScaleFlows)
 	}
-	// The figure prints only seed-deterministic columns plus the
-	// pre-existing wall(s); the wall-derived rates (flows/sec, ns/event)
-	// live in the Fig6ScaleResult / BENCH_netsim.json record so figure
+	// Apart from wall(s), every column is seed-deterministic, so figure
 	// output stays diffable across -parallel/-workers settings.
 	fprintf(w, "%-8s %10s %10s %12s %12s %12s %12s %10s %12s\n",
 		"mode", "flows", "completed", "FCT med(ms)", "FCT 95(ms)", "FCT 99(ms)", "rate(kbps)", "wall(s)", "events")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"cisp"
 	"cisp/internal/geo"
 	"cisp/internal/netsim"
 	"cisp/internal/te"
@@ -14,24 +13,15 @@ import (
 )
 
 // TETopology is the designed hybrid substrate the TE experiment routes
-// over: the provisioned microwave backbone plus the full fiber conduit
-// graph, with conduits that parallel a microwave link carried through a
+// over, with its design mix: a netsim.Backbone of the provisioned
+// microwave links plus the full fiber conduit graph, with conduits that parallel a microwave link carried through a
 // midpoint transit node — netsim paths are node sequences, so parallel
 // capacity must be distinct nodes, and keeping those conduits is exactly
 // what gives the control plane a latency-diverse alternative on every
 // built link.
 type TETopology struct {
-	Sites    []cisp.City
-	Nodes    int               // sites plus fiber midpoints
-	Mw       []netsim.TopoLink // built microwave links (rate-scaled)
-	Fiber    []netsim.TopoLink // fiber conduits, incl. midpoint halves
-	DesignTM traffic.Matrix    // the 4:3:3 design mix (relative weights)
-}
-
-// Links returns the combined simulation link list, microwave first (the
-// ordering weather grading and te.Controller updates rely on).
-func (t *TETopology) Links() []netsim.TopoLink {
-	return append(append([]netsim.TopoLink(nil), t.Mw...), t.Fiber...)
+	netsim.Backbone
+	DesignTM traffic.Matrix // the 4:3:3 design mix (relative weights)
 }
 
 // DesignedTETopology builds the §6.4 design point like DesignedMixTopology
@@ -45,7 +35,7 @@ func DesignedTETopology(opt Options) (*TETopology, error) {
 	}
 	plan := s.Provision(top, scaleTo(designTM, opt.simAggregateGbps()))
 	mw, fiber, nodes := hybridSimLinksParallel(s, top, plan, opt.simAggregateGbps(), simRateScale, 100)
-	return &TETopology{Sites: s.Cities, Nodes: nodes, Mw: mw, Fiber: fiber, DesignTM: designTM}, nil
+	return &TETopology{Backbone: netsim.Backbone{Sites: s.Cities, Nodes: nodes, Mw: mw, Fiber: fiber}, DesignTM: designTM}, nil
 }
 
 // DemandCommodities converts a demand matrix (any consistent units — only

@@ -22,17 +22,16 @@ func (r *FigUsersResult) Report(name string) *workload.ScenarioReport {
 	return nil
 }
 
-// UsersBackbone adapts the §6.4 designed hybrid substrate into the
-// workload layer's backbone form: the same sites, microwave links, and
-// fiber conduit graph DesignedTETopology builds for the TE and
-// availability studies, so every scenario's population draw rides the
-// very backbone the design layer provisioned.
+// UsersBackbone returns the §6.4 designed hybrid substrate
+// DesignedTETopology builds for the TE and availability studies, so every
+// scenario's population draw rides the very backbone the design layer
+// provisioned.
 func UsersBackbone(opt Options) (*workload.Backbone, error) {
 	tt, err := DesignedTETopology(opt)
 	if err != nil {
 		return nil, err
 	}
-	return &workload.Backbone{Sites: tt.Sites, Nodes: tt.Nodes, Mw: tt.Mw, Fiber: tt.Fiber}, nil
+	return &tt.Backbone, nil
 }
 
 // usersScenarios is the published sweep: a timezone-staggered evening

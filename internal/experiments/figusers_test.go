@@ -140,7 +140,7 @@ func TestUsersBackboneShape(t *testing.T) {
 	if pop <= 0 {
 		t.Fatal("sites carry no population — nothing to draw users from")
 	}
-	h := b.Hybrid()
+	h := b.Links()
 	if len(h) != len(b.Mw)+len(b.Fiber) {
 		t.Fatalf("hybrid has %d links, want %d", len(h), len(b.Mw)+len(b.Fiber))
 	}

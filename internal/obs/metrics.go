@@ -258,40 +258,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
-// linear interpolation within the target bucket — the same estimate
-// Prometheus's histogram_quantile computes. Returns 0 with no samples;
-// samples beyond the last finite bucket report that bucket's bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.uppers[i-1]
-			}
-			return lo + (h.uppers[i]-lo)*(rank-float64(cum))/float64(c)
-		}
-		cum += c
-	}
-	if len(h.uppers) > 0 {
-		return h.uppers[len(h.uppers)-1]
-	}
-	return 0
-}
-
 // snapshot collects every instrument sorted by (name, labels) for the
 // deterministic encoders in prom.go. Values are read after the sort, so
 // an export is a near-consistent cut.

@@ -64,28 +64,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("h", []float64{1, 2, 4})
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile != 0")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(0.5) // all in (-inf, 1]
-	}
-	q := h.Quantile(0.5)
-	if q <= 0 || q > 1 {
-		t.Errorf("p50 = %v, want within (0,1]", q)
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(3) // (2,4]
-	}
-	q = h.Quantile(0.99)
-	if q <= 2 || q > 4 {
-		t.Errorf("p99 = %v, want within (2,4]", q)
-	}
-}
-
 // TestRegistryRaceHammer exercises concurrent lookup and update across all
 // instrument kinds; run with -race it is the registry's concurrency test.
 func TestRegistryRaceHammer(t *testing.T) {

@@ -1,13 +1,13 @@
 package weather
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
 	"cisp/internal/design"
 	"cisp/internal/geo"
 	"cisp/internal/linkbuild"
+	"cisp/internal/netsim"
 	"cisp/internal/parallel"
 	"cisp/internal/units"
 )
@@ -160,34 +160,12 @@ func AnalyzeYear(top *design.Topology, links *linkbuild.Links, gen *Generator, c
 		sort.Float64s(sorted)
 		an.Best = append(an.Best, sorted[0])
 		an.Worst = append(an.Worst, sorted[len(sorted)-1])
-		an.P99 = append(an.P99, quantile(sorted, 0.99))
+		an.P99 = append(an.P99, netsim.Percentile(sorted, 99))
 		an.Fiber = append(an.Fiber, top.FiberDist(pr.s, pr.t)/p.Geodesic[pr.s][pr.t])
 	}
 	return an
 }
 
-// quantile interpolates the q-th quantile (q in [0,1]) of an ascending
-// slice; NaN for an empty input.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	idx := q * float64(len(sorted)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return sorted[lo]
-	}
-	f := idx - float64(lo)
-	return sorted[lo]*(1-f) + sorted[hi]*f
-}
-
-// Median of an unsorted slice (convenience for reporting).
-func Median(v []float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	return quantile(s, 0.5)
-}
+// Median of an unsorted slice (convenience for reporting); NaN for an
+// empty input.
+func Median(v []float64) float64 { return netsim.Percentile(v, 50) }

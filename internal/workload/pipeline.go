@@ -194,7 +194,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 	if b == nil {
 		return nil, fmt.Errorf("workload: pipeline has no backbone")
 	}
-	hybrid := b.Hybrid()
+	hybrid := b.Links()
 
 	fluidComms, appOf := c.Commodities(p.TotalFlows, p.Window)
 	packetComms, _ := c.Commodities(p.PacketFlows, p.Window)

@@ -159,20 +159,5 @@ func ActiveUsers(sites []cities.City, penetration, utcHour float64) []float64 {
 	return users
 }
 
-// Backbone is the designed substrate a workload runs over: the site list
-// the populations attach to, the provisioned microwave backbone, and the
-// fiber conduit graph (including midpoint transit nodes, which is why
-// Nodes can exceed len(Sites)). experiments.DesignedTETopology produces
-// exactly this shape; tests build small ones by hand.
-type Backbone struct {
-	Sites []cities.City
-	Nodes int               // sites plus fiber midpoint transit nodes
-	Mw    []netsim.TopoLink // microwave links, endpoints index Sites
-	Fiber []netsim.TopoLink // fiber conduits, incl. midpoint halves
-}
-
-// Hybrid returns the combined link list, microwave first — the ordering
-// weather grading, failure schedules, and Schedule.Remap rely on.
-func (b *Backbone) Hybrid() []netsim.TopoLink {
-	return append(append([]netsim.TopoLink(nil), b.Mw...), b.Fiber...)
-}
+// Backbone aliases netsim.Backbone, kept because the benchmark module names it.
+type Backbone = netsim.Backbone
