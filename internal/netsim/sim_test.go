@@ -260,9 +260,4 @@ func TestPercentile(t *testing.T) {
 	if !math.IsNaN(Percentile(nil, 50)) {
 		t.Fatal("empty percentile should be NaN")
 	}
-	for _, p := range []float64{0, 50, 99, 100} {
-		if v := Percentile([]float64{42}, p); v != 42 {
-			t.Fatalf("p%v of a single sample = %v, want 42", p, v)
-		}
-	}
 }

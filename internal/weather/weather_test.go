@@ -13,6 +13,7 @@ import (
 	"cisp/internal/geo"
 	"cisp/internal/linkbuild"
 	"cisp/internal/los"
+	"cisp/internal/netsim"
 	"cisp/internal/parallel"
 	"cisp/internal/terrain"
 	"cisp/internal/towers"
@@ -263,6 +264,30 @@ func TestMedian(t *testing.T) {
 	}
 	if m := Median([]float64{1, 2, 3, 4}); m != 2.5 {
 		t.Fatalf("median of even-length slice = %v, want 2.5", m)
+	}
+}
+
+// TestQuantileEdges pins the percentile AnalyzeYear reports as P99 at the
+// edges of its input: empty, a single sample, and the extreme quantiles.
+func TestQuantileEdges(t *testing.T) {
+	if !math.IsNaN(netsim.Percentile(nil, 50)) {
+		t.Fatal("quantile of empty should be NaN")
+	}
+	single := []float64{42}
+	for _, p := range []float64{0, 50, 99, 100} {
+		if v := netsim.Percentile(single, p); v != 42 {
+			t.Fatalf("p%v of single sample = %v, want 42", p, v)
+		}
+	}
+	s := []float64{1, 2, 3, 4, 5}
+	if v := netsim.Percentile(s, 0); v != 1 {
+		t.Fatalf("p0 should be the minimum, got %v", v)
+	}
+	if v := netsim.Percentile(s, 100); v != 5 {
+		t.Fatalf("p100 should be the maximum, got %v", v)
+	}
+	if v := netsim.Percentile(s, 50); v != 3 {
+		t.Fatalf("p50 = %v, want 3", v)
 	}
 }
 
