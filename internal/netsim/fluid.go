@@ -22,19 +22,16 @@ import (
 // individual flows, and each group tracks its members' departures through a
 // cumulative service accumulator — a flow of B bytes arriving when the
 // group has served S bytes per flow departs when the accumulator reaches
-// S + B. Per-event cost is therefore O(links² + Σ route lengths),
-// independent of the number of concurrent flows.
+// S + B. Per-event cost is therefore O(links + rounds × loaded links +
+// Σ active route lengths), where a round freezes one bottleneck and loaded
+// links are those carrying flows; it is independent of the number of
+// concurrent flows. Superseded departure events are dropped lazily, and
+// the departure heap is compacted before a push would take it past twice
+// the route count, so it never holds more than 2 × routes entries.
 //
 // The simulation is deterministic: allocation iterates links and routes in
 // index order and all heap orderings carry explicit tie-breaks.
 type FluidSim struct {
-	// RateTol suppresses departure-event rescheduling for groups whose
-	// per-flow rate changed by at most this relative fraction in a
-	// recomputation (their rate is still updated). 0 (the default) tracks
-	// every change exactly; small values (e.g. 1e-3) trade bounded rate
-	// staleness for fewer heap operations on huge runs.
-	RateTol float64
-
 	nNodes     int
 	processed  int64 // events executed (live departures + arrivals)
 	maxPending int   // arrivals+departures heap high-water mark
@@ -66,10 +63,12 @@ type FluidSim struct {
 	deps     []depItem
 
 	// Allocator state. linkW is maintained incrementally (active flows per
-	// link); scratch arrays are reused across recomputations.
+	// link); scratch arrays and the worklist of loaded links are reused
+	// across recomputations.
 	linkW    []float64
 	scratchW []float64
 	scratchR []float64
+	work     []int32
 	frozenAt []int64
 	epoch    int64
 }
@@ -153,6 +152,7 @@ func NewFluid(nNodes int, links []TopoLink) *FluidSim {
 	f.linkW = make([]float64, len(f.links))
 	f.scratchW = make([]float64, len(f.links))
 	f.scratchR = make([]float64, len(f.links))
+	f.work = make([]int32, len(f.links))
 	f.linkServed = make([]float64, len(f.links))
 	return f
 }
@@ -214,7 +214,9 @@ func (f *FluidSim) Now() float64 { return f.now }
 func (f *FluidSim) Processed() int64 { return f.processed }
 
 // MaxPending returns the high-water mark of queued arrival+departure
-// events — the observability layer's heap-depth figure.
+// events — the observability layer's heap-depth figure. Arrivals are
+// queued at StartAt; departures hold at most one live event per route
+// plus superseded ones, and compaction keeps them to 2 × routes.
 func (f *FluidSim) MaxPending() int { return f.maxPending }
 
 // Active returns the number of currently running flows.
@@ -514,31 +516,46 @@ func (f *FluidSim) departGroup(gi int32) {
 // recompute reruns weighted progressive filling: repeatedly find the link
 // with the smallest fair share (residual capacity / unfrozen flow count),
 // freeze every route through it at that per-flow rate, and subtract the
-// frozen routes from their other links. Groups whose rate changed (beyond
-// RateTol) or whose pending event was invalidated get a fresh departure
-// event.
+// frozen routes from their other links. Groups whose rate changed or whose
+// pending event was invalidated get a fresh departure event.
+//
+// Only links that carry flows can bottleneck, so each round scans a
+// worklist of the links with unfrozen weight, in index order, and drops
+// the ones that have drained since the last round. Frozen weight never
+// comes back within a recompute, so the rounds visit the same links in the
+// same order as a scan of the whole link array would.
 //
 //cisp:hotpath
 func (f *FluidSim) recompute() {
 	f.epoch++
+	n := 0
 	for li := range f.links {
-		f.scratchW[li] = f.linkW[li]
-		f.scratchR[li] = f.links[li].capBps
+		if f.linkW[li] > 0 {
+			f.scratchW[li] = f.linkW[li]
+			f.scratchR[li] = f.links[li].capBps
+			f.work[n] = int32(li)
+			n++
+		}
 	}
+	work := f.work[:n]
 	remaining := f.activeG
 	for remaining > 0 {
 		best, bestShare := int32(-1), math.Inf(1)
-		for li := range f.links {
+		kept := 0
+		for _, li := range work {
 			if f.scratchW[li] > 0 {
+				work[kept] = li
+				kept++
 				share := f.scratchR[li] / f.scratchW[li]
 				if share < 0 {
 					share = 0
 				}
 				if share < bestShare {
-					best, bestShare = int32(li), share
+					best, bestShare = li, share
 				}
 			}
 		}
+		work = work[:kept]
 		if best < 0 {
 			break // defensive: every active group weights some link
 		}
@@ -566,10 +583,7 @@ func (f *FluidSim) recompute() {
 }
 
 // setRate applies a group's new allocation and (re)schedules its next
-// departure event when needed. The rate itself is always applied; RateTol
-// only suppresses the event reschedule for sub-tolerance changes (the
-// outstanding event then fires up to tolerance-early or -late, which
-// departGroup absorbs).
+// departure event when the rate changed or no live event is queued.
 //
 //cisp:hotpath
 func (f *FluidSim) setRate(gi int32, r float64) {
@@ -577,9 +591,6 @@ func (f *FluidSim) setRate(gi int32, r float64) {
 	reschedule := r != g.rate
 	if reschedule {
 		f.advance(g)
-		if g.rate > 0 && r > 0 && math.Abs(r-g.rate) <= f.RateTol*g.rate {
-			reschedule = false
-		}
 		g.rate = r
 	}
 	if (reschedule || !g.hasEvent) && g.n > 0 {
@@ -590,8 +601,33 @@ func (f *FluidSim) setRate(gi int32, r float64) {
 			if dt < 0 {
 				dt = 0
 			}
+			if len(f.deps) >= f.depsBound() {
+				f.compactDeps()
+			}
 			xheap.Push(&f.deps, depItem{t: g.lastT + dt, g: gi, gen: g.gen}, depLess)
 			g.hasEvent = true
 		}
 	}
+}
+
+// depsBound caps len(f.deps). Each route has at most one live departure
+// event, so compacting at twice the route count drops at least half the
+// entries, and its cost spreads to O(1) per push.
+func (f *FluidSim) depsBound() int { return 2 * len(f.groups) }
+
+// compactDeps drops superseded departure events (their gen no longer
+// matches the group's) and re-heapifies the rest. Live events have unique
+// (t, group) keys, so the pop order does not depend on the heap's shape.
+//
+//cisp:hotpath
+func (f *FluidSim) compactDeps() {
+	n := 0
+	for _, d := range f.deps {
+		if f.groups[d.g].gen == d.gen {
+			f.deps[n] = d
+			n++
+		}
+	}
+	f.deps = f.deps[:n]
+	xheap.Init(f.deps, depLess)
 }

@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"cisp/internal/units"
-	"time"
 )
 
 func almostEq(a, b, rel float64) bool {
@@ -121,25 +123,6 @@ func TestFluidServedBytesBeforeArrival(t *testing.T) {
 	f.Run(1)
 	if got := f.ServedBytes(a); got != 0 {
 		t.Fatalf("served = %v bytes for a flow that never arrived, want 0", got)
-	}
-}
-
-func TestFluidRateTolStillAppliesRates(t *testing.T) {
-	// With a coarse tolerance the event reschedules are suppressed but the
-	// allocation itself must track the true max-min share: after the 2nd
-	// flow arrives, the per-flow rate must drop to the half share.
-	f := NewFluid(2, []TopoLink{{A: 0, B: 1, RateBps: 10e6}})
-	r := f.AddRoute([]int{0, 1})
-	f.RateTol = 0.5
-	f.Start(r, 1e9)
-	f.Run(0)
-	if !almostEq(f.RouteRate(r), 10e6, 1e-12) {
-		t.Fatalf("solo rate = %v", f.RouteRate(r))
-	}
-	f.StartAt(r, 1e9, 1)
-	f.Run(1)
-	if !almostEq(f.RouteRate(r), 5e6, 1e-12) {
-		t.Fatalf("shared rate = %v, want 5 Mbps even under RateTol", f.RouteRate(r))
 	}
 }
 
@@ -328,5 +311,269 @@ func TestFluidMillionFlowSmoke(t *testing.T) {
 		nNodes, setup, f.Completed())
 	if setup > 60*time.Second {
 		t.Fatalf("million-flow smoke took %v — scale path has rotted", setup)
+	}
+}
+
+// overloadedFluidScenario is the fluid engine's pinned workload: 80 seeded
+// commodities on syntheticBackbone(100), every other one split over its
+// shortest and widest paths, offering more than the backbone can carry in
+// the horizon. Link 0 fails at 3 s and returns at 12 s, and at 3.5 s the
+// first commodity is re-split onto its widest path alone.
+func overloadedFluidScenario() *Scenario {
+	const n = 100
+	links := syntheticBackbone(n)
+	rng := rand.New(rand.NewSource(21))
+	var comms []Commodity
+	for k := 0; len(comms) < 80; k++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a == b {
+			continue
+		}
+		comms = append(comms, Commodity{Flow: k, Src: a, Dst: b, Demand: 1e9, Count: 10 + rng.Intn(40)})
+	}
+	short := ComputeRoutes(n, links, comms, ShortestPath)
+	wide := ComputeRoutes(n, links, comms, ThroughputOptimal)
+	splits := map[int][]SplitPath{}
+	for i, c := range comms {
+		if i%2 == 0 && PathKey(short[c.Flow]) != PathKey(wide[c.Flow]) {
+			splits[c.Flow] = []SplitPath{{Path: short[c.Flow], Frac: 0.7}, {Path: wide[c.Flow], Frac: 0.3}}
+		}
+	}
+	c0 := comms[0]
+	return &Scenario{
+		Nodes:       n,
+		Links:       links,
+		Comms:       comms,
+		Scheme:      ShortestPath,
+		Splits:      splits,
+		Failures:    []FailureEvent{{Time: 3, Link: 0, Up: false}, {Time: 12, Link: 0, Up: true}},
+		Updates:     []PathUpdate{{Time: 3.5, Flow: c0.Flow, Paths: []SplitPath{{Path: wide[c0.Flow], Frac: 1}}}},
+		FlowBytes:   4 << 30,
+		Horizon:     30,
+		StartSpread: 10,
+		Seed:        5,
+	}
+}
+
+// fluidResultHash folds every flow's FCT and every link's utilization,
+// bit for bit, into one FNV-64a sum.
+func fluidResultHash(res *ScenarioResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, fr := range res.Flows {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(fr.FCT))
+		h.Write(b[:])
+	}
+	for _, l := range res.LinkLoads {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(l.Utilization)))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestFluidScenarioPinned pins the fluid engine's output on an overloaded
+// multipath scenario with a failure and a path update. Any change to the
+// allocator or the event loop must leave these figures bit-identical.
+func TestFluidScenarioPinned(t *testing.T) {
+	res := overloadedFluidScenario().Run(FluidMode)
+	const (
+		wantEvents    = 3737
+		wantCompleted = 1444
+		wantHash      = 0x945614ecb1c158a9
+	)
+	if h := fluidResultHash(res); res.EventsProcessed != wantEvents || res.Completed != wantCompleted || h != wantHash {
+		t.Errorf("%d events, %d of %d flows completed, hash %#x; want %d, %d, %#x",
+			res.EventsProcessed, res.Completed, len(res.Flows), h, wantEvents, wantCompleted, uint64(wantHash))
+	}
+}
+
+// TestFluidScaleInvariance: scaling every link rate and the flow size by
+// the same power of two scales every rate, byte count and share exactly,
+// so the run's times and utilizations must not move by a single bit.
+// Scaling capacity alone changes every FCT, so an allocation that mixes in
+// an unscaled quantity shows here.
+func TestFluidScaleInvariance(t *testing.T) {
+	base := overloadedFluidScenario().Run(FluidMode)
+	for _, k := range []float64{2, 0.25} {
+		sc := overloadedFluidScenario()
+		for i := range sc.Links {
+			sc.Links[i].RateBps = units.BitsPerSecond(k * float64(sc.Links[i].RateBps))
+		}
+		sc.FlowBytes = int(float64(sc.FlowBytes) * k)
+		res := sc.Run(FluidMode)
+		if res.EventsProcessed != base.EventsProcessed || res.Completed != base.Completed {
+			t.Fatalf("×%v: %d events, %d completed; unscaled %d, %d",
+				k, res.EventsProcessed, res.Completed, base.EventsProcessed, base.Completed)
+		}
+		for i := range res.Flows {
+			if math.Float64bits(res.Flows[i].FCT) != math.Float64bits(base.Flows[i].FCT) {
+				t.Fatalf("×%v: flow %d FCT %v, unscaled %v", k, i, res.Flows[i].FCT, base.Flows[i].FCT)
+			}
+		}
+		for i := range res.LinkLoads {
+			if res.LinkLoads[i] != base.LinkLoads[i] {
+				t.Fatalf("×%v: link load %+v, unscaled %+v", k, res.LinkLoads[i], base.LinkLoads[i])
+			}
+		}
+	}
+}
+
+// referenceRates is weighted progressive filling done the long way: every
+// bottleneck round scans the whole link array, and link weights are summed
+// afresh from the groups. It returns the per-flow max-min rate of every
+// group in f's current state, computed with the same floating-point steps
+// as FluidSim.recompute.
+func referenceRates(f *FluidSim) []float64 {
+	w := make([]float64, len(f.links))
+	r := make([]float64, len(f.links))
+	for li := range f.links {
+		r[li] = f.links[li].capBps
+	}
+	remaining := 0
+	for gi := range f.groups {
+		if g := &f.groups[gi]; g.n > 0 {
+			remaining++
+			for _, li := range g.links {
+				w[li] += float64(g.n)
+			}
+		}
+	}
+	rates := make([]float64, len(f.groups))
+	frozen := make([]bool, len(f.groups))
+	for remaining > 0 {
+		best, bestShare := -1, math.Inf(1)
+		for li := range f.links {
+			if w[li] > 0 {
+				share := r[li] / w[li]
+				if share < 0 {
+					share = 0
+				}
+				if share < bestShare {
+					best, bestShare = li, share
+				}
+			}
+		}
+		if best < 0 {
+			break
+		}
+		for _, gi := range f.links[best].groups {
+			g := &f.groups[gi]
+			if g.n == 0 || frozen[gi] {
+				continue
+			}
+			frozen[gi] = true
+			remaining--
+			rates[gi] = bestShare
+			gw := float64(g.n)
+			for _, li := range g.links {
+				w[li] -= gw
+				r[li] -= bestShare * gw
+				if w[li] < 1e-9 {
+					w[li] = 0
+				}
+				if r[li] < 0 {
+					r[li] = 0
+				}
+			}
+		}
+	}
+	return rates
+}
+
+// randomMesh is a seeded connected mesh: a ring plus random chords, with
+// link rates between 10 and 100 Mbps.
+func randomMesh(rng *rand.Rand) (int, []TopoLink) {
+	n := 6 + rng.Intn(20)
+	seen := map[[2]int]bool{}
+	var links []TopoLink
+	add := func(a, b int) {
+		key := [2]int{min(a, b), max(a, b)}
+		if a == b || seen[key] {
+			return
+		}
+		seen[key] = true
+		links = append(links, TopoLink{A: key[0], B: key[1], RateBps: units.Mbps(float64(10 + rng.Intn(91))), PropDelay: 0.001})
+	}
+	for i := 0; i < n; i++ {
+		add(i, (i+1)%n)
+	}
+	for k := 0; k < n; k++ {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	return n, links
+}
+
+// TestFluidMatchesReference drives the engine through arrivals,
+// departures, link failures and restorations, and reroutes on seeded
+// random meshes with multipath routes, and checks after every Run and
+// Recompute that each group's rate is bit-identical to the full-scan
+// reference allocation and that the departure heap stays within its bound.
+func TestFluidMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, links := randomMesh(rng)
+		f := NewFluid(n, links)
+		var comms []Commodity
+		for k := 0; k < 3*n; k++ {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				comms = append(comms, Commodity{Flow: k, Src: a, Dst: b, Demand: 1e6})
+			}
+		}
+		short := ComputeRoutes(n, links, comms, ShortestPath)
+		wide := ComputeRoutes(n, links, comms, ThroughputOptimal)
+		// alt[r] is the route a reroute moves route r's flows onto: the
+		// commodity's other path, or itself when both schemes agree.
+		var alt []int
+		for _, c := range comms {
+			rs := f.AddRoute(short[c.Flow])
+			rw := rs
+			if PathKey(wide[c.Flow]) != PathKey(short[c.Flow]) {
+				rw = f.AddRoute(wide[c.Flow])
+			}
+			alt = append(alt, rw)
+			if rw != rs {
+				alt = append(alt, rs)
+			}
+		}
+		var ids []int
+		for i := 0; i < 40*n; i++ {
+			ids = append(ids, f.StartAt(rng.Intn(len(alt)), 1e4+2e6*rng.Float64(), 4*rng.Float64()))
+		}
+
+		check := func(when string) {
+			t.Helper()
+			want := referenceRates(f)
+			for gi := range f.groups {
+				if got := f.groups[gi].rate; math.Float64bits(got) != math.Float64bits(want[gi]) {
+					t.Fatalf("seed %d, %s: group %d rate %v, reference %v", seed, when, gi, got, want[gi])
+				}
+			}
+			if len(f.deps) > f.depsBound() {
+				t.Fatalf("seed %d, %s: %d departure events queued, bound %d", seed, when, len(f.deps), f.depsBound())
+			}
+		}
+		down := links[rng.Intn(len(links))]
+		for step := 1; step <= 40; step++ {
+			f.Run(0.25 * float64(step))
+			check("run")
+			switch step {
+			case 6: // fail a link mid-run
+				f.SetLinkRate(down.A, down.B, 0)
+				f.SetLinkRate(down.B, down.A, 0)
+			case 10: // move a third of the flows onto their other path
+				for i, id := range ids {
+					if i%3 == 0 {
+						f.Reroute(id, alt[f.flowRoute[id]])
+					}
+				}
+			case 14: // restore the failed link
+				f.SetLinkRate(down.A, down.B, float64(down.RateBps))
+				f.SetLinkRate(down.B, down.A, float64(down.RateBps))
+			default:
+				continue
+			}
+			f.Recompute()
+			check("recompute")
+		}
 	}
 }

@@ -93,7 +93,6 @@ type Scenario struct {
 	Seed        int64   // start-time randomness (packet and fluid draw identically)
 	Pacing      bool    // packet mode: TCP pacing
 	QueueCap    int     // packet mode: per-link queue override (0 = keep TopoLink values)
-	RateTol     float64 // fluid mode: reschedule-suppression tolerance
 }
 
 // FailureEvent is one timed topology transition of a Scenario run: the
@@ -555,7 +554,6 @@ func PathKey(path []int) string {
 func (sc *Scenario) runFluid() *ScenarioResult {
 	flowBytes, horizon := sc.defaults()
 	f := NewFluid(sc.Nodes, sc.Links)
-	f.RateTol = sc.RateTol
 	routings := sc.routeCommodities(sc.Links)
 
 	total := 0
