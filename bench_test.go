@@ -281,6 +281,7 @@ func scaleScenario(totalFlows int, horizon float64) *netsim.Scenario {
 func BenchmarkPacketMode(b *testing.B) {
 	scaleBenchSetup(b)
 	sc := scaleScenario(800, 60)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sc.Run(netsim.PacketMode)

@@ -5,9 +5,9 @@
 // checked AST-side for the allocation shapes that matter per call:
 // composite literals that escape, make/new, append growth, implicit
 // interface boxing (the container/heap tax), variadic argument slices,
-// capturing closures and string building. The check is syntactic and
-// per-function: it does not chase callees, and a justified //lint:allow
-// acknowledges an amortized or intentional allocation.
+// capturing closures, method values and string building. The check is
+// syntactic and per-function: it does not chase callees, and a justified
+// //lint:allow acknowledges an amortized or intentional allocation.
 package hotpathalloc
 
 import (
@@ -22,7 +22,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathalloc",
 	Doc: "flags allocations in //cisp:hotpath functions: composite-literal/make/new/append " +
-		"growth, interface boxing, variadic slices, capturing closures and string building",
+		"growth, interface boxing, variadic slices, capturing closures, method values and string building",
 	Run: run,
 }
 
@@ -64,6 +64,12 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 		case *ast.FuncLit:
 			if capture := capturedVar(pass, fn, n); capture != nil {
 				pass.Reportf(n.Pos(), "hot path heap-allocates: closure captures %s", capture.Name())
+			}
+		case *ast.SelectorExpr:
+			// x.M as a func value is a closure binding x, just like a
+			// capturing literal; only a call of it binds nothing.
+			if sel := pass.Info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal && !isCallee(n, stack) {
+				pass.Reportf(n.Pos(), "hot path heap-allocates: method value %s binds its receiver", types.ExprString(n))
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD {
@@ -124,6 +130,22 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		pass.Reportf(arg.Pos(), "hot path heap-allocates: implicit conversion to interface boxes this %s argument", at.String())
 	}
+}
+
+// isCallee reports whether e, whose ancestors are stack, is the function
+// operand of a call, looking through parentheses.
+func isCallee(e ast.Expr, stack []ast.Node) bool {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.ParenExpr:
+			e = p
+		case *ast.CallExpr:
+			return p.Fun == e
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 func typeAsSignature(t types.Type) (*types.Signature, bool) {

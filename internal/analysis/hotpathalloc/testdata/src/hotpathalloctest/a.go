@@ -53,6 +53,25 @@ func staticClosureIsFine() func() int {
 	return f
 }
 
+type counter struct{ n int }
+
+func (c *counter) tick() { c.n++ }
+
+type ticker interface{ tick() }
+
+func later(fn func()) { fn() }
+
+//cisp:hotpath
+func methodValues(c *counter, t ticker) {
+	later(c.tick) // want `method value c.tick binds its receiver`
+	f := t.tick   // want `method value t.tick binds its receiver`
+	_ = f
+	c.tick()             // a call binds nothing: no finding
+	(c.tick)()           // nor does a parenthesized one
+	g := (*counter).tick // method expression: a static func, no finding
+	g(c)
+}
+
 //cisp:hotpath
 func stringConcat(a, b string) string {
 	return a + b // want `string concatenation`

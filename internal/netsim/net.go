@@ -54,21 +54,33 @@ type Node struct {
 
 // Link is a unidirectional fixed-rate link with a FIFO queue.
 type Link struct {
-	From, To  int
-	RateBps   float64
-	PropDelay float64 // seconds
-	QueueCap  int     // packets; 0 = unbounded
+	From, To int
+	RateBps  float64
+	// PropDelay is in seconds. It may not change while packets are in
+	// flight: the delay line relies on arrivals leaving in send order.
+	PropDelay float64
+	QueueCap  int // packets; 0 = unbounded
 
 	// Drop, when non-nil, is consulted on every enqueue: returning true
 	// discards the packet (counted in Drops). Used for loss injection in
 	// tests and loss-model experiments.
 	Drop func(*Packet) bool
 
-	net          *Network
-	queue        []*Packet
-	transmitting bool
-	txStart      float64 // start time of the in-flight transmission
-	txDur        float64 // its duration
+	net     *Network
+	queue   fifo[*Packet]
+	txPkt   *Packet // the packet in transmission, nil when idle
+	txEpoch int64   // downEpoch when its transmission started
+	txStart float64 // start time of the in-flight transmission
+	txDur   float64 // its duration
+
+	// line is the link's delay line: the packets in propagation, in send
+	// order, which is also arrival order. Only its head waits in the
+	// simulator's heap, under the key stamped when it was sent.
+	line fifo[inFlight]
+
+	// The transmission-complete and arrival handlers, bound once in
+	// AddLink so that scheduling them allocates nothing.
+	onTxDone, onArrive func()
 
 	// Failure state. downEpoch increments on every transition, voiding
 	// packets that were in flight (transmitting or propagating) when the
@@ -84,11 +96,20 @@ type Link struct {
 	maxQueueLen int
 }
 
+// inFlight is one packet on a link's delay line: its arrival key (time,
+// sequence) and the link's downEpoch when it was sent.
+type inFlight struct {
+	at    float64
+	seq   int64
+	pkt   *Packet
+	epoch int64
+}
+
 // QueueLen returns the instantaneous queue length in packets (including the
 // packet in transmission).
 func (l *Link) QueueLen() int {
-	n := len(l.queue)
-	if l.transmitting {
+	n := l.queue.len()
+	if l.txPkt != nil {
 		n++
 	}
 	return n
@@ -113,12 +134,10 @@ func (l *Link) SetDown(down bool) {
 	l.down = down
 	l.downEpoch++
 	if down {
-		for i, p := range l.queue {
+		for l.queue.len() > 0 {
 			l.Drops++
-			l.net.release(p)
-			l.queue[i] = nil
+			l.net.release(l.queue.pop())
 		}
-		l.queue = l.queue[:0]
 	}
 }
 
@@ -130,7 +149,7 @@ func (l *Link) Utilization(now float64) float64 {
 		return 0
 	}
 	busy := l.busyTime
-	if l.transmitting && now > l.txStart {
+	if l.txPkt != nil && now > l.txStart {
 		part := now - l.txStart
 		if part > l.txDur {
 			part = l.txDur
@@ -177,6 +196,7 @@ func (nw *Network) AddLink(from, to int, rateBps, propDelay float64, queueCap in
 		panic(fmt.Sprintf("netsim: duplicate link %d->%d", from, to))
 	}
 	l := &Link{From: from, To: to, RateBps: rateBps, PropDelay: propDelay, QueueCap: queueCap, net: nw}
+	l.onTxDone, l.onArrive = l.txDone, l.arrive
 	nw.links[key] = l
 	return l
 }
@@ -324,58 +344,122 @@ func (l *Link) enqueue(pkt *Packet) {
 		l.net.release(pkt)
 		return
 	}
-	if l.QueueCap > 0 && len(l.queue) >= l.QueueCap {
+	if l.QueueCap > 0 && l.queue.len() >= l.QueueCap {
 		l.Drops++
 		l.net.release(pkt)
 		return
 	}
-	l.queue = append(l.queue, pkt) //lint:allow hotpathalloc -- amortized growth of the FIFO backing array
+	l.queue.push(pkt)
 	if q := l.QueueLen(); q > l.maxQueueLen {
 		l.maxQueueLen = q
 	}
-	if !l.transmitting {
+	if l.txPkt == nil {
 		l.startNext()
 	}
 }
 
+// startNext starts transmitting the next queued packet, if any.
+//
+//cisp:hotpath
 func (l *Link) startNext() {
-	if len(l.queue) == 0 {
-		l.transmitting = false
+	if l.queue.len() == 0 {
 		return
 	}
-	l.transmitting = true
-	pkt := l.queue[0]
-	l.queue[0] = nil // drop the reference so the pool can recycle promptly
-	l.queue = l.queue[1:]
+	pkt := l.queue.pop()
 	tx := float64(pkt.Size) * 8 / l.RateBps
+	l.txPkt, l.txEpoch = pkt, l.downEpoch
 	l.txStart = l.net.Sim.Now()
 	l.txDur = tx
 	l.TxPackets++
 	l.TxBytes += int64(pkt.Size)
-	sim := l.net.Sim
-	epoch := l.downEpoch
-	sim.Schedule(tx, func() {
-		if l.downEpoch != epoch {
-			// The link failed (or flapped) mid-transmission: the packet is
-			// lost and the busy time is not credited. startNext still runs so
-			// the transmitter frees up for traffic after a restore.
-			l.Drops++
-			l.net.release(pkt)
-			l.startNext()
-			return
+	l.net.Sim.Schedule(tx, l.onTxDone)
+}
+
+// txDone ends the transmission in progress. The packet joins the delay
+// line, or is lost if the link failed (or flapped) since the transmission
+// began, in which case the busy time is not credited. Either way the
+// transmitter moves on, so it is free for traffic after a restore.
+//
+//cisp:hotpath
+func (l *Link) txDone() {
+	pkt := l.txPkt
+	l.txPkt = nil
+	if l.downEpoch != l.txEpoch {
+		l.Drops++
+		l.net.release(pkt)
+	} else {
+		l.busyTime += l.txDur
+		sim := l.net.Sim
+		at, seq := sim.stamp(l.PropDelay)
+		l.line.push(inFlight{at: at, seq: seq, pkt: pkt, epoch: l.txEpoch})
+		if l.line.len() == 1 {
+			sim.push(at, seq, l.onArrive)
 		}
-		// Transmission finished: credit the busy time, propagate, then free
-		// the transmitter.
-		l.busyTime += tx
-		sim.Schedule(l.PropDelay, func() {
-			if l.downEpoch != epoch {
-				// Lost in propagation when the link died.
-				l.Drops++
-				l.net.release(pkt)
-				return
-			}
-			l.net.step(pkt)
-		})
-		l.startNext()
-	})
+	}
+	l.startNext()
+}
+
+// arrive takes the head off the delay line, hands the next one to the
+// heap, and forwards the packet — unless the link died while it was in
+// propagation.
+//
+//cisp:hotpath
+func (l *Link) arrive() {
+	e := l.line.pop()
+	if l.line.len() > 0 {
+		next := l.line.front()
+		l.net.Sim.push(next.at, next.seq, l.onArrive)
+	}
+	if e.epoch != l.downEpoch {
+		l.Drops++
+		l.net.release(e.pkt)
+		return
+	}
+	l.net.step(e.pkt)
+}
+
+// fifo is a ring-buffer FIFO. Its array doubles only when full, so it
+// holds at most twice the longest queue it has seen, and a queue that
+// drains and refills reuses it.
+type fifo[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (q *fifo[T]) len() int { return q.n }
+
+// front returns the oldest entry; the fifo must not be empty.
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+// push appends v.
+//
+//cisp:hotpath
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(4, 2*len(q.buf))) //lint:allow hotpathalloc -- amortized growth of the ring
+		copy(grown, q.buf[q.head:])
+		copy(grown[len(q.buf)-q.head:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
+	q.n++
+}
+
+// pop removes and returns the oldest entry; the fifo must not be empty.
+//
+//cisp:hotpath
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // keep no reference to a popped entry
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return v
 }

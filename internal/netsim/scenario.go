@@ -692,8 +692,9 @@ func (sc *Scenario) runFluid() *ScenarioResult {
 }
 
 // publishObs records a finished run's figures on the active obs sink:
-// cumulative event/flow/drop counters, the event heap's high-water depth,
-// and per-link utilization gauges — all labelled by engine mode. Engine
+// cumulative event/flow/drop counters, the high-water count of pending
+// events (MaxPending; in packet mode, packets on delay lines count), and
+// per-link utilization gauges — all labelled by engine mode. Engine
 // hot loops never touch obs; everything here is read from plain engine
 // counters once per run, so the disabled path costs nothing and the
 // enabled path costs O(links) at run end.

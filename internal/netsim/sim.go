@@ -23,10 +23,17 @@ package netsim
 import "cisp/internal/xheap"
 
 // Simulator is a discrete-event scheduler. The zero value is ready to use.
+//
+// Besides the event heap, a link's packets in propagation wait on the
+// link's delay line (net.go), a FIFO already sorted by (time, sequence).
+// Only each line's head sits in the heap, under the key it was stamped
+// with, so the heap pops the same global order as if every packet were
+// its own event. The counters treat every line entry as one event.
 type Simulator struct {
 	now        float64 // seconds
 	seq        int64
 	processed  int64
+	parked     int // stamped events waiting on delay lines, outside the heap
 	maxPending int
 	events     []event
 }
@@ -54,14 +61,33 @@ func (s *Simulator) Now() float64 { return s.now }
 //
 //cisp:hotpath
 func (s *Simulator) Schedule(delay float64, fn func()) {
+	at, seq := s.stamp(delay)
+	s.push(at, seq, fn)
+}
+
+// stamp returns the key (time, sequence) Schedule(delay, ·) would give an
+// event now, and counts the event as pending but parked: its caller holds
+// it on a delay line until push hands it to the heap.
+//
+//cisp:hotpath
+func (s *Simulator) stamp(delay float64) (at float64, seq int64) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	xheap.Push(&s.events, event{at: s.now + delay, seq: s.seq, fn: fn}, eventLess)
-	if len(s.events) > s.maxPending {
-		s.maxPending = len(s.events)
+	s.parked++
+	if n := len(s.events) + s.parked; n > s.maxPending {
+		s.maxPending = n
 	}
+	return s.now + delay, s.seq
+}
+
+// push moves a stamped, parked event into the heap under its key.
+//
+//cisp:hotpath
+func (s *Simulator) push(at float64, seq int64, fn func()) {
+	s.parked--
+	xheap.Push(&s.events, event{at: at, seq: seq, fn: fn}, eventLess)
 }
 
 // Run processes events until the queue drains or simulated time reaches
@@ -86,13 +112,15 @@ func (s *Simulator) Run(until float64) {
 	}
 }
 
-// Pending returns the number of queued events (useful in tests).
-func (s *Simulator) Pending() int { return len(s.events) }
+// Pending returns the number of queued events, packets waiting on delay
+// lines included (useful in tests).
+func (s *Simulator) Pending() int { return len(s.events) + s.parked }
 
 // Processed returns the number of events executed so far; the benchmark
 // harness divides wall time by it to report ns/event.
 func (s *Simulator) Processed() int64 { return s.processed }
 
-// MaxPending returns the event heap's high-water mark — the observability
-// layer's heap-depth figure.
+// MaxPending returns the high-water mark of Pending — the observability
+// layer's heap-depth figure. The heap itself stays shallower: it holds one
+// entry per delay line, not one per packet in propagation.
 func (s *Simulator) MaxPending() int { return s.maxPending }

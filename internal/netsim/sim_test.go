@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -69,6 +71,55 @@ func TestNestedScheduling(t *testing.T) {
 	}
 	if math.Abs(sim.Now()-10) > 1e-12 {
 		t.Fatalf("Now = %v", sim.Now())
+	}
+}
+
+// TestLinkArrivalsKeepSchedulingOrder holds a link's arrivals to the
+// (time, sequence) order of every other event. Rates and delays are
+// powers of two, so every time below is exact. Four 1024-byte packets
+// cross a 2¹⁶ bps link with 0.5 s of delay: transmissions end at 0.125,
+// 0.25, 0.375 and 0.5 s, and arrivals fall at 0.625, 0.75, 0.875 and
+// 1 s. Two closures are due at 0.75 s as well: one scheduled at t = 0,
+// before the second arrival was, and one scheduled at 0.3125 s, after it.
+// The arrival must run between them. A probe at 0.5625 s, when every
+// packet is on the wire, sees all four arrivals pending.
+func TestLinkArrivalsKeepSchedulingOrder(t *testing.T) {
+	var sim Simulator
+	nw := NewNetwork(&sim, 2)
+	nw.AddLink(0, 1, 1<<16, 0.5, 0)
+	nw.SetFlowPath(1, []int{0, 1})
+	type entry struct {
+		at   float64
+		what string
+	}
+	var got []entry
+	note := func(what string) { got = append(got, entry{sim.Now(), what}) }
+	nw.OnDeliver(1, func(p *Packet) { note(fmt.Sprintf("arrive %d", p.Seq)) })
+	for s := int64(1); s <= 4; s++ {
+		nw.Inject(&Packet{Flow: 1, Seq: s, Size: 1024, Src: 0, Dst: 1})
+	}
+	sim.Schedule(0.75, func() { note("early") })
+	sim.Schedule(0.3125, func() { sim.Schedule(0.4375, func() { note("late") }) })
+	sim.Schedule(0.5625, func() { note(fmt.Sprintf("pending %d", sim.Pending())) })
+	sim.Run(2)
+	want := []entry{
+		{0.5625, "pending 6"}, // four arrivals plus "early" and "late"
+		{0.625, "arrive 1"},
+		{0.75, "early"},
+		{0.75, "arrive 2"},
+		{0.75, "late"},
+		{0.875, "arrive 3"},
+		{1, "arrive 4"},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("events ran as\n%v\nwant\n%v", got, want)
+	}
+	// Four transmissions, four arrivals, four closures. Pending peaks at
+	// seven from 0.375 s: three arrivals and the fourth transmission (or,
+	// from 0.5 s, four arrivals) beside "early", the probe and "late".
+	if sim.Processed() != 12 || sim.MaxPending() != 7 || sim.Pending() != 0 {
+		t.Fatalf("processed %d, max pending %d, pending %d; want 12, 7, 0",
+			sim.Processed(), sim.MaxPending(), sim.Pending())
 	}
 }
 

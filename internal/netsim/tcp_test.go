@@ -222,12 +222,36 @@ func TestTCPPendingStaysBounded(t *testing.T) {
 	if !done {
 		t.Fatal("transfer did not complete")
 	}
-	// Events at any instant: per-link tx completion (<= 4 links), in-flight
-	// propagation events (<= queue + BDP), one RTO timer, one sampler.
-	// The 50-packet queue bounds in-flight data; 120 is comfortably above
-	// the legitimate ceiling and far below O(packets) = 1370.
+	// Events at any instant: per-link tx completion (<= 2 links), packets
+	// waiting on the links' delay lines (<= queue + BDP; Pending counts
+	// them although only each line's head sits in the heap), one RTO
+	// timer, one sampler. The 50-packet queue bounds in-flight data; 120
+	// is comfortably above the legitimate ceiling and far below
+	// O(packets) = 1370.
 	if maxPending > 120 {
 		t.Fatalf("event heap grew to %d entries; RTO timers are leaking", maxPending)
+	}
+}
+
+// TestPacketHopsDoNotAllocate pins the packet engine's allocation rate on
+// the 2 MB transfer of TestTCPPendingStaysBounded. Once the packet pool,
+// the link queues, the delay lines and the event heap have grown to the
+// run's working set, a hop allocates nothing, so the run's allocations
+// are its set-up and those growth steps: about 110 over ~5 700 events.
+func TestPacketHopsDoNotAllocate(t *testing.T) {
+	var events int64
+	allocs := testing.AllocsPerRun(2, func() {
+		sim, nw := twoNodeTCP(10e6, 0.005, 50)
+		c := &TCPConn{Net: nw, Flow: 1, Src: 0, Dst: 1, FlowSize: 2_000_000, InitRTT: 0.01}
+		c.Start()
+		sim.Run(60)
+		if !c.finished {
+			t.Fatal("transfer did not complete")
+		}
+		events = sim.Processed()
+	})
+	if per := allocs / float64(events); per > 0.05 {
+		t.Fatalf("%.0f allocations over %d events: %.3f per event, want <= 0.05", allocs, events, per)
 	}
 }
 
