@@ -11,15 +11,14 @@ import (
 
 // StreamConfig parameterizes a seeded event stream. The zero value gets
 // sensible defaults: half-hour fade re-evaluation, six-month link MTBF,
-// four-hour MTTR, the default radio frequency and fade margin.
+// four-hour MTTR. Fades are graded at weather.LinkGeometry's default radio
+// frequency and fade margin.
 type StreamConfig struct {
 	Seed        int64
 	Horizon     float64 // modeled seconds covered by the stream
 	StepSeconds float64 // fade re-evaluation cadence; default 1800
 
 	MTBF, MTTR units.Seconds // hardware lifetime draws; defaults below
-	FreqGHz    float64       // microwave carrier; default geo.DefaultFrequencyGHz
-	FadeMargin units.DB      // ACM ladder depth; default weather.DefaultFadeMargin
 }
 
 // Stream defaults, applied by DrawStream for zero fields.
@@ -27,9 +26,6 @@ const (
 	defaultStreamStep float64       = 1800            // half-hour weather intervals
 	defaultStreamMTBF units.Seconds = 180 * 24 * 3600 // six months between hard failures
 	defaultStreamMTTR units.Seconds = 4 * 3600        // four-hour repairs
-	// fadeSampleStep is the great-circle sampling step for path
-	// attenuation, matching internal/weather's grading resolution.
-	fadeSampleStep units.Meters = 2000
 )
 
 // DrawStream renders a deterministic control-event timeline for a
@@ -49,12 +45,6 @@ func DrawStream(b *Backbone, cfg StreamConfig) []TimedEvent {
 	}
 	if cfg.MTTR <= 0 {
 		cfg.MTTR = defaultStreamMTTR
-	}
-	if cfg.FreqGHz == 0 {
-		cfg.FreqGHz = geo.DefaultFrequencyGHz
-	}
-	if cfg.FadeMargin == 0 {
-		cfg.FadeMargin = weather.DefaultFadeMargin
 	}
 
 	var out []TimedEvent
@@ -78,6 +68,8 @@ func DrawStream(b *Backbone, cfg StreamConfig) []TimedEvent {
 		pts[i] = c.Loc
 	}
 	gen := weather.NewRegionGenerator(cfg.Seed, pts)
+	geom := weather.NewBackboneGeometry(b)
+	var conds []weather.LinkCondition
 	last := make([]float64, len(b.Mw))
 	for i := range last {
 		last[i] = 1
@@ -85,13 +77,11 @@ func DrawStream(b *Backbone, cfg StreamConfig) []TimedEvent {
 	for t := cfg.StepSeconds; t < cfg.Horizon; t += cfg.StepSeconds {
 		day := int(t / 86400)
 		interval := int(t/1800) % 48
-		field := gen.FieldAt(day, interval)
-		for li, l := range b.Mw {
-			atten := field.PathAttenuation(pts[l.A], pts[l.B], cfg.FreqGHz, fadeSampleStep)
-			frac := weather.CapacityFraction(atten, cfg.FadeMargin)
-			if frac != last[li] {
-				last[li] = frac
-				out = append(out, TimedEvent{At: t, Ev: Event{Type: EventFade, Link: li, CapFrac: frac}})
+		conds = geom.Conditions(gen.FieldAt(day, interval), conds)
+		for li, cond := range conds {
+			if cond.CapFrac != last[li] {
+				last[li] = cond.CapFrac
+				out = append(out, TimedEvent{At: t, Ev: Event{Type: EventFade, Link: li, CapFrac: cond.CapFrac}})
 			}
 		}
 	}

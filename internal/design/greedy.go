@@ -1,10 +1,9 @@
 package design
 
 import (
-	"container/heap"
-
 	"cisp/internal/obs"
 	"cisp/internal/parallel"
+	"cisp/internal/xheap"
 )
 
 // GreedyOptions tunes the heuristic.
@@ -32,30 +31,6 @@ type heapEntry struct {
 	epoch int     // epoch at which gain was computed
 }
 
-type gainHeap struct {
-	entries []heapEntry
-	perCost bool
-	costOf  func(i, j int) float64
-}
-
-func (h *gainHeap) score(e heapEntry) float64 {
-	if h.perCost {
-		return e.gain / h.costOf(e.i, e.j)
-	}
-	return e.gain
-}
-func (h *gainHeap) Len() int           { return len(h.entries) }
-func (h *gainHeap) Less(a, b int) bool { return h.score(h.entries[a]) > h.score(h.entries[b]) }
-func (h *gainHeap) Swap(a, b int)      { h.entries[a], h.entries[b] = h.entries[b], h.entries[a] }
-func (h *gainHeap) Push(x interface{}) { h.entries = append(h.entries, x.(heapEntry)) }
-func (h *gainHeap) Pop() interface{} {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
-	return e
-}
-
 // Greedy runs the marginal-gain heuristic: repeatedly build the affordable
 // microwave link that most decreases the traffic-weighted mean stretch,
 // until no link yields positive gain or the budget is exhausted.
@@ -78,7 +53,14 @@ func Greedy(p *Problem, opt GreedyOptions) *Topology {
 	budget := p.Budget * factor
 
 	t := NewTopology(p)
-	h := &gainHeap{perCost: opt.PerCost, costOf: func(i, j int) float64 { return p.MWCost[i][j] }}
+	// A max-heap on the candidate's score: its gain, or its gain per tower.
+	score := func(e heapEntry) float64 {
+		if opt.PerCost {
+			return e.gain / p.MWCost[e.i][e.j]
+		}
+		return e.gain
+	}
+	less := func(a, b heapEntry) bool { return score(a) > score(b) }
 
 	// Seed the heap with every useful link, positive gain or not (synergy
 	// can activate them later). Collecting the candidate pairs is cheap and
@@ -94,17 +76,17 @@ func Greedy(p *Problem, opt GreedyOptions) *Topology {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	h.entries = make([]heapEntry, len(pairs))
+	h := make([]heapEntry, len(pairs))
 	for k, ij := range pairs {
-		h.entries[k] = heapEntry{i: ij[0], j: ij[1], epoch: 0}
+		h[k] = heapEntry{i: ij[0], j: ij[1], epoch: 0}
 	}
-	gainEvals := int64(len(h.entries))
-	parallel.For(len(h.entries), gainGrain, func(lo, hi int) {
+	gainEvals := int64(len(h))
+	parallel.For(len(h), gainGrain, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			h.entries[k].gain = t.gainOf(h.entries[k].i, h.entries[k].j)
+			h[k].gain = t.gainOf(h[k].i, h[k].j)
 		}
 	})
-	heap.Init(h)
+	xheap.Init(h, less)
 
 	refreshEvery := opt.RefreshEvery
 	if refreshEvery == 0 {
@@ -113,27 +95,27 @@ func Greedy(p *Problem, opt GreedyOptions) *Topology {
 	epoch := 0
 	remaining := budget
 	refreshAll := func() {
-		gainEvals += int64(len(h.entries))
-		parallel.For(len(h.entries), gainGrain, func(lo, hi int) {
+		gainEvals += int64(len(h))
+		parallel.For(len(h), gainGrain, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				h.entries[k].gain = t.gainOf(h.entries[k].i, h.entries[k].j)
-				h.entries[k].epoch = epoch
+				h[k].gain = t.gainOf(h[k].i, h[k].j)
+				h[k].epoch = epoch
 			}
 		})
-		heap.Init(h)
+		xheap.Init(h, less)
 	}
-	for h.Len() > 0 {
-		top := h.entries[0]
+	for len(h) > 0 {
+		top := h[0]
 		if p.MWCost[top.i][top.j] > remaining {
-			heap.Pop(h) // can never become affordable again; discard
+			xheap.Pop(&h, less) // can never become affordable again; discard
 			continue
 		}
 		if top.epoch < epoch {
 			// Stale: recompute against the current topology and re-sift.
 			gainEvals++
-			h.entries[0].gain = t.gainOf(top.i, top.j)
-			h.entries[0].epoch = epoch
-			heap.Fix(h, 0)
+			h[0].gain = t.gainOf(top.i, top.j)
+			h[0].epoch = epoch
+			xheap.Fix(h, 0, less)
 			continue
 		}
 		if top.gain <= 0 {
@@ -141,13 +123,13 @@ func Greedy(p *Problem, opt GreedyOptions) *Topology {
 			// grown (non-submodularity): refresh everything once and only
 			// stop if nothing positive remains.
 			refreshAll()
-			if h.Len() == 0 || h.entries[0].gain <= 0 || h.entries[0].epoch < epoch {
+			if len(h) == 0 || h[0].gain <= 0 || h[0].epoch < epoch {
 				break
 			}
 			continue
 		}
 		// Fresh positive maximum: build it.
-		heap.Pop(h)
+		xheap.Pop(&h, less)
 		t.AddLink(top.i, top.j)
 		remaining -= p.MWCost[top.i][top.j]
 		epoch++

@@ -193,8 +193,7 @@ func (res *Fig7Result) runStormFCT(opt Options, s *cisp.Scenario, top *cisp.Topo
 	}
 
 	field := gen.FieldAt(storm, an.Intervals[storm])
-	conds := weather.NewLinkGeometry(top, s.Links).
-		Conditions(field, geo.DefaultFrequencyGHz, weather.DefaultFadeMargin, nil)
+	conds := weather.NewLinkGeometry(top, s.Links).Conditions(field, nil)
 	failed := make([]bool, len(conds))
 	for li, c := range conds {
 		failed[li] = c.Failed

@@ -201,17 +201,10 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 	fprintf(w, "%-6s %-7s %8s %10s %8s %12s %8s %8s %9s\n",
 		"scheme", "mode", "flows", "completed", "avail%", "FCT p99(ms)", "MLU", "predMLU", "LPsolves")
 	for _, mode := range availModes {
-		var planCtrl *te.Controller
-		if mode == resilience.FRRReopt {
-			// A dedicated controller: plan compilation drives it through the
-			// schedule's capacity states (the warm background loop).
-			planCtrl, err = te.NewController(tt.Nodes, links, comms, availTECfg())
-			if err != nil {
-				fprintf(w, "figavail: reopt controller: %v\n", err)
-				return nil
-			}
-		}
-		plan, err := prot.Plan(sched, mode, planCtrl)
+		// Only the FRRReopt plan (the last mode) drives the clear-sky
+		// controller, through the schedule's capacity states (the warm
+		// background loop); primaries stay the clear-sky splits.
+		plan, err := prot.Plan(sched, mode, ctrl)
 		if err != nil {
 			fprintf(w, "figavail: %s plan: %v\n", mode, err)
 			return nil
@@ -227,13 +220,13 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 		case resilience.FRR:
 			predMLU, err = te.MLUOf(tt.Nodes, degraded, comms, prot.Patched(downAll))
 		case resilience.FRRReopt:
-			// Plan compilation left planCtrl at the schedule's final
+			// Plan compilation left ctrl at the schedule's final
 			// (restored) state; one warm re-solve puts it at the compound
-			// all-down state — no third controller, no re-enumeration.
-			if _, cerr := planCtrl.UpdateCapacities(degraded); cerr != nil {
+			// all-down state — no second controller, no re-enumeration.
+			if _, cerr := ctrl.UpdateCapacities(degraded); cerr != nil {
 				err = cerr
 			} else {
-				predMLU = planCtrl.Solution().MLU
+				predMLU = ctrl.Solution().MLU
 			}
 		}
 		if err != nil {

@@ -97,16 +97,7 @@ func StormConditions(tt *TETopology) []weather.LinkCondition {
 		Radius: 150e3,
 		PeakMM: 50,
 	}}}
-	conds := make([]weather.LinkCondition, len(tt.Mw))
-	for li, l := range tt.Mw {
-		atten := field.PathAttenuation(tt.Sites[l.A].Loc, tt.Sites[l.B].Loc, geo.DefaultFrequencyGHz, 2000)
-		conds[li] = weather.LinkCondition{
-			WorstHopDB: atten,
-			CapFrac:    weather.CapacityFraction(atten, weather.DefaultFadeMargin),
-			Failed:     atten > weather.DefaultFadeMargin,
-		}
-	}
-	return conds
+	return weather.NewBackboneGeometry(&tt.Backbone).Conditions(field, nil)
 }
 
 // TERow is one (workload, scheme, mode) measurement of the TE comparison.

@@ -89,13 +89,6 @@ func (g *Graph[W]) Dijkstra(src int) (dist []W, prev []int) {
 	return g.dijkstra(src, -1, nil)
 }
 
-// DijkstraBlocked is Dijkstra with a set of unusable nodes (blocked[i] true
-// means node i may not be traversed; src itself is never blocked). Used for
-// tower-disjoint path iteration.
-func (g *Graph[W]) DijkstraBlocked(src int, blocked []bool) (dist []W, prev []int) {
-	return g.dijkstra(src, -1, blocked)
-}
-
 // dijkstra runs until exhaustion or until target is settled (target=-1 to
 // settle all nodes).
 //

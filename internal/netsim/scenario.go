@@ -91,7 +91,6 @@ type Scenario struct {
 	Horizon     float64 // simulated seconds (default 30)
 	StartSpread float64 // flow starts drawn uniformly from [0, StartSpread] (0 = all at t=0)
 	Seed        int64   // start-time randomness (packet and fluid draw identically)
-	Pacing      bool    // packet mode: TCP pacing
 	QueueCap    int     // packet mode: per-link queue override (0 = keep TopoLink values)
 }
 
@@ -452,7 +451,7 @@ func (sc *Scenario) runPacket() *ScenarioResult {
 			res.Flows = append(res.Flows, FlowResult{Flow: c.Flow, Start: startAt[fi]})
 			conn := &TCPConn{
 				Net: nw, Flow: id, Src: c.Src, Dst: c.Dst,
-				FlowSize: fb, Pacing: sc.Pacing,
+				FlowSize: fb,
 			}
 			conn.Done = func(fct float64) {
 				res.Flows[idx].FCT = fct

@@ -9,11 +9,11 @@
 // shortest path, so no split ever leaves the paper's latency envelope),
 // then solves a path-based multi-commodity flow program on internal/lp that
 // minimises the maximum link utilization subject to demand satisfaction —
-// the classic min-MLU TE objective of centralized SDN controllers. Large
-// instances are sharded into commodity blocks refined Jacobi-style over
-// internal/parallel, and instances past the dense simplex entirely fall
-// back to a deterministic greedy water-filling. The result installs into
-// both netsim engines as netsim.Scenario.Splits, and a Controller supports
+// the classic min-MLU TE objective of centralized SDN controllers. An
+// instance of up to 1 500 LP variables is one global simplex solve ("lp");
+// a larger one is sharded into commodity blocks refined Jacobi-style over
+// internal/parallel ("block-lp"). The result installs into both netsim
+// engines as netsim.Scenario.Splits, and a Controller supports
 // warm-started reoptimization when weather degrades link capacities
 // (internal/weather feeds graded CapFrac rates in; only commodities whose
 // candidate paths cross a changed link are re-solved). See DESIGN.md §7.
@@ -30,7 +30,9 @@ import (
 	"cisp/internal/units"
 )
 
-// Config tunes the control plane. The zero value selects sensible defaults.
+// Config tunes the candidate paths and the LP objective. The zero value
+// selects sensible defaults. Which solver runs is not configurable: it
+// follows from the instance size (lpVarLimit).
 type Config struct {
 	K       int     // candidate paths per commodity (default 4)
 	Stretch float64 // candidate delay cap, × the commodity's shortest-path delay (default 1.5)
@@ -42,17 +44,16 @@ type Config struct {
 	// set to 1 to spread only under genuine overload, or to a negative
 	// value for the classic always-minimise-MLU objective.
 	UtilFloor units.Utilization
-
-	// LPVarLimit is the largest variable count handed to one dense simplex
-	// solve (default 1500). Instances above it are sharded into commodity
-	// blocks of BlockSize refined for BlockRounds Jacobi rounds; instances
-	// whose blocks would still exceed the limit fall back to greedy
-	// water-filling with WaterQuanta demand quanta per commodity.
-	LPVarLimit  int // default 1500
-	BlockSize   int // commodities per block (default 48)
-	BlockRounds int // Jacobi refinement rounds (default 3)
-	WaterQuanta int // greedy fallback quanta (default 8)
 }
+
+// The scale ladder: an instance of up to lpVarLimit LP variables is one
+// dense simplex solve; a larger one is sharded into commodity blocks of
+// blockSize, refined for blockRounds Jacobi rounds.
+const (
+	lpVarLimit  = 1500
+	blockSize   = 48
+	blockRounds = 3
+)
 
 func (c Config) withDefaults() Config {
 	if c.K <= 0 {
@@ -66,18 +67,6 @@ func (c Config) withDefaults() Config {
 		c.UtilFloor = 0.5
 	case c.UtilFloor < 0:
 		c.UtilFloor = 0
-	}
-	if c.LPVarLimit <= 0 {
-		c.LPVarLimit = 1500
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 48
-	}
-	if c.BlockRounds <= 0 {
-		c.BlockRounds = 3
-	}
-	if c.WaterQuanta <= 0 {
-		c.WaterQuanta = 8
 	}
 	return c
 }
@@ -101,8 +90,7 @@ type Solution struct {
 	// splits (offered demand over capacity, queuing ignored).
 	MLU units.Utilization
 	// Method records how the splits were computed: "lp" (one global
-	// simplex), "block-lp" (sharded Jacobi refinement) or "greedy"
-	// (water-filling fallback).
+	// simplex) or "block-lp" (sharded Jacobi refinement).
 	Method string
 }
 
@@ -115,16 +103,6 @@ func Solve(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg Config)
 		return nil, err
 	}
 	return ctrl.Solution(), nil
-}
-
-// SolveShortest routes every commodity on its single lowest-delay path,
-// wrapped as one-element splits — the degenerate TE solution (K=1). It is
-// the baseline the workload pipeline installs on the fiber-only substrate:
-// today's Internet routes on one path, and wrapping it as a Solution keeps
-// the protection layer (resilience.NewProtection wants primaries) and MLU
-// accounting uniform across substrates.
-func SolveShortest(n int, links []netsim.TopoLink, comms []netsim.Commodity) (*Solution, error) {
-	return Solve(n, links, comms, Config{K: 1})
 }
 
 // Controller holds the control-plane state between reoptimizations: the TE
@@ -336,17 +314,13 @@ func (c *Controller) reroute(idxs []int) error {
 			method string
 			err    error
 		)
-		switch {
-		case nx <= c.cfg.LPVarLimit:
+		if nx <= lpVarLimit {
 			method = "lp"
 			floor := maxUtil(c.g, base)
 			fracs, _, err = solveLP(c.g, shadows, base, floor, float64(c.cfg.UtilFloor))
-		case c.cfg.BlockSize*c.cfg.K+1 <= c.cfg.LPVarLimit:
+		} else {
 			method = "block-lp"
 			fracs, err = c.solveBlocks(shadows, base)
-		default:
-			method = "greedy"
-			fracs = waterfill(c.g, shadows, base, c.cfg.WaterQuanta)
 		}
 		if err != nil {
 			return err
@@ -373,7 +347,7 @@ func (c *Controller) reroute(idxs []int) error {
 // result independent of the worker count.
 func (c *Controller) solveBlocks(lpComms []*teComm, fixed []float64) ([][]float64, error) {
 	order := sortByDemand(lpComms)
-	nb := (len(lpComms) + c.cfg.BlockSize - 1) / c.cfg.BlockSize
+	nb := (len(lpComms) + blockSize - 1) / blockSize
 	blocks := make([][]int, nb) // indices into lpComms
 	for k, ci := range order {
 		blocks[k%nb] = append(blocks[k%nb], ci)
@@ -396,7 +370,7 @@ func (c *Controller) solveBlocks(lpComms []*teComm, fixed []float64) ([][]float6
 		return load
 	}
 
-	for round := 0; round < c.cfg.BlockRounds; round++ {
+	for round := 0; round < blockRounds; round++ {
 		load := loadOf(fracs)
 		type blockResult struct {
 			fracs [][]float64
@@ -435,6 +409,24 @@ func (c *Controller) solveBlocks(lpComms []*teComm, fixed []float64) ([][]float6
 		fracs = next
 	}
 	return fracs, nil
+}
+
+// sortByDemand returns commodity indices in descending demand order, ties
+// broken by ascending flow ID — the deterministic order solveBlocks deals
+// commodities into blocks.
+func sortByDemand(cs []*teComm) []int {
+	order := make([]int, len(cs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ca, cb := cs[order[a]], cs[order[b]]
+		if ca.demand != cb.demand {
+			return ca.demand > cb.demand
+		}
+		return ca.flow < cb.flow
+	})
+	return order
 }
 
 // rebuildSolution reassembles Splits and the predicted MLU from the

@@ -2,9 +2,11 @@ package te
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cisp/internal/netsim"
+	"cisp/internal/parallel"
 	"cisp/internal/units"
 )
 
@@ -175,7 +177,7 @@ func TestStretchCapBindsInSolve(t *testing.T) {
 }
 
 // grid builds an x×y grid topology with uniform link capacity — enough
-// path diversity to exercise the block and greedy solvers.
+// path diversity for instances on both sides of the lp/block-lp threshold.
 func grid(x, y int, capBps units.BitsPerSecond) (int, []netsim.TopoLink) {
 	id := func(i, j int) int { return i*y + j }
 	var links []netsim.TopoLink
@@ -202,56 +204,50 @@ func gridComms(n, count int) []netsim.Commodity {
 	return comms
 }
 
-// TestMethodSelectionAndOrdering: the same congested grid instance solved
-// globally, in blocks, and greedily. Every method must satisfy
-// conservation, route every commodity, and improve on all-shortest-path
-// routing. Stretch 3 keeps grid detours (3 hops vs 1) inside the candidate
-// sets so there is real path diversity.
+// gridCases are congested grid instances on either side of the
+// 1 500-variable threshold between one global LP and the block LP. Stretch
+// 3 keeps grid detours (3 hops vs 1) inside the candidate sets so there is
+// real path diversity.
+var gridCases = []struct {
+	name   string
+	side   int // grid is side × side
+	comms  int
+	method string
+}{
+	{"5x5", 5, 300, "lp"},       // 1 142 variables
+	{"6x6", 6, 420, "block-lp"}, // 1 629 variables
+}
+
+// TestMethodSelectionAndOrdering: each grid instance must reach the method
+// its size selects, satisfy conservation, route every commodity, and
+// improve on all-shortest-path routing.
 func TestMethodSelectionAndOrdering(t *testing.T) {
-	n, links := grid(4, 4, 5e6)
-	comms := gridComms(n, 40)
+	for _, tc := range gridCases {
+		n, links := grid(tc.side, tc.side, 5e6)
+		comms := gridComms(n, tc.comms)
+		sol, err := Solve(n, links, comms, Config{Stretch: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Method != tc.method {
+			t.Fatalf("%s: method = %q, want %s", tc.name, sol.Method, tc.method)
+		}
 
-	solLP, err := Solve(n, links, comms, Config{Stretch: 3, LPVarLimit: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solLP.Method != "lp" {
-		t.Fatalf("method = %q, want lp", solLP.Method)
-	}
-	solBlock, err := Solve(n, links, comms, Config{Stretch: 3, LPVarLimit: 60, BlockSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solBlock.Method != "block-lp" {
-		t.Fatalf("method = %q, want block-lp", solBlock.Method)
-	}
-	solGreedy, err := Solve(n, links, comms, Config{Stretch: 3, LPVarLimit: 20, BlockSize: 8, WaterQuanta: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solGreedy.Method != "greedy" {
-		t.Fatalf("method = %q, want greedy", solGreedy.Method)
-	}
+		// All-shortest-path baseline.
+		base := map[int][]netsim.SplitPath{}
+		g, _ := buildGraph(n, links)
+		scratch := newScratch(g)
+		for _, cm := range comms {
+			eids, _ := scratch.run(g, cm.Src, cm.Dst)
+			p := g.pathFromEdges(cm.Src, eids)
+			base[cm.Flow] = []netsim.SplitPath{{Path: p.Nodes, Frac: 1}}
+		}
+		baseMLU, err := MLUOf(n, links, comms, base)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// All-shortest-path baseline.
-	base := map[int][]netsim.SplitPath{}
-	g, _ := buildGraph(n, links)
-	scratch := newScratch(g)
-	for _, cm := range comms {
-		eids, _ := scratch.run(g, cm.Src, cm.Dst)
-		p := g.pathFromEdges(cm.Src, eids)
-		base[cm.Flow] = []netsim.SplitPath{{Path: p.Nodes, Frac: 1}}
-	}
-	baseMLU, err := MLUOf(n, links, comms, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name string
-		sol  *Solution
-	}{{"lp", solLP}, {"block-lp", solBlock}, {"greedy", solGreedy}} {
-		for flow, sp := range tc.sol.Splits {
+		for flow, sp := range sol.Splits {
 			sum := 0.0
 			for _, s := range sp {
 				sum += s.Frac
@@ -260,32 +256,41 @@ func TestMethodSelectionAndOrdering(t *testing.T) {
 				t.Errorf("%s: commodity %d fractions sum to %v", tc.name, flow, sum)
 			}
 		}
-		if len(tc.sol.Splits) != len(comms) {
-			t.Errorf("%s: %d commodities routed, want %d", tc.name, len(tc.sol.Splits), len(comms))
+		if len(sol.Splits) != len(comms) {
+			t.Errorf("%s: %d commodities routed, want %d", tc.name, len(sol.Splits), len(comms))
 		}
-		if tc.sol.MLU >= baseMLU {
-			t.Errorf("%s: MLU %v not better than shortest-path %v", tc.name, tc.sol.MLU, baseMLU)
+		if sol.MLU >= baseMLU {
+			t.Errorf("%s: MLU %v not better than shortest-path %v", tc.name, sol.MLU, baseMLU)
 		}
 	}
 }
 
 // TestSolveDeterministicAcrossWorkers: path enumeration and the block
-// solver fan out over internal/parallel; results must not depend on pool
-// width.
+// solver fan out over internal/parallel; the block-lp instance must give
+// bit-identical splits on one worker and on eight.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
-	n, links := grid(4, 4, 8e6)
-	comms := gridComms(n, 40)
-	run := func() *Solution {
-		sol, err := Solve(n, links, comms, Config{Stretch: 3, LPVarLimit: 60, BlockSize: 8})
+	tc := gridCases[1]
+	n, links := grid(tc.side, tc.side, 5e6)
+	comms := gridComms(n, tc.comms)
+	run := func(workers int) *Solution {
+		prev := parallel.SetWorkers(workers)
+		defer parallel.SetWorkers(prev)
+		sol, err := Solve(n, links, comms, Config{Stretch: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if sol.Method != tc.method {
+			t.Fatalf("method = %q, want %s", sol.Method, tc.method)
+		}
 		return sol
 	}
-	a := run()
-	b := run()
+	a := run(1)
+	b := run(8)
 	if a.MLU != b.MLU {
-		t.Fatalf("MLU differs across runs: %v vs %v", a.MLU, b.MLU)
+		t.Fatalf("MLU differs across worker counts: %v vs %v", a.MLU, b.MLU)
+	}
+	if len(a.Splits) != len(b.Splits) {
+		t.Fatalf("%d vs %d commodities routed", len(a.Splits), len(b.Splits))
 	}
 	for flow, sa := range a.Splits {
 		sb := b.Splits[flow]
@@ -293,8 +298,8 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("commodity %d split sizes differ", flow)
 		}
 		for i := range sa {
-			if sa[i].Frac != sb[i].Frac {
-				t.Fatalf("commodity %d frac %d differs: %v vs %v", flow, i, sa[i].Frac, sb[i].Frac)
+			if sa[i].Frac != sb[i].Frac || !slices.Equal(sa[i].Path, sb[i].Path) {
+				t.Fatalf("commodity %d split %d differs: %+v vs %+v", flow, i, sa[i], sb[i])
 			}
 		}
 	}
@@ -320,6 +325,8 @@ func TestControllerWarmReoptimization(t *testing.T) {
 		t.Fatalf("clear-sky splits = %+v, want both arms", clear.Splits[1])
 	}
 	otherBefore := clear.Splits[2]
+	clearFracs := []float64{clear.Splits[1][0].Frac, clear.Splits[1][1].Frac}
+	clearMLU := clear.MLU
 
 	// Rain kills the fast arm's first hop.
 	degraded := append([]netsim.TopoLink(nil), links...)
@@ -341,6 +348,13 @@ func TestControllerWarmReoptimization(t *testing.T) {
 	}
 	if len(stormy.Splits[2]) != len(otherBefore) || stormy.Splits[2][0].Frac != otherBefore[0].Frac {
 		t.Fatalf("unaffected commodity's split changed: %+v vs %+v", stormy.Splits[2], otherBefore)
+	}
+	// A Solution is a snapshot: the update replaced it and left the
+	// clear-sky one intact, so callers may keep it (the workload pipeline
+	// replays it while the same controller drives a reoptimization plan).
+	if len(clear.Splits[1]) != 2 || clear.Splits[1][0].Frac != clearFracs[0] ||
+		clear.Splits[1][1].Frac != clearFracs[1] || clear.MLU != clearMLU {
+		t.Fatalf("update mutated the clear-sky solution: %+v, MLU %v", clear.Splits[1], clear.MLU)
 	}
 
 	// Storm passes: capacity restored, the split must rebalance.
@@ -506,9 +520,10 @@ func TestLPSolvesCounter(t *testing.T) {
 
 func TestSolveShortestSinglePath(t *testing.T) {
 	// On the diamond, even an overloaded commodity stays on the single
-	// fastest arm: SolveShortest never splits.
+	// fastest arm: at K 1, the workload pipeline's fiber baseline, Solve
+	// never splits.
 	comms := []netsim.Commodity{{Flow: 1, Src: 0, Dst: 3, Demand: 15e6}}
-	sol, err := SolveShortest(4, diamond(), comms)
+	sol, err := Solve(4, diamond(), comms, Config{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,9 @@ import (
 	"sort"
 
 	"cisp/internal/design"
-	"cisp/internal/geo"
 	"cisp/internal/linkbuild"
 	"cisp/internal/netsim"
 	"cisp/internal/parallel"
-	"cisp/internal/units"
 )
 
 // YearAnalysis is the Fig 7 result: per-city-pair stretch statistics across
@@ -41,19 +39,11 @@ type YearAnalysis struct {
 
 // Config for the year-long analysis.
 type Config struct {
-	FreqGHz      float64  // default 11
-	FadeMarginDB units.DB // default DefaultFadeMargin
-	Days         int      // default 365
-	Seed         int64    // interval-picking seed
+	Days int   // default 365
+	Seed int64 // interval-picking seed
 }
 
 func (c *Config) setDefaults() {
-	if c.FreqGHz == 0 {
-		c.FreqGHz = geo.DefaultFrequencyGHz
-	}
-	if c.FadeMarginDB == 0 {
-		c.FadeMarginDB = DefaultFadeMargin
-	}
 	if c.Days == 0 {
 		c.Days = 365
 	}
@@ -116,7 +106,7 @@ func AnalyzeYear(top *design.Topology, links *linkbuild.Links, gen *Generator, c
 		var removed []int
 		for day := lo; day < hi; day++ {
 			field := gen.FieldAt(day, intervals[day])
-			conds = lg.Conditions(field, cfg.FreqGHz, cfg.FadeMarginDB, conds)
+			conds = lg.Conditions(field, conds)
 			removed = removed[:0]
 			res := dayResult{stretch: make([]float64, len(pairs))}
 			capSum := 0.0

@@ -8,7 +8,6 @@ import (
 type FCTConfig struct {
 	FlowBytes int     // payload per TCP flow (default 256 KB)
 	SimTime   float64 // simulated seconds before the drain (default 5)
-	QueueCap  int     // per-link queue, packets (default 100)
 }
 
 func (c *FCTConfig) setDefaults() {
@@ -17,9 +16,6 @@ func (c *FCTConfig) setDefaults() {
 	}
 	if c.SimTime == 0 {
 		c.SimTime = 5
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 100
 	}
 }
 
@@ -37,9 +33,10 @@ type FCTResult struct {
 // and measures TCP flow-completion times under each routing scheme: one
 // TCP flow per commodity, microwave link rates scaled by their
 // adaptive-modulation capacity fraction (failed links are omitted
-// entirely), fiber links carried over unchanged. conds[i] grades
-// mwLinks[i]; a nil conds leaves every link at clear-sky rate. The
-// simulation is deterministic — no randomness enters after routing.
+// entirely), fiber links carried over unchanged; every link keeps its own
+// QueueCap. conds[i] grades mwLinks[i]; a nil conds leaves every link at
+// clear-sky rate. The simulation is deterministic — no randomness enters
+// after routing.
 func MeasureFCT(nNodes int, mwLinks []netsim.TopoLink, conds []LinkCondition,
 	fiberLinks []netsim.TopoLink, comms []netsim.Commodity,
 	schemes []netsim.Scheme, cfg FCTConfig) []FCTResult {
@@ -53,7 +50,6 @@ func MeasureFCT(nNodes int, mwLinks []netsim.TopoLink, conds []LinkCondition,
 		if l.RateBps <= 0 {
 			continue
 		}
-		l.QueueCap = cfg.QueueCap
 		graded = append(graded, l)
 	}
 

@@ -62,17 +62,15 @@ type Generator struct {
 	Seed           int64
 	MinLat, MaxLat float64
 	MinLon, MaxLon float64
-
-	// CellsPerMkm2 is the mean number of convective cells per million km²
-	// per interval at the seasonal peak. Default 1.
-	CellsPerMkm2 float64
-
-	// BandsPerMkm2 is the mean number of frontal bands per million km² per
-	// interval. Default 0.08.
-	BandsPerMkm2 float64
-
-	SevereDays []int // days with hurricane-like widespread rain
 }
+
+// Storm climatology: the mean number of convective cells per million km²
+// per interval at the seasonal peak, and of frontal bands per million km²
+// per interval.
+const (
+	cellsPerMkm2 = 1
+	bandsPerMkm2 = 0.08
+)
 
 // NewRegionGenerator returns a Generator whose bounds cover the given
 // sites with a one-degree pad on every side — the Fig 7 convention, shared
@@ -111,19 +109,11 @@ func (g *Generator) areaMkm2() float64 {
 func (g *Generator) FieldAt(day, interval int) *Field {
 	rng := rand.New(rand.NewSource(g.Seed*100003 + int64(day)*59 + int64(interval)))
 	area := g.areaMkm2()
-	cellDensity := g.CellsPerMkm2
-	if cellDensity == 0 {
-		cellDensity = 1
-	}
-	bandDensity := g.BandsPerMkm2
-	if bandDensity == 0 {
-		bandDensity = 0.08
-	}
 	// Seasonal modulation: more convection mid-year (northern summer).
 	season := 0.5 + 0.5*math.Sin(2*math.Pi*(float64(day)-80)/365)
 	f := &Field{}
 
-	nCells := poisson(rng, cellDensity*area*(0.4+1.2*season))
+	nCells := poisson(rng, cellsPerMkm2*area*(0.4+1.2*season))
 	for i := 0; i < nCells; i++ {
 		// A fifth-power tail: most cells are weak stratiform showers; the
 		// intense cores that can break a 30 dB fade margin are rare, as in
@@ -135,7 +125,7 @@ func (g *Generator) FieldAt(day, interval int) *Field {
 			PeakMM: 5 + 115*u*u*u*u*u,
 		})
 	}
-	nBands := poisson(rng, bandDensity*area)
+	nBands := poisson(rng, bandsPerMkm2*area)
 	for i := 0; i < nBands; i++ {
 		a := g.randPoint(rng)
 		b := a.Destination(rng.Float64()*360, units.Meters(300e3+rng.Float64()*700e3))
@@ -146,16 +136,6 @@ func (g *Generator) FieldAt(day, interval int) *Field {
 			Width:  units.Meters(40e3 + rng.Float64()*80e3),
 			RateMM: 2 + rng.Float64()*8,
 		})
-	}
-	for _, sd := range g.SevereDays {
-		if sd == day {
-			// Hurricane-like system: an intense, very large cell.
-			f.Cells = append(f.Cells, StormCell{
-				Center: g.randPoint(rng),
-				Radius: units.Meters(150e3 + rng.Float64()*150e3),
-				PeakMM: 80 + rng.Float64()*80,
-			})
-		}
 	}
 	return f
 }
@@ -194,7 +174,7 @@ func (f *Field) PathAttenuation(a, b geo.Point, fGHz float64, step units.Meters)
 
 // HopFails reports whether the hop a-b exceeds the fade margin under f.
 func (f *Field) HopFails(a, b geo.Point, fGHz float64, fadeMargin units.DB) bool {
-	return f.PathAttenuation(a, b, fGHz, 2000) > fadeMargin
+	return f.PathAttenuation(a, b, fGHz, attenStep) > fadeMargin
 }
 
 func distToSegment(p, a, b geo.Point) units.Meters {

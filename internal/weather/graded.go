@@ -4,11 +4,12 @@ import (
 	"cisp/internal/design"
 	"cisp/internal/geo"
 	"cisp/internal/linkbuild"
+	"cisp/internal/netsim"
 	"cisp/internal/units"
 )
 
 // attenStep is the great-circle sampling step for per-hop path
-// attenuation, matching HopFails' historical 2 km grid.
+// attenuation.
 const attenStep units.Meters = 2000
 
 // LinkCondition is the graded state of one built city-city link during a
@@ -43,28 +44,41 @@ func NewLinkGeometry(top *design.Topology, links *linkbuild.Links) *LinkGeometry
 	return lg
 }
 
+// NewBackboneGeometry treats each microwave link of a simulation backbone
+// as one site-to-site hop, in b.Mw order: the city-level grading of the
+// TE rain study, the disaster drill and the control-plane event stream,
+// which model no towers between the sites.
+func NewBackboneGeometry(b *netsim.Backbone) *LinkGeometry {
+	lg := &LinkGeometry{hops: make([][][2]geo.Point, len(b.Mw))}
+	for li, l := range b.Mw {
+		lg.hops[li] = [][2]geo.Point{{b.Sites[l.A].Loc, b.Sites[l.B].Loc}}
+	}
+	return lg
+}
+
 // NumLinks returns the number of built links covered.
 func (lg *LinkGeometry) NumLinks() int { return len(lg.hops) }
 
-// Conditions evaluates every built link's graded state under the
-// precipitation field: worst-hop attenuation, adaptive-modulation capacity
+// Conditions evaluates every link's graded state under the precipitation
+// field at the default carrier (geo.DefaultFrequencyGHz) and fade margin
+// (DefaultFadeMargin): worst-hop attenuation, adaptive-modulation capacity
 // fraction, and the paper's binary failure verdict. The out slice is
 // reused when it has the right length (pass nil to allocate).
-func (lg *LinkGeometry) Conditions(f *Field, fGHz float64, fadeMargin units.DB, out []LinkCondition) []LinkCondition {
+func (lg *LinkGeometry) Conditions(f *Field, out []LinkCondition) []LinkCondition {
 	if len(out) != len(lg.hops) {
 		out = make([]LinkCondition, len(lg.hops))
 	}
 	for li, hops := range lg.hops {
 		worst := units.DB(0)
 		for _, h := range hops {
-			if a := f.PathAttenuation(h[0], h[1], fGHz, attenStep); a > worst {
+			if a := f.PathAttenuation(h[0], h[1], geo.DefaultFrequencyGHz, attenStep); a > worst {
 				worst = a
 			}
 		}
 		out[li] = LinkCondition{
 			WorstHopDB: worst,
-			CapFrac:    CapacityFraction(worst, fadeMargin),
-			Failed:     worst > fadeMargin,
+			CapFrac:    CapacityFraction(worst, DefaultFadeMargin),
+			Failed:     worst > DefaultFadeMargin,
 		}
 	}
 	return out

@@ -321,32 +321,61 @@ func TestCapacityFraction(t *testing.T) {
 }
 
 // TestConditionsMatchHopFails: the graded model's binary verdict must agree
-// with the legacy per-hop HopFails rule on the real fixture.
+// with the per-hop HopFails rule on the real fixture, graded over its
+// tower hops and as a backbone of one site-to-site hop per built link.
+// The generated mid-summer field fails no link, so a cell parked over the
+// first built link adds failed and degraded ones.
 func TestConditionsMatchHopFails(t *testing.T) {
 	top, links := yearFixture(t)
-	lg := NewLinkGeometry(top, links)
-	if lg.NumLinks() != len(top.Built) {
-		t.Fatalf("geometry covers %d links, topology built %d", lg.NumLinks(), len(top.Built))
+	bb := &netsim.Backbone{Sites: links.Cities, Nodes: len(links.Cities)}
+	for _, l := range top.Built {
+		bb.Mw = append(bb.Mw, netsim.TopoLink{A: l.I, B: l.J})
 	}
 	gen := &Generator{Seed: 11, MinLat: 37, MaxLat: 43, MinLon: -92, MaxLon: -81}
-	field := gen.FieldAt(200, 30) // mid-summer: convection likely
-	conds := lg.Conditions(field, geo.DefaultFrequencyGHz, DefaultFadeMargin, nil)
-	for li, hops := range lg.hops {
-		anyFail := false
-		for _, h := range hops {
-			if field.HopFails(h[0], h[1], geo.DefaultFrequencyGHz, DefaultFadeMargin) {
-				anyFail = true
-				break
+	a, b := links.Cities[top.Built[0].I].Loc, links.Cities[top.Built[0].J].Loc
+	parked := &Field{Cells: []StormCell{{
+		Center: geo.Point{Lat: (a.Lat + b.Lat) / 2, Lon: (a.Lon + b.Lon) / 2},
+		Radius: 40e3,
+		PeakMM: 40,
+	}}}
+	for _, tc := range []struct {
+		name string
+		lg   *LinkGeometry
+	}{
+		{"tower hops", NewLinkGeometry(top, links)},
+		{"backbone", NewBackboneGeometry(bb)},
+	} {
+		lg := tc.lg
+		if lg.NumLinks() != len(top.Built) {
+			t.Fatalf("%s: geometry covers %d links, topology built %d", tc.name, lg.NumLinks(), len(top.Built))
+		}
+		failed := 0
+		for _, field := range []*Field{gen.FieldAt(200, 30), parked} {
+			conds := lg.Conditions(field, nil)
+			for li, hops := range lg.hops {
+				anyFail := false
+				for _, h := range hops {
+					if field.HopFails(h[0], h[1], geo.DefaultFrequencyGHz, DefaultFadeMargin) {
+						anyFail = true
+						break
+					}
+				}
+				if anyFail != conds[li].Failed {
+					t.Fatalf("%s link %d: HopFails says %v, Conditions says %v", tc.name, li, anyFail, conds[li].Failed)
+				}
+				if conds[li].Failed && conds[li].CapFrac != 0 {
+					t.Fatalf("%s link %d: failed but capacity fraction %v", tc.name, li, conds[li].CapFrac)
+				}
+				if !conds[li].Failed && conds[li].CapFrac <= 0 {
+					t.Fatalf("%s link %d: alive but capacity fraction %v", tc.name, li, conds[li].CapFrac)
+				}
+				if conds[li].Failed {
+					failed++
+				}
 			}
 		}
-		if anyFail != conds[li].Failed {
-			t.Fatalf("link %d: HopFails says %v, Conditions says %v", li, anyFail, conds[li].Failed)
-		}
-		if conds[li].Failed && conds[li].CapFrac != 0 {
-			t.Fatalf("link %d: failed but capacity fraction %v", li, conds[li].CapFrac)
-		}
-		if !conds[li].Failed && conds[li].CapFrac <= 0 {
-			t.Fatalf("link %d: alive but capacity fraction %v", li, conds[li].CapFrac)
+		if failed == 0 {
+			t.Fatalf("%s: no link failed, so the verdict went unchecked", tc.name)
 		}
 	}
 }

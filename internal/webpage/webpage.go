@@ -9,9 +9,10 @@
 package webpage
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
+
+	"cisp/internal/xheap"
 )
 
 // Object is one fetchable resource of a page.
@@ -198,19 +199,19 @@ func Replay(p Page, cfg ReplayConfig) Result {
 
 	children := make([][]int, n)
 	indeg := make([]int, n)
-	ready := &readyHeap{}
+	var ready []readyItem
 	for i, obj := range p.Objects {
 		if obj.Parent >= 0 {
 			children[obj.Parent] = append(children[obj.Parent], i)
 			indeg[i] = 1
 		} else {
-			heap.Push(ready, readyItem{at: 0, obj: i})
+			xheap.Push(&ready, readyItem{at: 0, obj: i}, readyLess)
 		}
 	}
 
 	var plt float64
-	for ready.Len() > 0 {
-		it := heap.Pop(ready).(readyItem)
+	for len(ready) > 0 {
+		it := xheap.Pop(&ready, readyLess)
 		obj := p.Objects[it.obj]
 		// Claim the earliest-free connection of the origin.
 		pool := pools[obj.Origin]
@@ -244,7 +245,7 @@ func Replay(p Page, cfg ReplayConfig) Result {
 		for _, c := range children[it.obj] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				heap.Push(ready, readyItem{at: processed, obj: c})
+				xheap.Push(&ready, readyItem{at: processed, obj: c}, readyLess)
 			}
 		}
 	}
@@ -264,18 +265,6 @@ type readyItem struct {
 	obj int
 }
 
-type readyHeap []readyItem
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].obj < h[j].obj)
-}
-func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x interface{}) { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func readyLess(a, b readyItem) bool {
+	return a.at < b.at || (a.at == b.at && a.obj < b.obj)
 }

@@ -248,15 +248,9 @@ func (c *Compiled) compileDisasterSchedule(spec Spec, b *Backbone) error {
 		Radius: spec.RadiusM,
 		PeakMM: 40,
 	}}}
-	conds := make([]weather.LinkCondition, len(b.Mw))
-	for li, l := range b.Mw {
-		atten := field.PathAttenuation(b.Sites[l.A].Loc, b.Sites[l.B].Loc, geo.DefaultFrequencyGHz, 2000)
-		conds[li] = weather.LinkCondition{
-			WorstHopDB: atten,
-			CapFrac:    weather.CapacityFraction(atten, weather.DefaultFadeMargin),
-			Failed:     atten > weather.DefaultFadeMargin,
-		}
-		if conds[li].Failed {
+	conds := weather.NewBackboneGeometry(b).Conditions(field, nil)
+	for _, cond := range conds {
+		if cond.Failed {
 			c.StormFadedLinks++
 		}
 	}

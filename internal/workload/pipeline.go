@@ -203,18 +203,22 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 	}
 
 	// Control planes: TE fractional splits on the hybrid, single
-	// shortest paths on the fiber baseline.
+	// shortest paths (K 1) on the fiber baseline. Each controller's
+	// clear-sky solution gives the replay splits and the protection
+	// primaries; the same controller then drives its substrate's FRRReopt
+	// plan.
 	snk := obs.Active()
 	teSp := p.Span.Child("te-solve")
 	teStop := snk.StartTimer("cisp_workload_stage_seconds", "stage", "te-solve")
-	solH, err := te.Solve(b.Nodes, hybrid, fluidComms, p.TECfg)
+	ctrlH, err := te.NewController(b.Nodes, hybrid, fluidComms, p.TECfg)
 	if err != nil {
 		return nil, fmt.Errorf("workload: hybrid TE solve: %w", err)
 	}
-	solF, err := te.SolveShortest(b.Nodes, b.Fiber, fluidComms)
+	ctrlF, err := te.NewController(b.Nodes, b.Fiber, fluidComms, te.Config{K: 1})
 	if err != nil {
 		return nil, fmt.Errorf("workload: fiber baseline solve: %w", err)
 	}
+	solH, solF := ctrlH.Solution(), ctrlF.Solution()
 	teStop()
 	teSp.SetItems(int64(len(fluidComms)))
 	teSp.End()
@@ -245,10 +249,6 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: hybrid protection: %w", err)
 		}
-		ctrlH, err := te.NewController(b.Nodes, hybrid, fluidComms, p.TECfg)
-		if err != nil {
-			return nil, fmt.Errorf("workload: hybrid controller: %w", err)
-		}
 		planH, err := protH.Plan(compressSchedule(c.Schedule, p.Horizon), resilience.FRRReopt, ctrlH)
 		if err != nil {
 			return nil, fmt.Errorf("workload: hybrid FRR plan: %w", err)
@@ -264,10 +264,6 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		protF, err := resilience.NewProtection(b.Nodes, b.Fiber, fluidComms, solF.Splits, p.ProtCfg)
 		if err != nil {
 			return nil, fmt.Errorf("workload: fiber protection: %w", err)
-		}
-		ctrlF, err := te.NewController(b.Nodes, b.Fiber, fluidComms, te.Config{K: 1})
-		if err != nil {
-			return nil, fmt.Errorf("workload: fiber controller: %w", err)
 		}
 		planF, err := protF.Plan(compressSchedule(fiberSched, p.Horizon), resilience.FRRReopt, ctrlF)
 		if err != nil {

@@ -1,10 +1,12 @@
 // Package xheap provides generic binary-heap operations on plain slices.
-// It replaces container/heap on the simulator hot paths: the standard
-// interface converts every pushed element to interface{}, which allocates
-// for any element wider than a pointer — one garbage object per scheduled
-// event. These functions are monomorphized over the element type and a
+// It replaces container/heap throughout the repo: the standard interface
+// converts every pushed element to interface{}, which allocates for any
+// element wider than a pointer — one garbage object per scheduled event.
+// These functions are monomorphized over the element type and a
 // caller-supplied ordering, so a push is an append into the backing array
-// and nothing escapes.
+// and nothing escapes. Push, Pop, Init and Fix sift exactly as
+// container/heap does, so a heap moved over from it pops in the same
+// order, ties included.
 //
 // Pass a top-level function (not a capturing closure) as less so the call
 // site itself stays allocation-free. Ties must be broken deterministically

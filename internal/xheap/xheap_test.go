@@ -1,6 +1,7 @@
 package xheap_test
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -138,4 +139,64 @@ func TestPopEmptyPanics(t *testing.T) {
 	}()
 	var h []int
 	xheap.Pop(&h, intLess)
+}
+
+// tied orders elements by key only, so equal keys are left to the heap.
+type tied struct{ key, id int }
+
+func tiedLess(a, b tied) bool { return a.key < b.key }
+
+type stdHeap []tied
+
+func (h stdHeap) Len() int           { return len(h) }
+func (h stdHeap) Less(i, j int) bool { return tiedLess(h[i], h[j]) }
+func (h stdHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *stdHeap) Push(x any)        { *h = append(*h, x.(tied)) }
+func (h *stdHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestMatchesContainerHeapOnTies: Push, Pop, Init and Fix sift exactly as
+// container/heap does, so a heap moved over from it pops equal keys in the
+// same order.
+func TestMatchesContainerHeapOnTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var x []tied
+		var s stdHeap
+		id := 0
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				e := tied{key: rng.Intn(8), id: id}
+				id++
+				xheap.Push(&x, e, tiedLess)
+				heap.Push(&s, e)
+			case r < 8 && len(x) > 0:
+				if a, b := xheap.Pop(&x, tiedLess), heap.Pop(&s).(tied); a != b {
+					t.Fatalf("trial %d op %d: xheap popped %v, container/heap %v", trial, op, a, b)
+				}
+			case r == 8 && len(x) > 0:
+				k := rng.Intn(8)
+				x[0].key, s[0].key = k, k
+				xheap.Fix(x, 0, tiedLess)
+				heap.Fix(&s, 0)
+			case r == 9:
+				rng.Shuffle(len(x), func(i, j int) {
+					x[i], x[j] = x[j], x[i]
+					s[i], s[j] = s[j], s[i]
+				})
+				xheap.Init(x, tiedLess)
+				heap.Init(&s)
+			}
+		}
+		for len(x) > 0 {
+			if a, b := xheap.Pop(&x, tiedLess), heap.Pop(&s).(tied); a != b {
+				t.Fatalf("trial %d drain: xheap popped %v, container/heap %v", trial, a, b)
+			}
+		}
+	}
 }
