@@ -241,37 +241,31 @@ func BenchmarkRunAllFigures(b *testing.B) {
 
 // --- Packet vs fluid engine (DESIGN.md §6) ---
 
-// scaleBench caches a designed ~100-node backbone (94 cities + 6 DC sites,
-// greedy design, provisioned capacities, fiber substrate) for the engine
-// benchmarks: the design is expensive, the replay is what's measured. The
-// construction is experiments.DesignedMixTopology — exactly what the
-// Fig6Scale experiment replays over.
-var scaleBench struct {
-	opt      experiments.Options
-	nodes    int
-	links    []netsim.TopoLink
-	designTM traffic.Matrix
-}
+// scaleBench caches a designed ~100-site backbone (94 cities + 6 DC sites,
+// greedy design, provisioned capacities, fiber substrate with midpoints
+// for conduits parallel to microwave links) for the engine benchmarks: the
+// design is expensive, the replay is what's measured. The construction is
+// experiments.DesignedTETopology, and the commodities come from
+// experiments.DemandCommodities — exactly what the Fig6Scale experiment
+// replays.
+var scaleBench *experiments.TETopology
 
 func scaleBenchSetup(b *testing.B) {
 	b.Helper()
-	if scaleBench.links != nil {
+	if scaleBench != nil {
 		return
 	}
-	scaleBench.opt = experiments.Options{Scale: cisp.ScaleSmall, Seed: 40, MaxCities: 94}
-	links, nodes, tm, err := experiments.DesignedMixTopology(scaleBench.opt)
+	tt, err := experiments.DesignedTETopology(experiments.Options{Scale: cisp.ScaleSmall, Seed: 40, MaxCities: 94})
 	if err != nil {
 		b.Fatal(err)
 	}
-	scaleBench.nodes = nodes
-	scaleBench.links = links
-	scaleBench.designTM = tm
+	scaleBench = tt
 }
 
 func scaleScenario(totalFlows int, horizon float64) *netsim.Scenario {
 	return &netsim.Scenario{
-		Nodes: scaleBench.nodes, Links: scaleBench.links,
-		Comms:  experiments.MixCommodities(scaleBench.opt, scaleBench.designTM, totalFlows),
+		Nodes: scaleBench.Nodes, Links: scaleBench.Links(),
+		Comms:  experiments.DemandCommodities(scaleBench.DesignTM, totalFlows, 250<<10, horizon),
 		Scheme: netsim.ShortestPath, FlowBytes: 250 << 10, Horizon: horizon,
 	}
 }

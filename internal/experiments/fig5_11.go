@@ -25,42 +25,34 @@ type simConfig struct {
 	top        *cisp.Topology
 	plan       *capacity.Plan
 	designGbps float64
-	rateScale  float64 // scales all rates down to keep packet counts sane
-	simTime    float64 // seconds of simulated time
-	queueCap   int
 	scheme     netsim.Scheme
 	seed       int64
 }
 
-// hybridSimLinks builds the site-level link lists for a design, split into
-// the microwave layer (built links at provisioned capacity, series² × 1
-// Gbps per §3.3, in Built order so per-link weather conditions align) and
-// the fiber substrate (plentiful bandwidth, 1.5× propagation penalty;
-// conduits parallel to a *live* built microwave link are dropped — the
-// node pair is already connected and routing prefers the faster path
-// anyway). failed, when non-nil, marks built links (in Built order) that
-// are weather-failed: their parallel conduits are kept, since the fiber
-// fallback is exactly what the degraded network routes over. Pass nil for
-// clear sky.
-func hybridSimLinks(s *cisp.Scenario, top *cisp.Topology, plan *capacity.Plan,
-	designGbps, rateScale float64, queueCap int, failed []bool) (mw, fiberLs []netsim.TopoLink) {
-	mw, fiberLs, _ = hybridLinks(s, top, plan, designGbps, rateScale, queueCap, failed, false)
-	return mw, fiberLs
-}
+// Every packet-level study simulates the same scaled-down network:
+// simRateScale scales all link rates down from design capacity to keep
+// packet counts sane, and every link queues up to simQueueCap packets.
+// runPacketSim offers load for simTime seconds before draining.
+const (
+	simRateScale = 1.0 / 50
+	simQueueCap  = 100
+	simTime      = 0.35
+)
 
-// hybridSimLinksParallel is the TE control plane's variant: fiber conduits
-// parallel to a live microwave link are kept — carried through a midpoint
-// transit node (half the delay per half), since netsim paths are node
-// sequences and parallel capacity must be expressed as distinct nodes.
-// Returns the total node count including midpoints.
-func hybridSimLinksParallel(s *cisp.Scenario, top *cisp.Topology, plan *capacity.Plan,
-	designGbps, rateScale float64, queueCap int) (mw, fiberLs []netsim.TopoLink, nodes int) {
-	return hybridLinks(s, top, plan, designGbps, rateScale, queueCap, nil, true)
-}
-
-// hybridLinks is the shared body behind both variants.
+// hybridLinks builds the site-level simulation links for a design, split
+// into the microwave layer (built links at provisioned capacity, series² ×
+// 1 Gbps per §3.3, in Built order so per-link weather conditions align)
+// and the fiber substrate (plentiful bandwidth, 1.5× propagation penalty).
+// A conduit parallel to a *live* built microwave link is dropped, unless
+// keepParallel carries it through a midpoint transit node (half the delay
+// per half) — netsim paths are node sequences, so parallel capacity must
+// be expressed as distinct nodes. failed, when non-nil, marks built links
+// (in Built order) that are weather-failed: their parallel conduits are
+// kept directly, since the fiber fallback is exactly what the degraded
+// network routes over. Pass nil for clear sky. nodes counts the sites plus
+// any midpoints.
 func hybridLinks(s *cisp.Scenario, top *cisp.Topology, plan *capacity.Plan,
-	designGbps, rateScale float64, queueCap int, failed []bool, keepParallel bool) (mw, fiberLs []netsim.TopoLink, nodes int) {
+	designGbps float64, failed []bool, keepParallel bool) (mw, fiberLs []netsim.TopoLink, nodes int) {
 	mwPairs := make(map[[2]int]bool)
 	for li, l := range top.Built {
 		key := [2]int{l.I, l.J}
@@ -74,16 +66,16 @@ func hybridLinks(s *cisp.Scenario, top *cisp.Topology, plan *capacity.Plan,
 		if series == 0 {
 			series = 1
 		}
-		capBps := units.Gbps(float64(series*series) * rateScale)
+		capBps := units.Gbps(float64(series*series) * simRateScale)
 		mw = append(mw, netsim.TopoLink{
 			A: l.I, B: l.J,
 			RateBps:   capBps,
 			PropDelay: units.Seconds(l.Dist / geo.C),
-			QueueCap:  queueCap,
+			QueueCap:  simQueueCap,
 		})
 	}
 	fiberG := s.FiberNet.Graph()
-	fiberCap := units.Gbps(designGbps * 2 * rateScale)
+	fiberCap := units.Gbps(designGbps * 2 * simRateScale)
 	nodes = fiberG.N()
 	for u := 0; u < fiberG.N(); u++ {
 		for _, e := range fiberG.Neighbors(u) {
@@ -97,14 +89,14 @@ func hybridLinks(s *cisp.Scenario, top *cisp.Topology, plan *capacity.Plan,
 					A: u, B: e.To,
 					RateBps:   fiberCap,
 					PropDelay: delay,
-					QueueCap:  queueCap,
+					QueueCap:  simQueueCap,
 				})
 			case keepParallel:
 				mid := nodes
 				nodes++
 				fiberLs = append(fiberLs,
-					netsim.TopoLink{A: u, B: mid, RateBps: fiberCap, PropDelay: delay / 2, QueueCap: queueCap},
-					netsim.TopoLink{A: mid, B: e.To, RateBps: fiberCap, PropDelay: delay / 2, QueueCap: queueCap})
+					netsim.TopoLink{A: u, B: mid, RateBps: fiberCap, PropDelay: delay / 2, QueueCap: simQueueCap},
+					netsim.TopoLink{A: mid, B: e.To, RateBps: fiberCap, PropDelay: delay / 2, QueueCap: simQueueCap})
 			}
 		}
 	}
@@ -121,7 +113,7 @@ func runPacketSim(cfg simConfig, demand traffic.Matrix) (delayMs, lossPct float6
 	var sim netsim.Simulator
 	nw := netsim.NewNetwork(&sim, n)
 
-	mw, fiberLs := hybridSimLinks(s, cfg.top, cfg.plan, cfg.designGbps, cfg.rateScale, cfg.queueCap, nil)
+	mw, fiberLs, _ := hybridLinks(s, cfg.top, cfg.plan, cfg.designGbps, nil, false)
 	links := append(mw, fiberLs...)
 	netsim.BuildTopology(nw, links)
 
@@ -135,7 +127,7 @@ func runPacketSim(cfg simConfig, demand traffic.Matrix) (delayMs, lossPct float6
 			}
 			comms = append(comms, netsim.Commodity{
 				Flow: flow, Src: i, Dst: j,
-				Demand: units.Gbps(demand[i][j] * cfg.rateScale),
+				Demand: units.Gbps(demand[i][j] * simRateScale),
 			})
 			flow++
 		}
@@ -154,11 +146,11 @@ func runPacketSim(cfg simConfig, demand traffic.Matrix) (delayMs, lossPct float6
 		src.Start()
 		sources = append(sources, src)
 	}
-	sim.Run(cfg.simTime)
+	sim.Run(simTime)
 	for _, src := range sources {
 		src.Stop()
 	}
-	sim.Run(cfg.simTime + 2) // drain
+	sim.Run(simTime + 2) // drain
 	return mon.MeanDelay() * 1000, mon.LossRate() * 100
 }
 
@@ -198,7 +190,6 @@ func Fig5Perturbation(opt Options, gammas []float64, loads []float64) []Fig5Resu
 			demand := scaleTo(offered, designGbps*load/100)
 			d, l := runPacketSim(simConfig{
 				scenario: s, top: top, plan: plan, designGbps: designGbps,
-				rateScale: 1.0 / 50, simTime: 0.35, queueCap: 100,
 				scheme: netsim.ShortestPath, seed: opt.Seed,
 			}, demand)
 			res.Points = append(res.Points, LoadPoint{LoadPct: load, DelayMs: d, LossPct: l})
@@ -251,7 +242,6 @@ func Fig11MixDeviation(opt Options, loads []float64) []Fig11Result {
 			demand := scaleTo(offered, designGbps*load/100)
 			d, l := runPacketSim(simConfig{
 				scenario: s, top: top, plan: plan, designGbps: designGbps,
-				rateScale: 1.0 / 50, simTime: 0.35, queueCap: 100,
 				scheme: netsim.ShortestPath, seed: opt.Seed,
 			}, demand)
 			res.Points = append(res.Points, LoadPoint{LoadPct: load, DelayMs: d, LossPct: l})
@@ -282,7 +272,6 @@ func RoutingSchemeComparison(opt Options, loadPct float64) map[string]float64 {
 	for _, scheme := range []netsim.Scheme{netsim.ShortestPath, netsim.MinMaxUtilization, netsim.ThroughputOptimal} {
 		d, l := runPacketSim(simConfig{
 			scenario: s, top: top, plan: plan, designGbps: designGbps,
-			rateScale: 1.0 / 50, simTime: 0.35, queueCap: 100,
 			scheme: scheme, seed: opt.Seed,
 		}, demand)
 		out[scheme.String()] = d

@@ -166,7 +166,6 @@ func (res *Fig7Result) runStormFCT(opt Options, s *cisp.Scenario, top *cisp.Topo
 	designGbps := opt.simAggregateGbps()
 	demand := scaleTo(tm, designGbps)
 	plan := s.Provision(top, demand)
-	const rateScale = 1.0 / 50
 
 	// Heaviest-demand commodities, capped to keep packet time bounded.
 	type dem struct {
@@ -188,7 +187,7 @@ func (res *Fig7Result) runStormFCT(opt Options, s *cisp.Scenario, top *cisp.Topo
 	var comms []netsim.Commodity
 	for fi, d := range dems {
 		comms = append(comms, netsim.Commodity{
-			Flow: fi + 1, Src: d.s, Dst: d.t, Demand: units.Gbps(d.gbps * rateScale),
+			Flow: fi + 1, Src: d.s, Dst: d.t, Demand: units.Gbps(d.gbps * simRateScale),
 		})
 	}
 
@@ -204,9 +203,9 @@ func (res *Fig7Result) runStormFCT(opt Options, s *cisp.Scenario, top *cisp.Topo
 	// The degraded network keeps the fiber conduits parallel to failed
 	// microwave links — that fallback is what the analytic model reroutes
 	// over; the clear-sky reference drops them as usual.
-	mw, fiberLs := hybridSimLinks(s, top, plan, designGbps, rateScale, 100, failed)
+	mw, fiberLs, _ := hybridLinks(s, top, plan, designGbps, failed, false)
 	res.FCTDegraded = weather.MeasureFCT(len(s.Cities), mw, conds, fiberLs, comms, schemes, fctCfg)
-	mwClean, fiberClean := hybridSimLinks(s, top, plan, designGbps, rateScale, 100, nil)
+	mwClean, fiberClean, _ := hybridLinks(s, top, plan, designGbps, nil, false)
 	res.FCTClean = weather.MeasureFCT(len(s.Cities), mwClean, nil, fiberClean, comms,
 		[]netsim.Scheme{netsim.ShortestPath}, fctCfg)
 }

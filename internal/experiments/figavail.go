@@ -236,8 +236,8 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 
 		for _, engine := range []netsim.Mode{netsim.PacketMode, netsim.FluidMode} {
 			simComms := comms
-			if engine == netsim.PacketMode && totalFlows > maxTEPacketFlows {
-				simComms = DemandCommodities(demand, maxTEPacketFlows, teFlowBytes, teStartSpread)
+			if engine == netsim.PacketMode && totalFlows > maxPacketFlows {
+				simComms = DemandCommodities(demand, maxPacketFlows, teFlowBytes, teStartSpread)
 			}
 			sc := &netsim.Scenario{
 				Nodes: tt.Nodes, Links: links, Comms: simComms,

@@ -12,68 +12,43 @@ import (
 	"cisp/internal/weather"
 )
 
-// TETopology is the designed hybrid substrate the TE experiment routes
-// over, with its design mix: a netsim.Backbone of the provisioned
-// microwave links plus the full fiber conduit graph, with conduits that parallel a microwave link carried through a
-// midpoint transit node — netsim paths are node sequences, so parallel
-// capacity must be distinct nodes, and keeping those conduits is exactly
-// what gives the control plane a latency-diverse alternative on every
-// built link.
+// TETopology is the designed hybrid substrate every designed-backbone
+// study routes over, with its design mix: a netsim.Backbone of the
+// provisioned microwave links plus the full fiber conduit graph, with
+// conduits that parallel a microwave link carried through a midpoint
+// transit node — netsim paths are node sequences, so parallel capacity
+// must be distinct nodes, and keeping those conduits is exactly what
+// gives the control plane a latency-diverse alternative on every built
+// link.
 type TETopology struct {
 	netsim.Backbone
 	DesignTM traffic.Matrix // the 4:3:3 design mix (relative weights)
 }
 
-// DesignedTETopology builds the §6.4 design point like DesignedMixTopology
-// but keeps every fiber conduit — including ones parallel to built
-// microwave links, via midpoint transit nodes — so the TE control plane
-// can split onto fiber where the microwave layer saturates or rains out.
+// DesignedTETopology builds the §6.4 design point shared by every
+// designed-backbone study and the engine benchmarks: the option's cities
+// plus the Google DC sites, a 4:3:3 City-City : City-DC : DC-DC mix, a
+// greedy design at the default budget, and the provisioned hybrid
+// simulation links. Every fiber conduit is kept — including ones parallel
+// to built microwave links, via midpoint transit nodes — so the TE
+// control plane can split onto fiber where the microwave layer saturates
+// or rains out.
 func DesignedTETopology(opt Options) (*TETopology, error) {
-	s, top, designTM, err := designMixPoint(opt)
+	s, models := opt.dcWorld()
+	designTM := models.mix(4, 3, 3)
+	top, err := s.DesignGreedy(designTM, s.DefaultBudget())
 	if err != nil {
 		return nil, err
 	}
 	plan := s.Provision(top, scaleTo(designTM, opt.simAggregateGbps()))
-	mw, fiber, nodes := hybridSimLinksParallel(s, top, plan, opt.simAggregateGbps(), simRateScale, 100)
+	mw, fiber, nodes := hybridLinks(s, top, plan, opt.simAggregateGbps(), nil, true)
 	return &TETopology{Backbone: netsim.Backbone{Sites: s.Cities, Nodes: nodes, Mw: mw, Fiber: fiber}, DesignTM: designTM}, nil
 }
 
-// DemandCommodities converts a demand matrix (any consistent units — only
-// the proportions matter) into the commodity list of a Scenario replay:
-// totalFlows concurrent flows apportioned across the positive pairs in
-// proportion to demand (traffic.FlowCounts), each of flowBytes payload
-// arriving inside a window of `window` seconds. Commodity.Demand is set to
-// the load the replay then actually offers — Count · flowBytes · 8 /
-// window — so the TE planner (and min-max-utilization routing) optimises
-// against the very traffic the simulation injects, and the planner's
-// predicted MLU is commensurable with the measured one. Flow IDs are
-// assigned by row-major pair order over ALL positive pairs — independent
-// of totalFlows — so commodity IDs are stable between a clamped packet
-// replay and a full-scale fluid replay and one TE solution serves both.
+// DemandCommodities is netsim.DemandCommodities numbering flow IDs from
+// 1: the commodity list of every designed-backbone replay and TE plan.
 func DemandCommodities(demand traffic.Matrix, totalFlows, flowBytes int, window float64) []netsim.Commodity {
-	counts := map[[2]int]int{}
-	for _, p := range traffic.FlowCounts(demand, totalFlows) {
-		counts[[2]int{p.I, p.J}] = p.Count
-	}
-	var comms []netsim.Commodity
-	flow := 0
-	for i := 0; i < demand.N(); i++ {
-		for j := i + 1; j < demand.N(); j++ {
-			if demand[i][j] <= 0 {
-				continue
-			}
-			flow++
-			n := counts[[2]int{i, j}]
-			if n == 0 {
-				continue
-			}
-			comms = append(comms, netsim.Commodity{
-				Flow: flow, Src: i, Dst: j,
-				Demand: units.Bytes(float64(n) * float64(flowBytes)).Per(units.Seconds(window)),
-				Count:  n,
-			})
-		}
-	}
+	comms, _ := netsim.DemandCommodities(demand, totalFlows, flowBytes, units.Seconds(window), 1)
 	return comms
 }
 
@@ -131,10 +106,6 @@ func (r *FigTEResult) Row(workload, scheme, mode string) *TERow {
 
 // teSchemeName labels the TE rows.
 const teSchemeName = "te-splits"
-
-// maxTEPacketFlows bounds the packet engine in the TE study, as
-// maxPacketScaleFlows does for Fig6Scale.
-const maxTEPacketFlows = 1500
 
 // TE replay shape: flows of teFlowBytes arrive inside teStartSpread
 // seconds and the run is measured to teHorizon. DemandCommodities derives
@@ -223,8 +194,8 @@ func FigTE(opt Options, totalFlows int) *FigTEResult {
 		}
 		for _, mode := range []netsim.Mode{netsim.PacketMode, netsim.FluidMode} {
 			comms := fluidComms
-			if mode == netsim.PacketMode && totalFlows > maxTEPacketFlows {
-				comms = DemandCommodities(wl.demand, maxTEPacketFlows, teFlowBytes, teStartSpread)
+			if mode == netsim.PacketMode && totalFlows > maxPacketFlows {
+				comms = DemandCommodities(wl.demand, maxPacketFlows, teFlowBytes, teStartSpread)
 			}
 			for _, scheme := range []netsim.Scheme{netsim.ShortestPath, netsim.MinMaxUtilization} {
 				row := runTEScenario(tt.Nodes, wl.links, comms, scheme, nil, mode, opt.Seed)

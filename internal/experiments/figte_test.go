@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"cisp"
+	"cisp/internal/netsim"
 	"cisp/internal/traffic"
 )
 
@@ -77,6 +81,9 @@ func TestDemandCommoditiesStableIDs(t *testing.T) {
 		if float64(c.Demand) != want {
 			t.Fatalf("flow %d demand %v, want %v", c.Flow, c.Demand, want)
 		}
+		if c.FlowBytes != teFlowBytes {
+			t.Fatalf("flow %d payload %d, want %d", c.Flow, c.FlowBytes, teFlowBytes)
+		}
 	}
 	total := 0
 	for _, c := range big {
@@ -85,6 +92,40 @@ func TestDemandCommoditiesStableIDs(t *testing.T) {
 	if total != 1000 {
 		t.Fatalf("big replay apportioned %d flows, want 1000", total)
 	}
+
+	// Pinned: the designed mix at the packet clamp and at a fluid scale.
+	tt, err := DesignedTETopology(teTestOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flows int
+		want  uint64
+	}{{1500, 0x377f55e50bde0acc}, {20_000, 0x4f5beafff8338ea1}} {
+		comms := DemandCommodities(tt.DesignTM, tc.flows, teFlowBytes, teStartSpread)
+		if got := commoditiesHash(comms); got != tc.want {
+			t.Errorf("%d flows: %d commodities, hash %#x; want %#x", tc.flows, len(comms), got, tc.want)
+		}
+	}
+}
+
+// commoditiesHash folds every commodity's flow ID, endpoints, count and
+// demand bits, in list order, into one FNV-64a sum.
+func commoditiesHash(comms []netsim.Commodity) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, c := range comms {
+		put(uint64(c.Flow))
+		put(uint64(c.Src))
+		put(uint64(c.Dst))
+		put(uint64(c.Count))
+		put(math.Float64bits(float64(c.Demand)))
+	}
+	return h.Sum64()
 }
 
 // TestFigTEAcceptance is the PR's headline criterion: on a seeded hotspot

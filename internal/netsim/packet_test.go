@@ -42,6 +42,9 @@ func randomComms(n, k int, seed int64) []Commodity {
 func overloadedPacketScenario() *Scenario {
 	const n = 40
 	links := packetBackbone(n)
+	for i := range links {
+		links[i].QueueCap = 6
+	}
 	comms := randomComms(n, 30, 31)
 	short := ComputeRoutes(n, links, comms, ShortestPath)
 	wide := ComputeRoutes(n, links, comms, ThroughputOptimal)
@@ -53,7 +56,7 @@ func overloadedPacketScenario() *Scenario {
 	}
 	return &Scenario{
 		Nodes: n, Links: links, Comms: comms, Scheme: ShortestPath, Splits: splits,
-		QueueCap: 6, FlowBytes: 200 << 10, Horizon: 5, StartSpread: 0.2, Seed: 3,
+		FlowBytes: 200 << 10, Horizon: 5, StartSpread: 0.2, Seed: 3,
 	}
 }
 
@@ -86,13 +89,14 @@ func tiedPacketScenario() *Scenario {
 	for i := range links {
 		links[i].RateBps = 1 << 27
 		links[i].PropDelay = 0
+		links[i].QueueCap = 20
 		if i%2 == 1 {
 			links[i].PropDelay = 1.0 / 512
 		}
 	}
 	return &Scenario{
 		Nodes: n, Links: links, Comms: randomComms(n, 25, 51), Scheme: ShortestPath,
-		QueueCap: 20, FlowBytes: 100 << 10, Horizon: 5, Seed: 5,
+		FlowBytes: 100 << 10, Horizon: 5, Seed: 5,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"cisp/internal/traffic"
 	"cisp/internal/units"
 )
 
@@ -30,6 +31,43 @@ type Commodity struct {
 	// when > 0 — how a workload mixes thin gaming flows with bulk media
 	// transfers in one replay. Both engines honor it identically.
 	FlowBytes int
+}
+
+// DemandCommodities turns a demand matrix (any consistent units — only
+// the proportions matter) into the commodity list of a Scenario replay:
+// totalFlows concurrent flows apportioned across the positive pairs in
+// proportion to demand (traffic.FlowCounts), each of flowBytes payload
+// arriving inside a window of `window` seconds. Demand is the load the
+// replay then actually offers — Count · flowBytes · 8 / window — so a TE
+// planner (and min-max-utilization routing) optimises against the very
+// traffic the simulation injects. Flow IDs run from first over ALL
+// positive pairs in row-major order, whatever totalFlows is, so IDs are
+// stable between a clamped packet replay and a full-scale fluid replay
+// and one TE solution serves both. last is the final ID numbered (first-1
+// when no pair is positive), so the next matrix can start at last+1.
+func DemandCommodities(demand traffic.Matrix, totalFlows, flowBytes int, window units.Seconds, first int) (comms []Commodity, last int) {
+	pairs := traffic.FlowCounts(demand, totalFlows)
+	last = first - 1
+	for i := 0; i < demand.N(); i++ {
+		for j := i + 1; j < demand.N(); j++ {
+			if demand[i][j] <= 0 {
+				continue
+			}
+			last++
+			if len(pairs) == 0 || pairs[0].I != i || pairs[0].J != j {
+				continue // no flows on this pair
+			}
+			n := pairs[0].Count
+			pairs = pairs[1:]
+			comms = append(comms, Commodity{
+				Flow: last, Src: i, Dst: j,
+				Demand:    units.Bytes(float64(n) * float64(flowBytes)).Per(window),
+				Count:     n,
+				FlowBytes: flowBytes,
+			})
+		}
+	}
+	return comms, last
 }
 
 // Scheme selects a routing algorithm, mirroring §5: ns-3's default shortest
@@ -151,19 +189,18 @@ func ComputeRoutes(n int, links []TopoLink, comms []Commodity, scheme Scheme) ma
 		adj[l.A] = append(adj[l.A], halfLink{to: l.B, delay: float64(l.PropDelay), cap: float64(l.RateBps), load: fw})
 		adj[l.B] = append(adj[l.B], halfLink{to: l.A, delay: float64(l.PropDelay), cap: float64(l.RateBps), load: bw})
 	}
+	if scheme == ShortestPath {
+		return shortestRoutes(adj, comms)
+	}
 
 	order := make([]Commodity, len(comms))
 	copy(order, comms)
-	if scheme != ShortestPath {
-		sort.Slice(order, func(i, j int) bool { return order[i].Demand > order[j].Demand })
-	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Demand > order[j].Demand })
 
 	paths := make(map[int][]int, len(comms))
 	for _, c := range order {
 		var path []int
 		switch scheme {
-		case ShortestPath:
-			path = dijkstraDelay(adj, c.Src, c.Dst)
 		case MinMaxUtilization:
 			path = minimaxPath(adj, c.Src, c.Dst, func(h halfLink) float64 {
 				return (*h.load + float64(c.Demand)) / h.cap
@@ -199,8 +236,29 @@ type halfLink struct {
 	load  *float64
 }
 
-// dijkstraDelay finds the minimum propagation-delay path.
-func dijkstraDelay(adj [][]halfLink, src, dst int) []int {
+// shortestRoutes gives every commodity its minimum propagation-delay
+// path. It grows one delay tree per source and unwinds each destination
+// from it: relaxation is strict and delays are non-negative, so a node's
+// predecessor never changes once it settles, and the tree holds exactly
+// the path a search stopped at that destination would return.
+func shortestRoutes(adj [][]halfLink, comms []Commodity) map[int][]int {
+	trees := make([][]int, len(adj)) // per source, grown on first use
+	paths := make(map[int][]int, len(comms))
+	for _, c := range comms {
+		if trees[c.Src] == nil {
+			trees[c.Src] = delayTree(adj, c.Src)
+		}
+		if path := unwind(trees[c.Src], c.Src, c.Dst); path != nil {
+			paths[c.Flow] = path
+		}
+	}
+	return paths
+}
+
+// delayTree runs Dijkstra on propagation delay from src to exhaustion and
+// returns each node's predecessor (-1 for src and unreached nodes). Ties
+// settle the lowest node index first.
+func delayTree(adj [][]halfLink, src int) []int {
 	n := len(adj)
 	dist := make([]float64, n)
 	prev := make([]int, n)
@@ -217,8 +275,8 @@ func dijkstraDelay(adj [][]halfLink, src, dst int) []int {
 				u, best = v, dist[v]
 			}
 		}
-		if u < 0 || u == dst {
-			break
+		if u < 0 {
+			return prev
 		}
 		done[u] = true
 		for _, h := range adj[u] {
@@ -228,10 +286,6 @@ func dijkstraDelay(adj [][]halfLink, src, dst int) []int {
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
-		return nil
-	}
-	return unwind(prev, src, dst)
 }
 
 // minimaxPath finds the path minimising the maximum of cost(halfLink) over

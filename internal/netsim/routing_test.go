@@ -1,8 +1,13 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
+
+	"cisp/internal/traffic"
+	"cisp/internal/units"
 )
 
 // diamond: 0 -(fast but narrow)- 1 -  3 and 0 - 2 - 3 (slow but wide).
@@ -111,5 +116,95 @@ func TestUnreachableCommodityOmitted(t *testing.T) {
 	paths := InstallRoutes(nw, links, []Commodity{{Flow: 1, Src: 0, Dst: 2, Demand: 1e5}}, ShortestPath)
 	if _, ok := paths[1]; ok {
 		t.Fatal("unreachable commodity got a path")
+	}
+}
+
+// tiedMesh draws a seeded n-node mesh with small-integer delays (0–3 s,
+// so path sums are exact and equal-delay ties are common) and leaves the
+// last node isolated, so some commodities are unroutable.
+func tiedMesh(n int, seed int64) []TopoLink {
+	rng := rand.New(rand.NewSource(seed))
+	var links []TopoLink
+	for a := 0; a < n-1; a++ {
+		for k := 0; k < 3; k++ {
+			b := rng.Intn(n - 1)
+			if b == a {
+				continue
+			}
+			links = append(links, TopoLink{A: a, B: b, RateBps: 1e6, PropDelay: units.Seconds(rng.Intn(4))})
+		}
+	}
+	return links
+}
+
+// TestShortestRoutesPinned pins ComputeRoutes(ShortestPath) on seeded
+// tie-heavy meshes: every ordered pair's path, or its absence, hashed in
+// flow order. The tie rule (lowest node index settles first, strict
+// relaxation in link order) decides which of several equal-delay paths
+// each commodity gets, so any change to the search shows here.
+func TestShortestRoutesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want uint64
+	}{
+		{8, 1, 0xfc3097af4d36c195},
+		{24, 2, 0x396cccdd8ae80688},
+		{60, 3, 0x659b40b4e27cb774},
+	} {
+		links := tiedMesh(tc.n, tc.seed)
+		var comms []Commodity
+		for _, k := range rand.New(rand.NewSource(tc.seed)).Perm(tc.n * tc.n) {
+			if src, dst := k/tc.n, k%tc.n; src != dst {
+				comms = append(comms, Commodity{Flow: len(comms) + 1, Src: src, Dst: dst})
+			}
+		}
+		paths := ComputeRoutes(tc.n, links, comms, ShortestPath)
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v int) {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+		for _, c := range comms {
+			p, ok := paths[c.Flow]
+			if !ok {
+				put(-1)
+				continue
+			}
+			put(len(p))
+			for _, v := range p {
+				put(v)
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("mesh n=%d seed=%d: %d of %d commodities routed, hash %#x; want %#x",
+				tc.n, tc.seed, len(paths), len(comms), got, tc.want)
+		}
+	}
+}
+
+// TestDemandCommoditiesNumbering: IDs run from first over every positive
+// pair, flows or not, and last lets the next matrix continue the count.
+func TestDemandCommoditiesNumbering(t *testing.T) {
+	m := traffic.New(4)
+	m.Set(0, 1, 6)
+	m.Set(0, 3, 1)
+	m.Set(2, 3, 3)
+	comms, last := DemandCommodities(m, 3, 1000, 2, 7) // pair 0-3 draws no flow
+	want := []Commodity{
+		{Flow: 7, Src: 0, Dst: 1, Demand: 8000, Count: 2, FlowBytes: 1000},
+		{Flow: 9, Src: 2, Dst: 3, Demand: 4000, Count: 1, FlowBytes: 1000},
+	}
+	if last != 9 || len(comms) != len(want) {
+		t.Fatalf("got %+v, last %d; want %+v, last 9", comms, last, want)
+	}
+	for i := range want {
+		if comms[i] != want[i] {
+			t.Fatalf("commodity %d: got %+v, want %+v", i, comms[i], want[i])
+		}
+	}
+	if comms, last := DemandCommodities(traffic.New(3), 5, 1000, 2, 7); comms != nil || last != 6 {
+		t.Fatalf("empty matrix: got %+v, last %d; want none, last 6", comms, last)
 	}
 }

@@ -2,12 +2,12 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"cisp/internal/obs"
 	"cisp/internal/parallel"
+	"cisp/internal/traffic"
 	"cisp/internal/units"
 )
 
@@ -91,7 +91,6 @@ type Scenario struct {
 	Horizon     float64 // simulated seconds (default 30)
 	StartSpread float64 // flow starts drawn uniformly from [0, StartSpread] (0 = all at t=0)
 	Seed        int64   // start-time randomness (packet and fluid draw identically)
-	QueueCap    int     // packet mode: per-link queue override (0 = keep TopoLink values)
 }
 
 // FailureEvent is one timed topology transition of a Scenario run: the
@@ -222,7 +221,7 @@ type commodityRouting struct {
 // path assignment drawn from Seed; the rest are routed by Scheme via
 // ComputeRoutes. Both engines call this with identical inputs, so per-path
 // flow populations are identical across modes.
-func (sc *Scenario) routeCommodities(links []TopoLink) []commodityRouting {
+func (sc *Scenario) routeCommodities() []commodityRouting {
 	var routed []Commodity
 	for _, c := range sc.Comms {
 		if len(sc.Splits[c.Flow]) == 0 {
@@ -231,7 +230,7 @@ func (sc *Scenario) routeCommodities(links []TopoLink) []commodityRouting {
 	}
 	var single map[int][]int
 	if len(routed) > 0 {
-		single = ComputeRoutes(sc.Nodes, links, routed, sc.Scheme)
+		single = ComputeRoutes(sc.Nodes, sc.Links, routed, sc.Scheme)
 	}
 	rng := rand.New(rand.NewSource(sc.Seed + 2))
 	out := make([]commodityRouting, len(sc.Comms))
@@ -285,45 +284,21 @@ func (sc *Scenario) updateAssign(ui, nClones int, fracs []float64) []int {
 }
 
 // checkFailures bounds-checks the failure schedule against the link list.
-func (sc *Scenario) checkFailures(links []TopoLink) {
+func (sc *Scenario) checkFailures() {
 	for _, ev := range sc.Failures {
-		if ev.Link < 0 || ev.Link >= len(links) {
-			panic(fmt.Sprintf("netsim: failure event link %d outside [0,%d)", ev.Link, len(links)))
+		if ev.Link < 0 || ev.Link >= len(sc.Links) {
+			panic(fmt.Sprintf("netsim: failure event link %d outside [0,%d)", ev.Link, len(sc.Links)))
 		}
 	}
 }
 
 // splitAssignments apportions n flows across paths in proportion to fracs
-// (largest-remainder rounding, so per-path counts are exact) and shuffles
-// the assignment vector so clone order carries no path bias. Deterministic
-// in the rng state.
+// (traffic.Apportion, so per-path counts are exact) and shuffles the
+// assignment vector so clone order carries no path bias. Deterministic in
+// the rng state.
 func splitAssignments(n int, fracs []float64, rng *rand.Rand) []int {
-	tot := 0.0
-	for _, f := range fracs {
-		tot += f
-	}
-	counts := make([]int, len(fracs))
-	order := make([]int, len(fracs))
-	rem := make([]float64, len(fracs))
-	assigned := 0
-	for i, f := range fracs {
-		quota := float64(n) * f / tot
-		counts[i] = int(math.Floor(quota))
-		rem[i] = quota - float64(counts[i])
-		order[i] = i
-		assigned += counts[i]
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if rem[order[a]] != rem[order[b]] {
-			return rem[order[a]] > rem[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	for k := 0; k < n-assigned; k++ {
-		counts[order[k]]++
-	}
 	out := make([]int, 0, n)
-	for pi, c := range counts {
+	for pi, c := range traffic.Apportion(n, fracs) {
 		for k := 0; k < c; k++ {
 			out = append(out, pi)
 		}
@@ -383,17 +358,10 @@ func RunMany(scs []*Scenario, mode Mode) []*ScenarioResult {
 
 func (sc *Scenario) runPacket() *ScenarioResult {
 	flowBytes, horizon := sc.defaults()
-	links := sc.Links
-	if sc.QueueCap > 0 {
-		links = append([]TopoLink(nil), sc.Links...)
-		for i := range links {
-			links[i].QueueCap = sc.QueueCap
-		}
-	}
 	var sim Simulator
 	nw := NewNetwork(&sim, sc.Nodes)
-	BuildTopology(nw, links)
-	routings := sc.routeCommodities(links)
+	BuildTopology(nw, sc.Links)
+	routings := sc.routeCommodities()
 
 	// Flow IDs: each commodity keeps its own ID for its first flow; clones
 	// get fresh IDs past the maximum so delivery demux stays per-flow.
@@ -468,11 +436,11 @@ func (sc *Scenario) runPacket() *ScenarioResult {
 	// Failure schedule: flip both directions of the duplex link. Scheduled
 	// before updates, so same-instant failures apply first (matching the
 	// fluid engine's action ordering).
-	sc.checkFailures(links)
+	sc.checkFailures()
 	for _, ev := range sc.Failures {
 		down := !ev.Up
-		ab := nw.Link(links[ev.Link].A, links[ev.Link].B)
-		ba := nw.Link(links[ev.Link].B, links[ev.Link].A)
+		ab := nw.Link(sc.Links[ev.Link].A, sc.Links[ev.Link].B)
+		ba := nw.Link(sc.Links[ev.Link].B, sc.Links[ev.Link].A)
 		sim.Schedule(ev.Time, func() {
 			ab.SetDown(down)
 			ba.SetDown(down)
@@ -553,7 +521,7 @@ func PathKey(path []int) string {
 func (sc *Scenario) runFluid() *ScenarioResult {
 	flowBytes, horizon := sc.defaults()
 	f := NewFluid(sc.Nodes, sc.Links)
-	routings := sc.routeCommodities(sc.Links)
+	routings := sc.routeCommodities()
 
 	total := 0
 	for ci, c := range sc.Comms {
@@ -608,7 +576,7 @@ func (sc *Scenario) runFluid() *ScenarioResult {
 	// to each action time, apply the batch, recompute once. Failures sort
 	// before updates at the same instant, matching the packet engine's
 	// scheduling order.
-	sc.checkFailures(sc.Links)
+	sc.checkFailures()
 	type action struct {
 		t    float64
 		fail int // index into sc.Failures, or -1

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,6 +73,29 @@ func TestSplitAssignmentsExact(t *testing.T) {
 		if a1[i] != a2[i] {
 			t.Fatalf("assignment not deterministic at %d: %d vs %d", i, a1[i], a2[i])
 		}
+	}
+
+	// Pinned: seeded random fractions, some of them ties, hashed over
+	// every assignment vector. Rounding, tie order and the shuffle all
+	// feed the hash.
+	draw := rand.New(rand.NewSource(11))
+	h := fnv.New64a()
+	var b [8]byte
+	for trial := 0; trial < 300; trial++ {
+		fracs := make([]float64, 1+draw.Intn(6))
+		for i := range fracs {
+			fracs[i] = draw.Float64()
+			if i > 0 && draw.Intn(4) == 0 {
+				fracs[i] = fracs[i-1]
+			}
+		}
+		for _, pi := range splitAssignments(1+draw.Intn(400), fracs, rand.New(rand.NewSource(int64(trial)))) {
+			binary.LittleEndian.PutUint64(b[:], uint64(pi))
+			h.Write(b[:])
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x7c45901632a258a6); got != want {
+		t.Fatalf("seeded assignments hash %#x, want %#x", got, want)
 	}
 }
 

@@ -1,10 +1,12 @@
 package resilience
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
 	"cisp/internal/netsim"
+	"cisp/internal/te"
 )
 
 // Stats is the analytic outcome of running a protection mode against a
@@ -180,6 +182,7 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 			}
 		}
 		if rescueEval {
+			var stranded []netsim.Commodity
 			for _, flow := range flows {
 				if _, have := rescues[flow]; have {
 					continue
@@ -187,10 +190,22 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 				if p.deadFrac(inForce[flow], down) == 0 {
 					continue
 				}
-				c := p.commBy[flow]
-				if path, delay := p.residualShortest(c.Src, c.Dst, down); path != nil {
-					rescues[flow] = rescue{path: path, delay: delay}
-					st.Reroutes++
+				stranded = append(stranded, *p.commBy[flow])
+			}
+			if len(stranded) > 0 {
+				// te's candidate search at K 1 is the minimum-delay path
+				// over the up links: it skips the zero-rate edges
+				// gradedLinks leaves for down links. NewProtection searched
+				// these very links, so the graph builds.
+				pools, err := te.Candidates(p.nodes, gradedLinks(p.links, down), stranded, te.Config{K: 1})
+				if err != nil {
+					panic(fmt.Sprintf("resilience: residual path search: %v", err))
+				}
+				for i, pool := range pools {
+					if len(pool) > 0 {
+						rescues[stranded[i].Flow] = rescue{path: pool[0].Nodes, delay: pool[0].Delay}
+						st.Reroutes++
+					}
 				}
 			}
 		}
@@ -253,64 +268,4 @@ func (p *Protection) pathDelay(path []int) float64 {
 		}
 	}
 	return d
-}
-
-// residualShortest finds the minimum-delay src→dst path over the up links,
-// or nil if the residual topology disconnects the pair.
-func (p *Protection) residualShortest(src, dst int, down []bool) ([]int, float64) {
-	type half struct {
-		to    int
-		delay float64
-	}
-	adj := make([][]half, p.nodes)
-	for li, l := range p.links {
-		if down[li] {
-			continue
-		}
-		adj[l.A] = append(adj[l.A], half{to: l.B, delay: float64(l.PropDelay)})
-		adj[l.B] = append(adj[l.B], half{to: l.A, delay: float64(l.PropDelay)})
-	}
-	dist := make([]float64, p.nodes)
-	prev := make([]int, p.nodes)
-	done := make([]bool, p.nodes)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < p.nodes; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 || u == dst {
-			break
-		}
-		done[u] = true
-		for _, h := range adj[u] {
-			if nd := dist[u] + h.delay; nd < dist[h.to] {
-				dist[h.to] = nd
-				prev[h.to] = u
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0
-	}
-	var rev []int
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	if rev[len(rev)-1] != src {
-		return nil, 0
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, dist[dst]
 }

@@ -349,6 +349,11 @@ func TestAvailabilityOrdering(t *testing.T) {
 	if none.Reroutes != 0 || frr.Reroutes == 0 {
 		t.Fatalf("reroute counts none=%d frr=%d", none.Reroutes, frr.Reroutes)
 	}
+	// Pinned: the exact FRRReopt figures, residual rescue included.
+	if want := (Stats{Mode: FRRReopt, Availability: 0.99895, Nines: 2.9788107009300635,
+		MeanStretch: 1.6985674792661474, MaxStretch: 2, Reroutes: 3}); reopt != want {
+		t.Fatalf("reopt stats %+v, want %+v", reopt, want)
+	}
 }
 
 // TestPlanAgreesAcrossEngines is the satellite bound end to end: a

@@ -257,63 +257,70 @@ type PairFlows struct {
 }
 
 // FlowCounts apportions total concurrent flows across the positive entries
-// of m in proportion to demand, using largest-remainder rounding so the
-// counts sum exactly to total (when at least one entry is positive). Pairs
-// are emitted in (i, j) row-major order with i < j; zero-count pairs are
-// dropped. This is how a §6.4 traffic mix becomes the flow population of a
-// packet- or fluid-mode replay: each pair's flow count stands in for its
-// user population. Deterministic in m and total.
+// of m in proportion to demand (Apportion), so the counts sum exactly to
+// total when at least one entry is positive. Pairs are emitted in (i, j)
+// row-major order with i < j; zero-count pairs are dropped. This is how a
+// §6.4 traffic mix becomes the flow population of a packet- or fluid-mode
+// replay: each pair's flow count stands in for its user population.
+// Deterministic in m and total.
 func FlowCounts(m Matrix, total int) []PairFlows {
-	tot := m.Total()
-	if tot <= 0 || total <= 0 {
-		return nil
-	}
-	type entry struct {
-		pf   PairFlows
-		frac float64
-		ord  int
-	}
-	var entries []entry
-	assigned := 0
+	var pairs []PairFlows
+	var weights []float64
 	for i := 0; i < len(m); i++ {
 		for j := i + 1; j < len(m); j++ {
-			if m[i][j] <= 0 {
-				continue
+			if m[i][j] > 0 {
+				pairs = append(pairs, PairFlows{I: i, J: j})
+				weights = append(weights, m[i][j])
 			}
-			quota := float64(total) * m[i][j] / tot
-			whole := int(math.Floor(quota))
-			assigned += whole
-			entries = append(entries, entry{
-				pf:   PairFlows{I: i, J: j, Count: whole},
-				frac: quota - float64(whole),
-				ord:  len(entries),
-			})
 		}
-	}
-	// Hand the remainder to the largest fractional parts (pair order on
-	// ties) so Σ counts == total.
-	rem := total - assigned
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := &entries[order[a]], &entries[order[b]]
-		if ea.frac != eb.frac {
-			return ea.frac > eb.frac
-		}
-		return ea.ord < eb.ord
-	})
-	for k := 0; k < rem && k < len(order); k++ {
-		entries[order[k]].pf.Count++
 	}
 	var out []PairFlows
-	for _, e := range entries {
-		if e.pf.Count > 0 {
-			out = append(out, e.pf)
+	for k, n := range Apportion(total, weights) {
+		if n > 0 {
+			pairs[k].Count = n
+			out = append(out, pairs[k])
 		}
 	}
 	return out
+}
+
+// Apportion splits total units across parts in proportion to weights by
+// largest-remainder rounding: each part gets ⌊total·w/Σw⌋, and the units
+// left over go one each to the largest fractional parts, lower index
+// first on ties, so the counts sum exactly to total. Non-positive weights
+// get nothing; with total ≤ 0 or no positive weight every count is zero.
+// This is the one rounding rule under every flow population: the pairs of
+// a demand matrix (FlowCounts), the applications of a workload mix and
+// the paths of a TE split.
+func Apportion(total int, weights []float64) []int {
+	counts := make([]int, len(weights))
+	sum := 0.0
+	for _, w := range weights {
+		if w > 0 {
+			sum += w
+		}
+	}
+	if total <= 0 || sum <= 0 {
+		return counts
+	}
+	frac := make([]float64, len(weights))
+	var order []int
+	left := total
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		quota := float64(total) * w / sum
+		counts[i] = int(math.Floor(quota))
+		frac[i] = quota - float64(counts[i])
+		left -= counts[i]
+		order = append(order, i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return frac[order[a]] > frac[order[b]] })
+	for k := 0; k < left && k < len(order); k++ {
+		counts[order[k]]++
+	}
+	return counts
 }
 
 // Hotspot returns a copy of m with nPairs of its positive entries scaled by

@@ -171,6 +171,50 @@ func TestMixPanicsOnMismatch(t *testing.T) {
 	Mix([]float64{1}, New(2), New(2))
 }
 
+// TestApportion pins the largest-remainder rule every flow population
+// rounds through.
+func TestApportion(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		total   int
+		weights []float64
+		want    []int
+	}{
+		{"exact quotas", 10, []float64{3, 2, 5}, []int{3, 2, 5}},
+		{"largest remainder", 10, []float64{0.45, 0.35, 0.2}, []int{5, 3, 2}},
+		{"ties to the lower index", 2, []float64{1, 1, 1}, []int{1, 1, 0}},
+		{"tie across a whole part", 2, []float64{1, 2, 1}, []int{1, 1, 0}},
+		{"larger remainder beats lower index", 1, []float64{1, 3}, []int{0, 1}},
+		{"zero weights get nothing", 5, []float64{0, 1, 0, 1, 0}, []int{0, 3, 0, 2, 0}},
+		{"negative weights get nothing", 3, []float64{-4, 1, 2}, []int{0, 1, 2}},
+		{"zero total", 0, []float64{1, 2}, []int{0, 0}},
+		{"negative total", -3, []float64{1, 2}, []int{0, 0}},
+		{"no positive weight", 7, []float64{0, 0}, []int{0, 0}},
+		{"nil weights", 7, nil, []int{}},
+	} {
+		got := Apportion(tc.total, tc.weights)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: got %v, want %v", tc.name, got, tc.want)
+			}
+		}
+	}
+	// Exact totals over awkward weights and sizes.
+	weights := []float64{0.1, 1.0 / 3, 2.0 / 7, 0, 1e-9, 0.277}
+	for _, total := range []int{1, 2, 3, 17, 1000, 123_457} {
+		sum := 0
+		for _, n := range Apportion(total, weights) {
+			sum += n
+		}
+		if sum != total {
+			t.Fatalf("total %d apportioned %d", total, sum)
+		}
+	}
+}
+
 func TestFlowCountsExactTotal(t *testing.T) {
 	m := New(4)
 	m.Set(0, 1, 4)

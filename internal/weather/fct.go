@@ -29,14 +29,16 @@ type FCTResult struct {
 	Flows     int     // flows offered (including ones the scheme failed to route)
 }
 
-// MeasureFCT instantiates the degraded-capacity hybrid network in netsim
-// and measures TCP flow-completion times under each routing scheme: one
-// TCP flow per commodity, microwave link rates scaled by their
-// adaptive-modulation capacity fraction (failed links are omitted
-// entirely), fiber links carried over unchanged; every link keeps its own
-// QueueCap. conds[i] grades mwLinks[i]; a nil conds leaves every link at
-// clear-sky rate. The simulation is deterministic — no randomness enters
-// after routing.
+// MeasureFCT replays the degraded-capacity hybrid network as a packet-mode
+// netsim.Scenario under each routing scheme and measures TCP
+// flow-completion times: one flow of cfg.FlowBytes per commodity (leave
+// Count and FlowBytes zero), all starting at t = 0 and measured to
+// cfg.SimTime, microwave link rates
+// scaled by their adaptive-modulation capacity fraction (failed links are
+// omitted entirely), fiber links carried over unchanged; every link keeps
+// its own QueueCap. conds[i] grades mwLinks[i]; a nil conds leaves every
+// link at clear-sky rate. The replay is deterministic — no randomness
+// enters after routing.
 func MeasureFCT(nNodes int, mwLinks []netsim.TopoLink, conds []LinkCondition,
 	fiberLinks []netsim.TopoLink, comms []netsim.Commodity,
 	schemes []netsim.Scheme, cfg FCTConfig) []FCTResult {
@@ -45,51 +47,25 @@ func MeasureFCT(nNodes int, mwLinks []netsim.TopoLink, conds []LinkCondition,
 	// Grade the microwave layer once; the per-scheme runs share it. Links
 	// graded to zero rate (failed or deep-faded) are omitted entirely —
 	// packet simulation has no use for a 0 bps link.
-	var graded []netsim.TopoLink
+	var links []netsim.TopoLink
 	for _, l := range GradedRates(mwLinks, conds) {
-		if l.RateBps <= 0 {
-			continue
+		if l.RateBps > 0 {
+			links = append(links, l)
 		}
-		graded = append(graded, l)
 	}
+	links = append(links, fiberLinks...)
 
 	var out []FCTResult
 	for _, scheme := range schemes {
-		var sim netsim.Simulator
-		nw := netsim.NewNetwork(&sim, nNodes)
-		links := append(append([]netsim.TopoLink(nil), graded...), fiberLinks...)
-		netsim.BuildTopology(nw, links)
-		paths := netsim.InstallRoutes(nw, links, comms, scheme)
-
-		var fcts []float64
-		for _, c := range comms {
-			path := paths[c.Flow]
-			if path == nil {
-				// Unroutable on the degraded topology: counts against
-				// Flows so the shortfall is visible in Completed/Flows.
-				continue
-			}
-			// TCP needs the reverse ACK path too; links are duplex, so the
-			// reversed data path is always available.
-			rev := make([]int, len(path))
-			for i, v := range path {
-				rev[len(path)-1-i] = v
-			}
-			nw.SetFlowPath(c.Flow, rev)
-			conn := &netsim.TCPConn{
-				Net: nw, Flow: c.Flow, Src: c.Src, Dst: c.Dst,
-				FlowSize: cfg.FlowBytes,
-				Done:     func(fct float64) { fcts = append(fcts, fct) },
-			}
-			conn.Start()
+		sc := &netsim.Scenario{
+			Nodes: nNodes, Links: links, Comms: comms, Scheme: scheme,
+			FlowBytes: cfg.FlowBytes, Horizon: cfg.SimTime,
 		}
-		sim.Run(cfg.SimTime)
-		res := FCTResult{
-			Scheme:    scheme.String(),
-			Completed: len(fcts),
-			Flows:     len(comms),
-		}
-		if len(fcts) > 0 {
+		r := sc.Run(netsim.PacketMode)
+		// Unroutable commodities still count against Flows, so the
+		// shortfall is visible in Completed/Flows.
+		res := FCTResult{Scheme: scheme.String(), Completed: r.Completed, Flows: len(comms)}
+		if fcts := r.FCTs(); len(fcts) > 0 {
 			sum := 0.0
 			for _, f := range fcts {
 				sum += f

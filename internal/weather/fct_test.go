@@ -1,6 +1,7 @@
 package weather
 
 import (
+	"math"
 	"testing"
 
 	"cisp/internal/netsim"
@@ -60,14 +61,36 @@ func TestMeasureFCTDeterministic(t *testing.T) {
 	schemes := []netsim.Scheme{netsim.ShortestPath, netsim.MinMaxUtilization, netsim.ThroughputOptimal}
 	cfg := FCTConfig{FlowBytes: 100_000, SimTime: 30}
 	conds := []LinkCondition{{WorstHopDB: 12, CapFrac: CapacityFraction(12, DefaultFadeMargin)}}
-	a := MeasureFCT(3, mw, conds, fiber, comms, schemes, cfg)
-	b := MeasureFCT(3, mw, conds, fiber, comms, schemes, cfg)
+	// Flows in both directions share the links, so completions interleave;
+	// node 3 is isolated, so the last commodity is unroutable.
+	comms = append(comms,
+		netsim.Commodity{Flow: 2, Src: 1, Dst: 0, Demand: 30e6},
+		netsim.Commodity{Flow: 3, Src: 0, Dst: 2, Demand: 20e6},
+		netsim.Commodity{Flow: 4, Src: 2, Dst: 1, Demand: 80e6},
+		netsim.Commodity{Flow: 5, Src: 1, Dst: 2, Demand: 10e6},
+		netsim.Commodity{Flow: 6, Src: 0, Dst: 3, Demand: 10e6})
+	a := MeasureFCT(4, mw, conds, fiber, comms, schemes, cfg)
+	b := MeasureFCT(4, mw, conds, fiber, comms, schemes, cfg)
 	if len(a) != len(b) {
 		t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("scheme %s: run 1 %+v, run 2 %+v", a[i].Scheme, a[i], b[i])
+		}
+	}
+	// Pinned per scheme: counts and p99 exactly, the mean to 1e-9
+	// relative (it may be summed in a different flow order).
+	want := []FCTResult{
+		{Scheme: "shortest-path", MeanMs: 44.582463999999945, P99Ms: 60.48703999999993, Completed: 5, Flows: 6},
+		{Scheme: "min-max-utilization", MeanMs: 84.5978239999999, P99Ms: 120.5239999999999, Completed: 5, Flows: 6},
+		{Scheme: "throughput-optimal", MeanMs: 84.5978239999999, P99Ms: 120.5239999999999, Completed: 5, Flows: 6},
+	}
+	for i, w := range want {
+		g := a[i]
+		if g.Scheme != w.Scheme || g.Completed != w.Completed || g.Flows != w.Flows || g.P99Ms != w.P99Ms ||
+			math.Abs(g.MeanMs-w.MeanMs) > 1e-9*math.Abs(w.MeanMs) {
+			t.Errorf("scheme %d: got %+v, want %+v", i, g, w)
 		}
 	}
 }

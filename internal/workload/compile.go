@@ -294,81 +294,37 @@ func (c *Compiled) compileDisasterSchedule(spec Spec, b *Backbone) error {
 // Scenario replay, with totalFlows concurrent flows apportioned first
 // across applications in proportion to demand-bytes over payload (so a
 // class of thin flows gets many flows per offered bit) and then across
-// each application's positive pairs by traffic.FlowCounts. Each commodity
-// carries its application's FlowBytes payload and a Demand equal to the
-// load the replay actually offers (count · payload · 8 / window), so the
-// TE planner optimises against the injected traffic.
+// each application's positive pairs by netsim.DemandCommodities. Each
+// commodity carries its application's FlowBytes payload and a Demand
+// equal to the load the replay actually offers (count · payload · 8 /
+// window), so the TE planner optimises against the injected traffic.
 //
 // Flow IDs are assigned by application order then row-major pair order
 // over ALL positive pairs — independent of totalFlows — so IDs are stable
-// between a clamped packet replay and a full-scale fluid replay (the same
-// contract as experiments.DemandCommodities) and the returned appOf map is
-// valid for both. Deterministic in the compiled scenario and arguments.
+// between a clamped packet replay and a full-scale fluid replay and the
+// returned appOf map is valid for both. Deterministic in the compiled
+// scenario and arguments.
 func (c *Compiled) Commodities(totalFlows int, window float64) (comms []netsim.Commodity, appOf map[int]App) {
 	appOf = make(map[int]App)
 	if totalFlows <= 0 || window <= 0 {
 		return nil, appOf
 	}
-	// Apportion flows across applications: quota_a ∝ demand_a / payload_a,
-	// largest-remainder so the counts sum exactly to totalFlows.
-	var loads [NumApps]float64
-	var totalLoad float64
+	// Apportion flows across applications: quota_a ∝ demand_a / payload_a.
+	loads := make([]float64, NumApps)
 	for a := App(0); a < NumApps; a++ {
 		loads[a] = c.PerApp[a].Total() / float64(c.Spec.Mix[a].FlowBytes)
-		totalLoad += loads[a]
 	}
-	var flowsFor [NumApps]int
-	if totalLoad > 0 {
-		assigned := 0
-		var fracs [NumApps]float64
-		for a := App(0); a < NumApps; a++ {
-			quota := float64(totalFlows) * loads[a] / totalLoad
-			flowsFor[a] = int(math.Floor(quota))
-			fracs[a] = quota - float64(flowsFor[a])
-			assigned += flowsFor[a]
-		}
-		for rem := totalFlows - assigned; rem > 0; rem-- {
-			best := App(0)
-			for a := App(1); a < NumApps; a++ {
-				if fracs[a] > fracs[best] {
-					best = a
-				}
-			}
-			flowsFor[best]++
-			fracs[best] = -1
-		}
-	}
+	flowsFor := traffic.Apportion(totalFlows, loads)
 
-	base := 0
+	last := 0
 	for a := App(0); a < NumApps; a++ {
-		m := c.PerApp[a]
-		counts := map[[2]int]int{}
-		for _, p := range traffic.FlowCounts(m, flowsFor[a]) {
-			counts[[2]int{p.I, p.J}] = p.Count
+		first := last + 1
+		var appComms []netsim.Commodity
+		appComms, last = netsim.DemandCommodities(c.PerApp[a], flowsFor[a], c.Spec.Mix[a].FlowBytes, units.Seconds(window), first)
+		for flow := first; flow <= last; flow++ {
+			appOf[flow] = a
 		}
-		payload := c.Spec.Mix[a].FlowBytes
-		ord := 0
-		for i := 0; i < m.N(); i++ {
-			for j := i + 1; j < m.N(); j++ {
-				if m[i][j] <= 0 {
-					continue
-				}
-				ord++
-				flow := base + ord
-				appOf[flow] = a
-				n := counts[[2]int{i, j}]
-				if n == 0 {
-					continue
-				}
-				comms = append(comms, netsim.Commodity{
-					Flow: flow, Src: i, Dst: j,
-					Demand:    units.Bytes(float64(n) * float64(payload)).Per(units.Seconds(window)),
-					Count:     n,
-					FlowBytes: payload,
-				})
-			}
-		}
-		base += ord
+		comms = append(comms, appComms...)
 	}
 	return comms, appOf
 }

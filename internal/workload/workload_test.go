@@ -1,11 +1,15 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"sort"
 	"testing"
 
 	"cisp/internal/cities"
 	"cisp/internal/geo"
+	"cisp/internal/netsim"
 )
 
 func TestActivityCurve(t *testing.T) {
@@ -236,4 +240,58 @@ func TestCommoditiesStableIDs(t *testing.T) {
 	if sum != 500 {
 		t.Fatalf("small scale apportioned %d flows, want 500", sum)
 	}
+
+	// Pinned: the four users scenarios at both flow totals, every
+	// commodity and the full appOf map.
+	for _, tc := range []struct {
+		spec Spec
+		want [2]uint64 // at 5000 and 500 flows
+	}{
+		{Spec{Name: "evening-peak", Kind: Diurnal, Seed: 1}, [2]uint64{0xbc4c84db72279535, 0x29945387023e03a3}},
+		{Spec{Name: "flash-crowd", Kind: FlashCrowd, Seed: 1}, [2]uint64{0x4544b727dd346a57, 0x5a15e3cf62725300}},
+		{Spec{Name: "disaster-storm", Kind: Disaster, Seed: 1}, [2]uint64{0x8ef39abd640ba5de, 0x22980b3fb22aa0c3}},
+		{Spec{Name: "cdn-anycast", Kind: CDNPlacement, Seed: 1, SinkCount: 4}, [2]uint64{0xbaf931ed38022bb6, 0xc3e25d078967bb81}},
+	} {
+		c, err := Compile(tc.spec, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, flows := range []int{5000, 500} {
+			comms, appOf := c.Commodities(flows, 30)
+			if got := commoditiesHash(comms, appOf); got != tc.want[k] {
+				t.Errorf("%s at %d flows: %d commodities, hash %#x; want %#x",
+					tc.spec.Name, flows, len(comms), got, tc.want[k])
+			}
+		}
+	}
+}
+
+// commoditiesHash folds every commodity (flow ID, endpoints, count,
+// payload, demand bits) in list order, then appOf in flow order, into one
+// FNV-64a sum.
+func commoditiesHash(comms []netsim.Commodity, appOf map[int]App) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, c := range comms {
+		put(uint64(c.Flow))
+		put(uint64(c.Src))
+		put(uint64(c.Dst))
+		put(uint64(c.Count))
+		put(uint64(c.FlowBytes))
+		put(math.Float64bits(float64(c.Demand)))
+	}
+	flows := make([]int, 0, len(appOf))
+	for f := range appOf {
+		flows = append(flows, f)
+	}
+	sort.Ints(flows)
+	for _, f := range flows {
+		put(uint64(f))
+		put(uint64(appOf[f]))
+	}
+	return h.Sum64()
 }
