@@ -106,9 +106,6 @@ type ScenarioConfig struct {
 	// LOS overrides the line-of-sight parameters (§6.5 sweeps); zero value
 	// means the paper's defaults (11 GHz, K=1.3, 100 km, tower tops).
 	LOS los.Params
-
-	// FlatTerrain uses a featureless terrain (useful for controlled tests).
-	FlatTerrain bool
 }
 
 // Scenario is an assembled Step-1 world: sites, infrastructure, and the
@@ -179,12 +176,9 @@ func (c ScenarioConfig) Cities() []City {
 func NewScenario(cfg ScenarioConfig) *Scenario {
 	cs := cfg.Cities()
 	var terr *terrain.Model
-	switch {
-	case cfg.FlatTerrain:
-		terr = terrain.Flat()
-	case cfg.Region == Europe:
+	if cfg.Region == Europe {
 		terr = terrain.Europe(cfg.Seed)
-	default:
+	} else {
 		terr = terrain.ContiguousUS(cfg.Seed)
 	}
 	p := cfg.LOS
@@ -194,7 +188,7 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 	}
 	ev := los.NewEvaluator(terr, p)
 	reg := towers.Generate(cfg.towerGen(), cs)
-	links := linkbuild.Build(cs, reg, ev, linkbuild.Config{})
+	links := linkbuild.Build(cs, reg, ev)
 	fn := fiber.Synthesize(fiber.Config{Seed: cfg.Seed + 2}, cs)
 	return &Scenario{
 		Config: cfg, Cities: cs, Terrain: terr, Registry: reg,

@@ -28,7 +28,6 @@ import (
 	"cisp/internal/cities"
 	"cisp/internal/ctlplane"
 	"cisp/internal/obs"
-	"cisp/internal/resilience"
 	"cisp/internal/te"
 )
 
@@ -59,8 +58,6 @@ func main() {
 	d, err := ctlplane.New(ctlplane.Config{
 		Backbone: backbone,
 		Comms:    comms,
-		TE:       te.Config{},
-		Prot:     resilience.Config{},
 		Clock:    obs.WallClock,
 		OnPublish: func(s *ctlplane.Snapshot) {
 			log.Printf("cispd: published v%d e%d %s mlu=%.3f down=%v", s.Version, s.Epoch, s.Kind, s.MLU, s.DownLinks)
@@ -84,7 +81,7 @@ func main() {
 	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	for sig := range sigs {
 		if sig == syscall.SIGHUP {
-			if snap, err := d.Reload(te.Config{}, resilience.Config{}); err != nil {
+			if snap, err := d.Reload(te.Config{}); err != nil {
 				log.Printf("cispd: reload failed: %v", err)
 			} else {
 				log.Printf("cispd: reloaded, epoch %d", snap.Epoch)

@@ -44,8 +44,7 @@ func main() {
 		os.Exit(1)
 	}
 	primaries := ctrl.Solution().Splits
-	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries,
-		resilience.Config{K: 8, DetectDelay: 0.05, ReoptDelay: 1})
+	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries, resilience.Config{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

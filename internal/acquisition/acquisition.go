@@ -39,12 +39,12 @@ type Model struct {
 	// towers are "typically suitable for use" (§4).
 	RentalProb float64
 	OtherProb  float64
-
-	// MinHeightFrac is the lower bound of the uniform distribution over the
-	// usable antenna-height fraction on an acquired tower. Default 0.45
-	// (the paper's most restrictive §6.5 level); the upper bound is 1.
-	MinHeightFrac float64
 }
+
+// minHeightFrac is the lower bound of the uniform distribution over the
+// usable antenna-height fraction on an acquired tower: 0.45, the paper's
+// most restrictive §6.5 level. The upper bound is 1.
+const minHeightFrac = 0.45
 
 func (m *Model) setDefaults() {
 	if m.RentalProb == 0 {
@@ -52,9 +52,6 @@ func (m *Model) setDefaults() {
 	}
 	if m.OtherProb == 0 {
 		m.OtherProb = 0.55
-	}
-	if m.MinHeightFrac == 0 {
-		m.MinHeightFrac = 0.45
 	}
 }
 
@@ -72,10 +69,6 @@ const (
 type Request struct {
 	A, B geo.Point
 
-	// SwatheWidth bounds the corridor around the A-B geodesic from which
-	// towers may be drawn, meters. Default 60 km (§3.3's siting tolerance).
-	SwatheWidth units.Meters
-
 	// Samples is the number of Monte-Carlo path computations ("thousands of
 	// candidate MW paths" at production scale). Default 200.
 	Samples int
@@ -87,9 +80,6 @@ type Request struct {
 }
 
 func (r *Request) setDefaults() {
-	if r.SwatheWidth == 0 {
-		r.SwatheWidth = 60e3
-	}
 	if r.Samples == 0 {
 		r.Samples = 200
 	}
@@ -137,9 +127,9 @@ func Refine(reg *towers.Registry, ev *los.Evaluator, model Model, req Request) *
 	req.setDefaults()
 	rng := rand.New(rand.NewSource(req.Seed))
 
-	// Corridor towers: within SwatheWidth of the A-B geodesic (sampled at
+	// Corridor towers: within swatheWidth of the A-B geodesic (sampled at
 	// registry resolution via range queries along the line).
-	corridor := corridorTowers(reg, req.A, req.B, req.SwatheWidth)
+	corridor := corridorTowers(reg, req.A, req.B)
 	res := &Result{Samples: req.Samples, TowerUseRate: make(map[int]float64)}
 	if len(corridor) == 0 {
 		return res
@@ -181,7 +171,7 @@ func Refine(reg *towers.Registry, ev *los.Evaluator, model Model, req Request) *
 				avail[k] = rng.Float64() < p
 			}
 			if avail[k] {
-				heightFrac[k] = model.MinHeightFrac + rng.Float64()*(1-model.MinHeightFrac)
+				heightFrac[k] = minHeightFrac + rng.Float64()*(1-minHeightFrac)
 			}
 		}
 
@@ -236,17 +226,22 @@ func Refine(reg *towers.Registry, ev *los.Evaluator, model Model, req Request) *
 	return res
 }
 
-// corridorTowers returns registry IDs within width of the A-B geodesic.
-func corridorTowers(reg *towers.Registry, a, b geo.Point, width units.Meters) []int {
+// swatheWidth bounds the corridor around the A-B geodesic from which
+// towers may be drawn: 60 km, §3.3's siting tolerance.
+const swatheWidth units.Meters = 60e3
+
+// corridorTowers returns registry IDs within swatheWidth of the A-B
+// geodesic.
+func corridorTowers(reg *towers.Registry, a, b geo.Point) []int {
 	arc := a.ArcTo(b)
 	total := arc.Length()
-	step := width // sample the line at corridor-width pitch
+	step := swatheWidth // sample the line at corridor-width pitch
 	n := int(total/step) + 1
 	seen := map[int]bool{}
 	var out []int
 	for i := 0; i <= n; i++ {
 		p := arc.At(float64(i) / float64(n))
-		for _, id := range reg.WithinRange(p, width) {
+		for _, id := range reg.WithinRange(p, swatheWidth) {
 			if !seen[id] {
 				seen[id] = true
 				out = append(out, id)

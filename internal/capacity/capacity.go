@@ -17,29 +17,27 @@ import (
 	"cisp/internal/units"
 )
 
+// spareTolerance is how far from a hop endpoint an existing spare tower may
+// sit and still host a parallel series (§3.3: a 10.6 km offset costs ~0.2%
+// stretch): 15 km.
+const spareTolerance units.Meters = 15_000
+
 // Options tunes provisioning.
 type Options struct {
 	// SeriesCap is the bandwidth of a single microwave series (§2:
 	// "a data rate of about 1 Gbps is achievable"). Default units.Gbps(1).
 	SeriesCap units.BitsPerSecond
 
-	// SpareTolerance is how far from a hop endpoint an existing spare tower
-	// may sit and still host a parallel series (§3.3: a 10.6 km offset costs
-	// ~0.2% stretch). Default 15 km.
-	SpareTolerance units.Meters
-
-	// K2Trick enables the paper's k² enhancement (k series ≈ k² capacity via
-	// cross-connected antennae at ≥6° separation). Disabling it reverts to
-	// k series ≈ k capacity, for the ablation benchmark. Default on.
+	// NoK2 disables the paper's k² enhancement (k series ≈ k² capacity via
+	// cross-connected antennae at ≥6° separation), reverting to k series ≈
+	// k capacity, for the ablation benchmark. Default false: the
+	// enhancement is on.
 	NoK2 bool
 }
 
 func (o *Options) setDefaults() {
 	if o.SeriesCap == 0 {
 		o.SeriesCap = units.Gbps(1)
-	}
-	if o.SpareTolerance == 0 {
-		o.SpareTolerance = units.Km(15).Meters()
 	}
 }
 
@@ -151,7 +149,7 @@ func Provision(top *design.Topology, links *linkbuild.Links, demand traffic.Matr
 				continue
 			}
 			extra := k - 1
-			spares := sparePairsNear(links, h, opt.SpareTolerance, extra, baseTowers, spareUsed)
+			spares := sparePairsNear(links, h, extra, baseTowers, spareUsed)
 			newPerEnd := extra - spares
 			plan.HopHistogram[newPerEnd]++
 			plan.NewTowers += 2 * newPerEnd
@@ -178,11 +176,11 @@ func seriesFor(load units.BitsPerSecond, opt Options) int {
 
 // sparePairsNear counts how many parallel series (up to want) can be hosted
 // on spare existing towers near both endpoints of the hop, consuming them.
-func sparePairsNear(links *linkbuild.Links, hop [2]int, tol units.Meters, want int, base, used map[int]bool) int {
+func sparePairsNear(links *linkbuild.Links, hop [2]int, want int, base, used map[int]bool) int {
 	reg := links.Reg
 	available := func(end int) []int {
 		var out []int
-		for _, id := range reg.WithinRange(reg.Tower(end).Loc, tol) {
+		for _, id := range reg.WithinRange(reg.Tower(end).Loc, spareTolerance) {
 			if id != hop[0] && id != hop[1] && !base[id] && !used[id] {
 				out = append(out, id)
 			}

@@ -39,7 +39,7 @@ func scenario(t testing.TB) ([]cities.City, *linkbuild.Links, *design.Topology) 
 		}
 		reg := towers.Generate(towers.GenConfig{Seed: 3, RuralPerCell: 3, CityTowerScale: 15}, cs)
 		ev := los.NewEvaluator(terrain.Flat(), los.DefaultParams())
-		links := linkbuild.Build(cs, reg, ev, linkbuild.Config{})
+		links := linkbuild.Build(cs, reg, ev)
 		fn := fiber.Synthesize(fiber.Config{Seed: 5}, cs)
 
 		n := len(cs)

@@ -34,14 +34,11 @@ import (
 	"cisp/internal/units"
 )
 
-// Config assembles a Daemon. Backbone and Comms are required; zero-value
-// tuning fields take the te/resilience defaults.
+// Config assembles a Daemon. Backbone and Comms are required. The daemon
+// boots under the te and resilience defaults; Reload retunes TE.
 type Config struct {
 	Backbone *Backbone
 	Comms    []netsim.Commodity
-
-	TE   te.Config
-	Prot resilience.Config
 
 	// Clock stamps snapshots and feeds latency histograms. Defaults to a
 	// fixed epoch clock, keeping library use deterministic; cmd/cispd
@@ -90,14 +87,9 @@ type Daemon struct {
 
 // request is one serialized unit of work for the event loop.
 type request struct {
-	events []Event     // Apply
-	reload *reloadSpec // Reload
+	events []Event    // Apply
+	reload *te.Config // Reload
 	reply  chan result
-}
-
-type reloadSpec struct {
-	te   te.Config
-	prot resilience.Config
 }
 
 type result struct {
@@ -133,7 +125,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.down = make([]bool, len(d.clear))
 	d.epoch = 1
-	if err := d.rebuild(cfg.TE, cfg.Prot); err != nil {
+	if err := d.rebuild(te.Config{}); err != nil {
 		return nil, err
 	}
 	if err := d.publish(KindInitial, d.copyBase()); err != nil {
@@ -168,12 +160,12 @@ func (d *Daemon) Apply(events []Event) (*Snapshot, error) {
 	return d.send(request{events: events})
 }
 
-// Reload rebuilds the control plane under new TE/protection tuning — a
-// fresh controller and backup set at clear sky, replayed to the current
+// Reload rebuilds the control plane under new TE tuning — a fresh
+// controller and backup set at clear sky, replayed to the current
 // graded/failed link state — and publishes a reload snapshot with the
 // epoch incremented. Serving continues uninterrupted throughout.
-func (d *Daemon) Reload(teCfg te.Config, protCfg resilience.Config) (*Snapshot, error) {
-	return d.send(request{reload: &reloadSpec{te: teCfg, prot: protCfg}})
+func (d *Daemon) Reload(teCfg te.Config) (*Snapshot, error) {
+	return d.send(request{reload: &teCfg})
 }
 
 func (d *Daemon) send(req request) (*Snapshot, error) {
@@ -254,14 +246,15 @@ func (d *Daemon) handleEvents(events []Event) (*Snapshot, error) {
 		case EventFail, EventRepair:
 			d.down[ev.Link] = ev.Type == EventFail
 			// Fast reroute first: pure table lookups against the current
-			// base, published before any solver runs. The LP-solve delta
-			// across this path is exported and must stay zero.
-			before := te.LPSolves()
+			// base, published before any solver runs. The controller's
+			// LP-solve delta across this path is exported and must stay
+			// zero.
+			before := d.ctrl.LPSolves()
 			patched := d.prot.PatchedFrom(d.base, d.down)
 			if err := d.publish(KindFRR, patched); err != nil {
 				return nil, err
 			}
-			snk.Gauge("cisp_ctlplane_frr_lp_solves").Add(float64(te.LPSolves() - before))
+			snk.Gauge("cisp_ctlplane_frr_lp_solves").Add(float64(d.ctrl.LPSolves() - before))
 			if !d.cfg.DisableReopt {
 				if err := d.reoptimize(KindReopt); err != nil {
 					return nil, err
@@ -282,8 +275,8 @@ func (d *Daemon) reoptimize(kind string) error {
 	return d.publish(kind, d.prot.PatchedFrom(d.base, d.down))
 }
 
-func (d *Daemon) handleReload(spec reloadSpec) (*Snapshot, error) {
-	if err := d.rebuild(spec.te, spec.prot); err != nil {
+func (d *Daemon) handleReload(teCfg te.Config) (*Snapshot, error) {
+	if err := d.rebuild(teCfg); err != nil {
 		return nil, err
 	}
 	d.epoch++
@@ -294,15 +287,16 @@ func (d *Daemon) handleReload(spec reloadSpec) (*Snapshot, error) {
 }
 
 // rebuild constructs controller + protection at clear sky under the given
-// tuning and replays the current graded/failed state into the controller.
-// Called at New (epoch stays 1) and on Reload (caller bumps the epoch).
-func (d *Daemon) rebuild(teCfg te.Config, protCfg resilience.Config) error {
+// TE tuning and replays the current graded/failed state into the
+// controller. Called at New (epoch stays 1) and on Reload (caller bumps the
+// epoch).
+func (d *Daemon) rebuild(teCfg te.Config) error {
 	ctrl, err := te.NewController(d.nodes, d.clear, d.comms, teCfg)
 	if err != nil {
 		return fmt.Errorf("ctlplane: clear-sky TE solve: %w", err)
 	}
 	primaries := copySplits(ctrl.Solution().Splits)
-	prot, err := resilience.NewProtection(d.nodes, d.clear, d.comms, primaries, protCfg)
+	prot, err := resilience.NewProtection(d.nodes, d.clear, d.comms, primaries, resilience.Config{})
 	if err != nil {
 		return fmt.Errorf("ctlplane: backup precomputation: %w", err)
 	}

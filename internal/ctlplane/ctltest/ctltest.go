@@ -26,8 +26,6 @@ import (
 	"cisp/internal/geo"
 	"cisp/internal/netsim"
 	"cisp/internal/obs"
-	"cisp/internal/resilience"
-	"cisp/internal/te"
 )
 
 // Backbone returns the harness's standard substrate: four population
@@ -53,12 +51,11 @@ func Commodities() []netsim.Commodity {
 }
 
 // Options tunes a harness boot. The zero value boots the standard
-// backbone and commodities under default TE/protection tuning.
+// backbone and commodities; the daemon always boots under default
+// TE/protection tuning.
 type Options struct {
 	Backbone     *ctlplane.Backbone
 	Comms        []netsim.Commodity
-	TE           te.Config
-	Prot         resilience.Config
 	DisableReopt bool
 }
 
@@ -103,8 +100,6 @@ func Start(t testing.TB, opts Options) *Harness {
 	d, err := ctlplane.New(ctlplane.Config{
 		Backbone:     opts.Backbone,
 		Comms:        opts.Comms,
-		TE:           opts.TE,
-		Prot:         opts.Prot,
 		Clock:        h.Clock.Clock(),
 		DisableReopt: opts.DisableReopt,
 		OnPublish: func(s *ctlplane.Snapshot) {

@@ -12,7 +12,6 @@ import (
 	"cisp/internal/ctlplane"
 	"cisp/internal/netsim"
 	"cisp/internal/parallel"
-	"cisp/internal/resilience"
 	"cisp/internal/te"
 )
 
@@ -120,9 +119,11 @@ func TestFailurePublishesFRRThenReopt(t *testing.T) {
 
 // TestFRRZeroLPSolves pins the design's core latency claim: activating or
 // deactivating fast reroute never runs the LP solver — the patch is pure
-// table lookups — across an episode of failures and repairs.
+// table lookups — across an episode of failures and repairs, neither on
+// the daemon's controller nor anywhere else in the process.
 func TestFRRZeroLPSolves(t *testing.T) {
 	h := Start(t, Options{DisableReopt: true})
+	before := te.LPSolves()
 	for _, ev := range []ctlplane.Event{
 		{Type: ctlplane.EventFail, Link: 1},
 		{Type: ctlplane.EventFail, Link: 3},
@@ -133,6 +134,9 @@ func TestFRRZeroLPSolves(t *testing.T) {
 	}
 	if n := h.FRRLPSolves(); n != 0 {
 		t.Fatalf("FRR path ran %v LP solves, want 0", n)
+	}
+	if n := te.LPSolves() - before; n != 0 {
+		t.Fatalf("FRR path ran %d LP solves process-wide, want 0", n)
 	}
 	seq := h.Sequence()
 	if len(seq) != 5 {
@@ -180,9 +184,20 @@ func TestReloadBumpsEpoch(t *testing.T) {
 	if snap.Epoch != 2 || snap.Kind != ctlplane.KindReload {
 		t.Fatalf("post-reload snapshot = e%d kind %q, want e2 reload", snap.Epoch, snap.Kind)
 	}
-	// Reload with unknown tuning fields is refused.
-	if status, _ := h.post("/v1/reload", `{"bogus":1}`); status != http.StatusBadRequest {
-		t.Fatalf("bogus reload spec = %d, want 400", status)
+	// Reload with unknown tuning fields is refused: protection tuning and
+	// the TE sizing knobs are constants, not reload keys.
+	for _, body := range []string{
+		`{"bogus":1}`,
+		`{"prot":{}}`,
+		`{"te":{"K":6},"prot":{"K":8}}`,
+		`{"te":{"LPVarLimit":1500}}`,
+	} {
+		if status, _ := h.post("/v1/reload", body); status != http.StatusBadRequest {
+			t.Fatalf("reload spec %s = %d, want 400", body, status)
+		}
+	}
+	if snap, _ := h.GetSnapshot(); snap.Epoch != 2 {
+		t.Fatalf("refused reloads moved the epoch to %d", snap.Epoch)
 	}
 	h.AssertInvariants()
 }
@@ -392,7 +407,3 @@ func TestMetricsNamesGolden(t *testing.T) {
 			strings.Join(got, "\n"), strings.Join(metricsGolden, "\n"))
 	}
 }
-
-// Compile-time check that harness options accept the tuning types tests
-// pass through to the daemon.
-var _ = Options{TE: te.Config{}, Prot: resilience.Config{}}

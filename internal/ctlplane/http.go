@@ -9,7 +9,6 @@ import (
 	"net/http"
 
 	"cisp/internal/obs"
-	"cisp/internal/resilience"
 	"cisp/internal/te"
 )
 
@@ -67,8 +66,7 @@ func (d *Daemon) NewMux(s *obs.Sink) *http.ServeMux {
 	})
 	mux.HandleFunc("POST /v1/reload", func(w http.ResponseWriter, r *http.Request) {
 		var spec struct {
-			TE   te.Config         `json:"te"`
-			Prot resilience.Config `json:"prot"`
+			TE te.Config `json:"te"`
 		}
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxEventBody))
 		dec.DisallowUnknownFields()
@@ -76,7 +74,7 @@ func (d *Daemon) NewMux(s *obs.Sink) *http.ServeMux {
 			http.Error(w, fmt.Sprintf("ctlplane: decoding reload spec: %v", err), http.StatusBadRequest)
 			return
 		}
-		snap, err := d.Reload(spec.TE, spec.Prot)
+		snap, err := d.Reload(spec.TE)
 		if err != nil {
 			if d.Draining() {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -17,13 +17,12 @@ type GreedyOptions struct {
 	// The paper's description ("decreases average stretch the most") is raw
 	// gain; per-cost is provided for ablation.
 	PerCost bool
-
-	// RefreshEvery forces a full re-evaluation of all candidate gains after
-	// this many links are built, bounding the drift lazy evaluation can
-	// accumulate on this non-submodular objective. 0 means the default (2);
-	// negative disables periodic refreshes (pure lazy).
-	RefreshEvery int
 }
+
+// refreshEvery forces a full re-evaluation of all candidate gains after
+// this many links are built, bounding the drift lazy evaluation can
+// accumulate on this non-submodular objective.
+const refreshEvery = 2
 
 type heapEntry struct {
 	i, j  int
@@ -88,10 +87,6 @@ func Greedy(p *Problem, opt GreedyOptions) *Topology {
 	})
 	xheap.Init(h, less)
 
-	refreshEvery := opt.RefreshEvery
-	if refreshEvery == 0 {
-		refreshEvery = 2
-	}
 	epoch := 0
 	remaining := budget
 	refreshAll := func() {
@@ -133,7 +128,7 @@ func Greedy(p *Problem, opt GreedyOptions) *Topology {
 		t.AddLink(top.i, top.j)
 		remaining -= p.MWCost[top.i][top.j]
 		epoch++
-		if refreshEvery > 0 && epoch%refreshEvery == 0 {
+		if epoch%refreshEvery == 0 {
 			refreshAll()
 		}
 	}

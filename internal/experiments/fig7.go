@@ -22,11 +22,11 @@ type Fig7Config struct {
 	// link capacities, measuring TCP flow-completion times under the three
 	// §5 routing schemes against the clear-sky baseline.
 	Graded bool
-
-	// FCTFlows caps how many heaviest-demand commodities the packet study
-	// offers (default 24; packet-level time is O(flows)).
-	FCTFlows int
 }
+
+// fctFlows caps how many heaviest-demand commodities the graded packet
+// study offers; packet-level time is O(flows).
+const fctFlows = 24
 
 func (c *Fig7Config) setDefaults() {
 	if c.Days <= 0 {
@@ -34,9 +34,6 @@ func (c *Fig7Config) setDefaults() {
 	}
 	if c.Trials == 0 {
 		c.Trials = 1
-	}
-	if c.FCTFlows == 0 {
-		c.FCTFlows = 24
 	}
 }
 
@@ -131,7 +128,7 @@ func Fig7WeatherExt(opt Options, cfg Fig7Config) *Fig7Result {
 	fprintf(w, "  (paper: 99th-percentile ≈ best; worst ~1.7x better than fiber)\n")
 
 	if cfg.Graded {
-		res.runStormFCT(opt, s, top, tm, gen0, cfg)
+		res.runStormFCT(opt, s, top, tm, gen0)
 		fprintf(w, "  stormiest interval (day %d): TCP flow completion, degraded vs clear sky\n", res.StormDay)
 		for _, f := range res.FCTClean {
 			fprintf(w, "    %-22s mean %7.1f ms  p99 %7.1f ms  (%d/%d flows)  [clear sky]\n",
@@ -148,7 +145,7 @@ func Fig7WeatherExt(opt Options, cfg Fig7Config) *Fig7Result {
 // runStormFCT replays the worst sampled interval of trial 0 in netsim with
 // graded link capacities and measures flow-completion times.
 func (res *Fig7Result) runStormFCT(opt Options, s *cisp.Scenario, top *cisp.Topology,
-	tm cisp.TrafficMatrix, gen *weather.Generator, cfg Fig7Config) {
+	tm cisp.TrafficMatrix, gen *weather.Generator) {
 	an := res.Analysis
 	if len(an.Intervals) == 0 {
 		return
@@ -181,8 +178,8 @@ func (res *Fig7Result) runStormFCT(opt Options, s *cisp.Scenario, top *cisp.Topo
 		}
 	}
 	sort.SliceStable(dems, func(a, b int) bool { return dems[a].gbps > dems[b].gbps })
-	if len(dems) > cfg.FCTFlows {
-		dems = dems[:cfg.FCTFlows]
+	if len(dems) > fctFlows {
+		dems = dems[:fctFlows]
 	}
 	var comms []netsim.Commodity
 	for fi, d := range dems {

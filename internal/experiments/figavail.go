@@ -65,10 +65,6 @@ var availModes = []resilience.Mode{resilience.NoProtection, resilience.FRR, resi
 // of the splits FRR patches in.
 func availTECfg() te.Config { return te.Config{K: 8, UtilFloor: -1} }
 
-func availProtCfg() resilience.Config {
-	return resilience.Config{K: 8, DetectDelay: 0.05, ReoptDelay: 1}
-}
-
 // simFailureSchedule fails the three most-loaded microwave links on a
 // staggered timetable with a window where all three are down together —
 // the fixed drill of the simulation study.
@@ -116,7 +112,7 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 		return nil
 	}
 	primaries := ctrl.Solution().Splits
-	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries, availProtCfg())
+	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries, resilience.Config{})
 	if err != nil {
 		fprintf(w, "figavail: protection: %v\n", err)
 		return nil

@@ -31,29 +31,21 @@ type Network struct {
 	dist   [][]units.Meters // physical route length
 }
 
+// Conduit synthesis: each city's nearest neighbors get conduits whose
+// circuitousness is drawn uniformly between the two detour factors.
+const (
+	neighbors = 6    // conduits per city to nearest neighbors
+	minDetour = 1.08 // minimum conduit circuitousness
+	maxDetour = 1.35 // maximum conduit circuitousness
+)
+
 // Config parameterises synthesis.
 type Config struct {
-	Seed      int64
-	Neighbors int     // conduits per city to nearest neighbors (default 4)
-	MinDetour float64 // minimum conduit circuitousness (default 1.15)
-	MaxDetour float64 // maximum conduit circuitousness (default 1.55)
-}
-
-func (c *Config) setDefaults() {
-	if c.Neighbors == 0 {
-		c.Neighbors = 6
-	}
-	if c.MinDetour == 0 {
-		c.MinDetour = 1.08
-	}
-	if c.MaxDetour == 0 {
-		c.MaxDetour = 1.35
-	}
+	Seed int64
 }
 
 // Synthesize builds the conduit network for the given cities.
 func Synthesize(cfg Config, cs []cities.City) *Network {
-	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := len(cs)
 	g := graph.New[units.Meters](n)
@@ -71,7 +63,7 @@ func Synthesize(cfg Config, cs []cities.City) *Network {
 			return
 		}
 		added[k] = true
-		detour := cfg.MinDetour + rng.Float64()*(cfg.MaxDetour-cfg.MinDetour)
+		detour := minDetour + rng.Float64()*(maxDetour-minDetour)
 		g.AddEdge(i, j, units.Meters(float64(cs[i].Loc.DistanceTo(cs[j].Loc))*detour))
 	}
 
@@ -88,7 +80,7 @@ func Synthesize(cfg Config, cs []cities.City) *Network {
 			}
 		}
 		sort.Slice(nbs, func(a, b int) bool { return nbs[a].d < nbs[b].d })
-		for k := 0; k < cfg.Neighbors && k < len(nbs); k++ {
+		for k := 0; k < neighbors && k < len(nbs); k++ {
 			addEdge(i, nbs[k].j)
 		}
 	}

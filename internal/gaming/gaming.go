@@ -13,40 +13,31 @@ package gaming
 
 import "math/rand"
 
+const (
+	// processMs is the non-network overhead per frame: server simulation,
+	// encode, client decode/render. The paper's "rudimentary
+	// implementation" carries substantial overhead.
+	processMs = 140
+	// directions is the input fan-out the server speculates over (Pacman).
+	directions = 4
+	// inputs is the number of user inputs a session simulates.
+	inputs = 500
+)
+
 // Config parameterises a session.
 type Config struct {
-	// ProcessMs is the non-network overhead per frame: server simulation,
-	// encode, client decode/render. The paper's "rudimentary implementation"
-	// carries substantial overhead; default 140 ms.
-	ProcessMs float64
-
-	// Directions is the input fan-out the server speculates over (Pacman: 4).
-	Directions int
-
 	// SpecHitRate is the probability the actual input is among the
 	// speculated set. With all four directions speculated it is 1; lower it
 	// to model richer input spaces.
 	SpecHitRate float64
-
-	// Inputs is the number of user inputs to simulate. Default 500.
-	Inputs int
 
 	// Seed drives jitter and speculation misses.
 	Seed int64
 }
 
 func (c *Config) setDefaults() {
-	if c.ProcessMs == 0 {
-		c.ProcessMs = 140
-	}
-	if c.Directions == 0 {
-		c.Directions = 4
-	}
 	if c.SpecHitRate == 0 {
 		c.SpecHitRate = 1
-	}
-	if c.Inputs == 0 {
-		c.Inputs = 500
 	}
 }
 
@@ -55,7 +46,8 @@ type Result struct {
 	MeanFrameMs float64
 	P95FrameMs  float64
 	// BandwidthFactor is the fiber-path bandwidth overhead of speculation
-	// relative to streaming a single outcome (≈ Directions on a hit path).
+	// relative to streaming a single outcome (≈ the four directions on a
+	// hit path).
 	BandwidthFactor float64
 }
 
@@ -65,8 +57,8 @@ type Result struct {
 func SimulateConventional(convRTTMs float64, cfg Config) Result {
 	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	return simulate(cfg, rng, func() float64 {
-		return convRTTMs + jitteredProcess(cfg, rng)
+	return simulate(func() float64 {
+		return convRTTMs + jitteredProcess(rng)
 	}, 1)
 }
 
@@ -79,16 +71,16 @@ func SimulateConventional(convRTTMs float64, cfg Config) Result {
 func SimulateAugmented(convRTTMs, lowRTTMs float64, cfg Config) Result {
 	cfg.setDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	return simulate(cfg, rng, func() float64 {
+	return simulate(func() float64 {
 		if rng.Float64() < cfg.SpecHitRate {
-			return lowRTTMs + jitteredProcess(cfg, rng)
+			return lowRTTMs + jitteredProcess(rng)
 		}
-		return convRTTMs + jitteredProcess(cfg, rng)
-	}, float64(cfg.Directions))
+		return convRTTMs + jitteredProcess(rng)
+	}, directions)
 }
 
-func simulate(cfg Config, rng *rand.Rand, frame func() float64, bwFactor float64) Result {
-	times := make([]float64, cfg.Inputs)
+func simulate(frame func() float64, bwFactor float64) Result {
+	times := make([]float64, inputs)
 	sum := 0.0
 	for i := range times {
 		times[i] = frame()
@@ -97,14 +89,14 @@ func simulate(cfg Config, rng *rand.Rand, frame func() float64, bwFactor float64
 	// 95th percentile by partial sort.
 	p95 := percentile(times, 0.95)
 	return Result{
-		MeanFrameMs:     sum / float64(cfg.Inputs),
+		MeanFrameMs:     sum / inputs,
 		P95FrameMs:      p95,
 		BandwidthFactor: bwFactor,
 	}
 }
 
-func jitteredProcess(cfg Config, rng *rand.Rand) float64 {
-	return cfg.ProcessMs * (0.9 + 0.2*rng.Float64())
+func jitteredProcess(rng *rand.Rand) float64 {
+	return processMs * (0.9 + 0.2*rng.Float64())
 }
 
 func percentile(v []float64, q float64) float64 {

@@ -5,7 +5,7 @@
 // and cost c_ij (number of towers) that feed the Step-2 optimizer.
 //
 // The combined graph has city nodes 0..n-1 and tower nodes n..n+T-1. Cities
-// attach to towers within AttachRange without a line-of-sight test, matching
+// attach to towers within attachRange without a line-of-sight test, matching
 // the paper's observation that "each city itself hosts enough towers to use
 // as the starting point for connectivity from that site".
 package linkbuild
@@ -21,18 +21,9 @@ import (
 	"cisp/internal/units"
 )
 
-// Config parameterises link construction.
-type Config struct {
-	// AttachRange is how far a city gateway may reach to its first tower.
-	// Default 35 km.
-	AttachRange units.Meters
-}
-
-func (c *Config) setDefaults() {
-	if c.AttachRange == 0 {
-		c.AttachRange = 35e3
-	}
-}
+// attachRange is how far a city gateway may reach to its first tower:
+// 35 km.
+const attachRange units.Meters = 35e3
 
 // Links holds the Step-1 output: the hop graph and the all-pairs shortest
 // microwave links over it.
@@ -47,15 +38,14 @@ type Links struct {
 }
 
 // Build runs Step 1. Hop feasibility checks run in parallel.
-func Build(cs []cities.City, reg *towers.Registry, ev *los.Evaluator, cfg Config) *Links {
-	cfg.setDefaults()
+func Build(cs []cities.City, reg *towers.Registry, ev *los.Evaluator) *Links {
 	n := len(cs)
 	T := reg.Len()
 	g := graph.New[units.Meters](n + T)
 
 	// City gateways: attach each city to all towers within range.
 	for i, city := range cs {
-		for _, id := range reg.WithinRange(city.Loc, cfg.AttachRange) {
+		for _, id := range reg.WithinRange(city.Loc, attachRange) {
 			g.AddEdge(i, n+id, city.Loc.DistanceTo(reg.Tower(id).Loc))
 		}
 	}

@@ -37,7 +37,7 @@ func smallScenario(t testing.TB) ([]cities.City, *Links) {
 		reg := towers.Generate(towers.GenConfig{Seed: 21, RuralPerCell: 2.5, CityTowerScale: 15}, cs)
 		ev := los.NewEvaluator(terrain.ContiguousUS(7), los.DefaultParams())
 		scenarioOnce.cs = cs
-		scenarioOnce.l = Build(cs, reg, ev, Config{})
+		scenarioOnce.l = Build(cs, reg, ev)
 	})
 	return scenarioOnce.cs, scenarioOnce.l
 }
@@ -198,7 +198,7 @@ func TestNoMWPathIsInf(t *testing.T) {
 	cs := cities.USCenters()[:2]
 	reg := towers.NewRegistry(nil)
 	ev := los.NewEvaluator(terrain.Flat(), los.DefaultParams())
-	l := Build(cs, reg, ev, Config{})
+	l := Build(cs, reg, ev)
 	if !math.IsInf(float64(l.MWDist(0, 1)), 1) {
 		t.Fatal("expected +Inf MW distance with no towers")
 	}

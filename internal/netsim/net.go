@@ -118,9 +118,6 @@ func (l *Link) QueueLen() int {
 // MaxQueueLen returns the high-water queue length observed.
 func (l *Link) MaxQueueLen() int { return l.maxQueueLen }
 
-// Down reports whether the link is currently failed.
-func (l *Link) Down() bool { return l.down }
-
 // SetDown transitions the link's failure state at the current simulation
 // time. Taking a link down drops every queued packet and loses any packet
 // already on the wire (mid-transmission or propagating) — transports see

@@ -19,7 +19,6 @@ type TCPConn struct {
 	MSS      int // payload bytes per segment (default 1460)
 	Pacing   bool
 	InitRTT  float64 // initial SRTT estimate, seconds (default 50 ms)
-	InitCwnd float64 // initial window, packets (default 10)
 	Done     func(fct float64)
 
 	// RTOCount counts retransmission-timeout firings (visible to tests and
@@ -61,6 +60,8 @@ type TCPConn struct {
 
 const ackSize = 40 // bytes on the wire for a pure ACK
 
+const initCwnd = 10 // initial congestion window, packets
+
 // minRTO is the retransmission-timer floor (RFC 6298 prescribes 1 s; Linux
 // ships 200 ms). Without a floor well above one RTT, the timer fires
 // spuriously during fast recovery — exactly the stall-then-collapse the
@@ -77,15 +78,12 @@ func (c *TCPConn) Start() {
 	if c.InitRTT == 0 {
 		c.InitRTT = 0.05
 	}
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10
-	}
 	c.nPkts = int64((c.FlowSize + c.MSS - 1) / c.MSS)
 	if c.nPkts == 0 {
 		c.nPkts = 1
 	}
 	c.sndUna, c.sndNxt = 1, 1
-	c.cwnd = c.InitCwnd
+	c.cwnd = initCwnd
 	c.ssthresh = 1e9
 	c.srtt = c.InitRTT
 	c.rttvar = c.InitRTT / 2

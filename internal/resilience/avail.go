@@ -65,10 +65,10 @@ func (p *Protection) deadFrac(sps []split, down []bool) float64 {
 
 // Availability analytically evaluates a protection mode against a failure
 // schedule. NoProtection leaves traffic where the primaries put it; FRR
-// moves failed fractions to the precomputed backup DetectDelay after each
+// moves failed fractions to the precomputed backup detectDelay after each
 // event; FRRReopt additionally rescues fractions whose primary and backup
 // are both dead, provided the residual topology still connects the
-// commodity, ReoptDelay after the event — the connectivity-level effect of
+// commodity, reoptDelay after the event — the connectivity-level effect of
 // the background full reoptimization (load shaping, the LP's actual
 // output, is the simulation study's concern, not availability's). A
 // rescue, once installed, keeps carrying the commodity's dead fractions
@@ -76,8 +76,8 @@ func (p *Protection) deadFrac(sps []split, down []bool) float64 {
 func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 	st := Stats{Mode: mode}
 
-	// Decisions: every event batch triggers its own FRR patch DetectDelay
-	// later and (FRRReopt) its own rescue evaluation ReoptDelay later —
+	// Decisions: every event batch triggers its own FRR patch detectDelay
+	// later and (FRRReopt) its own rescue evaluation reoptDelay later —
 	// the exact timing Plan compiles, so the analytic walk and the
 	// simulated replay describe the same response.
 	events := sched.Events()
@@ -91,10 +91,10 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 		for ; ei < len(events) && events[ei].Time == bt; ei++ {
 		}
 		if mode != NoProtection {
-			decisions = append(decisions, decision{t: bt + p.cfg.DetectDelay})
+			decisions = append(decisions, decision{t: bt + detectDelay})
 		}
 		if mode == FRRReopt {
-			decisions = append(decisions, decision{t: bt + p.cfg.ReoptDelay, rescue: true})
+			decisions = append(decisions, decision{t: bt + reoptDelay, rescue: true})
 		}
 	}
 	sort.SliceStable(decisions, func(a, b int) bool { return decisions[a].t < decisions[b].t })

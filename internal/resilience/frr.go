@@ -9,47 +9,28 @@ import (
 	"cisp/internal/te"
 )
 
+// Protection timing and pool size (§8).
+const (
+	// backupK bounds the backup search to the first backupK paths of the
+	// Yen candidate pool the TE control plane enumerates.
+	backupK = 8
+	// detectDelay is the failure-detection plus local-repair activation
+	// latency, seconds: backup paths install this long after a failure
+	// event. Traffic on a failed primary is down for this window.
+	detectDelay = 0.05
+	// reoptDelay is how long the background full reoptimization takes
+	// before its solution swaps in, seconds. Only FRRReopt uses it.
+	reoptDelay = 1.0
+)
+
 // Config tunes the protection layer. The zero value selects defaults.
 type Config struct {
-	// K and Stretch bound the backup search: backups are chosen from the
-	// same Yen candidate pool the TE control plane enumerates, at most K
-	// paths per commodity within Stretch × its shortest-path delay —
-	// fast reroute never leaves the latency envelope the design promised.
-	// Defaults 8 and 1.5 (the te.Config default stretch).
-	K       int
+	// Stretch caps the backup search: backups are chosen from the first
+	// backupK (8) candidate paths per commodity within Stretch × its
+	// shortest-path delay — fast reroute never leaves the latency
+	// envelope the design promised. Zero takes the te.Config default
+	// stretch, 1.5.
 	Stretch float64
-
-	// DetectDelay is the failure-detection plus local-repair activation
-	// latency: backup paths install this long after a failure event
-	// (default 50 ms). Traffic on a failed primary is down for this window.
-	DetectDelay float64
-
-	// ReoptDelay is how long the background full reoptimization takes
-	// before its solution swaps in (default 1 s). Only FRRReopt plans use
-	// it.
-	ReoptDelay float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = 8
-	}
-	if c.Stretch <= 0 {
-		c.Stretch = 1.5
-	}
-	if c.DetectDelay == 0 {
-		c.DetectDelay = 0.05
-	}
-	if c.DetectDelay < 0 {
-		c.DetectDelay = 0
-	}
-	if c.ReoptDelay == 0 {
-		c.ReoptDelay = 1.0
-	}
-	if c.ReoptDelay < 0 {
-		c.ReoptDelay = 0
-	}
-	return c
 }
 
 // Mode selects a protection strategy.
@@ -60,13 +41,13 @@ const (
 	// NoProtection installs nothing: traffic on a failed path stalls until
 	// the link is repaired.
 	NoProtection Mode = iota
-	// FRR activates precomputed link-disjoint backup paths DetectDelay
-	// after each failure event — pure table lookups, zero LP solves on the
-	// event path — and reverts when links are repaired.
+	// FRR activates precomputed link-disjoint backup paths detectDelay
+	// (50 ms) after each failure event — pure table lookups, zero LP
+	// solves on the event path — and reverts when links are repaired.
 	FRR
 	// FRRReopt is FRR plus the production control loop: a te.Controller
 	// warm-reoptimizes the full split set in the background and its
-	// solution swaps in ReoptDelay after each event.
+	// solution swaps in reoptDelay (1 s) after each event.
 	FRRReopt
 )
 
@@ -99,7 +80,6 @@ type Protection struct {
 	// entry (nothing disjoint to fall back on).
 	Backups map[int]Backup
 
-	cfg       Config
 	nodes     int
 	links     []netsim.TopoLink
 	comms     []netsim.Commodity
@@ -119,10 +99,8 @@ type Protection struct {
 // disjointness subject to the latency cap.
 func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 	primaries map[int][]netsim.SplitPath, cfg Config) (*Protection, error) {
-	cfg = cfg.withDefaults()
 	p := &Protection{
 		Backups:   make(map[int]Backup),
-		cfg:       cfg,
 		nodes:     nodes,
 		links:     links,
 		comms:     comms,
@@ -137,7 +115,7 @@ func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 	for i := range comms {
 		p.commBy[comms[i].Flow] = &comms[i]
 	}
-	cands, err := te.Candidates(nodes, links, comms, te.Config{K: cfg.K, Stretch: cfg.Stretch})
+	cands, err := te.Candidates(nodes, links, comms, te.Config{K: backupK, Stretch: cfg.Stretch})
 	if err != nil {
 		return nil, err
 	}
@@ -339,12 +317,12 @@ type Plan struct {
 	// Reroutes counts per-commodity routing changes the plan issues.
 	Reroutes int
 
-	// LPSolves is the number of simplex solves performed while compiling
-	// the event responses, sampled from te.LPSolves. FRR plans pin this at
-	// zero — backup activation is a table lookup; FRRReopt plans spend
-	// their solves in the background controller, never on the DetectDelay
-	// activation path. The counter is process-wide, so the number is only
-	// attributable when no concurrent TE solving is running.
+	// LPSolves is the number of simplex solves the FRRReopt controller ran
+	// while compiling the event responses, read from its own
+	// te.Controller.LPSolves, so concurrent TE work elsewhere never leaks
+	// in. FRR and NoProtection plans drive no controller and report zero —
+	// backup activation is a table lookup; FRRReopt spends its solves in
+	// the background controller, never on the detectDelay activation path.
 	LPSolves int64
 }
 
@@ -364,11 +342,14 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 	if mode == FRRReopt && ctrl == nil {
 		return nil, fmt.Errorf("resilience: FRRReopt plan needs a te.Controller")
 	}
-	solvesBefore := te.LPSolves()
+	var solvesBefore int64
+	if mode == FRRReopt {
+		solvesBefore = ctrl.LPSolves()
+	}
 
 	// Batch the schedule's events by time, then build the decision list:
-	// a fast-reroute patch DetectDelay after every batch and, for FRRReopt,
-	// the background solution swap ReoptDelay after it.
+	// a fast-reroute patch detectDelay after every batch and, for FRRReopt,
+	// the background solution swap reoptDelay after it.
 	type decision struct {
 		t    float64
 		swap map[int][]netsim.SplitPath // non-nil: reopt solution to swap in
@@ -379,13 +360,13 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 		t := plan.Failures[bi].Time
 		for ; bi < len(plan.Failures) && plan.Failures[bi].Time == t; bi++ {
 		}
-		decisions = append(decisions, decision{t: t + p.cfg.DetectDelay})
+		decisions = append(decisions, decision{t: t + detectDelay})
 		if mode == FRRReopt {
 			graded := gradedLinks(p.links, batchSweep.advance(t))
 			if _, err := ctrl.UpdateCapacities(graded); err != nil {
 				return nil, fmt.Errorf("resilience: reoptimizing at t=%.3f: %w", t, err)
 			}
-			decisions = append(decisions, decision{t: t + p.cfg.ReoptDelay, swap: copySplits(ctrl.Solution().Splits)})
+			decisions = append(decisions, decision{t: t + reoptDelay, swap: copySplits(ctrl.Solution().Splits)})
 		}
 	}
 	sort.SliceStable(decisions, func(a, b int) bool { return decisions[a].t < decisions[b].t })
@@ -428,12 +409,13 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 			plan.Reroutes++
 		}
 	}
-	plan.LPSolves = te.LPSolves() - solvesBefore
+	if mode == FRRReopt {
+		plan.LPSolves = ctrl.LPSolves() - solvesBefore
+	}
 	snk := obs.Active()
 	snk.Counter("cisp_resilience_frr_activations_total", "mode", mode.String()).Add(int64(plan.Reroutes))
-	// The event-path pin, as a scrapeable gauge: pure-FRR plans promise
-	// zero LP solves while compiling event responses (FRRReopt plans do
-	// their solving in the modelled background controller).
+	// The plan's solver work, as a scrapeable gauge: zero for pure FRR,
+	// the background controller's solves for FRRReopt.
 	snk.Gauge("cisp_resilience_plan_lp_solves", "mode", mode.String()).Set(float64(plan.LPSolves))
 	return plan, nil
 }

@@ -2,7 +2,9 @@ package resilience
 
 import (
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"cisp/internal/netsim"
 	"cisp/internal/te"
@@ -174,7 +176,7 @@ func protPrimaries() map[int][]netsim.SplitPath {
 // shared links, then lowest delay) of the whole candidate pool.
 func TestBackupDisjointAndWithinStretch(t *testing.T) {
 	comms := protComms()
-	p, err := NewProtection(5, protLinks(), comms, protPrimaries(), Config{K: 8, Stretch: 1.5})
+	p, err := NewProtection(5, protLinks(), comms, protPrimaries(), Config{Stretch: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestBackupDisjointAndWithinStretch(t *testing.T) {
 	// Exhaustive check against the pool the backup was chosen from: no
 	// non-primary candidate is more disjoint, and none equally disjoint is
 	// faster.
-	pool, err := te.Candidates(5, protLinks(), comms, te.Config{K: p.cfg.K, Stretch: p.cfg.Stretch})
+	pool, err := te.Candidates(5, protLinks(), comms, te.Config{K: backupK, Stretch: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestPatchMovesOnlyDeadFractions(t *testing.T) {
 		{Path: []int{0, 1, 3}, Frac: 0.6},
 		{Path: []int{0, 4, 3}, Frac: 0.4},
 	}}
-	p, err := NewProtection(5, protLinks(), protComms(), primaries, Config{K: 8, Stretch: 2.5})
+	p, err := NewProtection(5, protLinks(), protComms(), primaries, Config{Stretch: 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +267,11 @@ func TestPatchMovesOnlyDeadFractions(t *testing.T) {
 }
 
 // TestPlanFRRZeroLPSolves pins the headline event-path property: compiling
-// an FRR response to a multi-failure schedule performs zero simplex solves,
-// and the updates activate backups and revert on repair.
+// an FRR response to a multi-failure schedule performs zero simplex solves
+// anywhere in the process, and the updates activate backups and revert on
+// repair.
 func TestPlanFRRZeroLPSolves(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(), Config{K: 8, Stretch: 1.5, DetectDelay: 0.05})
+	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(), Config{Stretch: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +279,13 @@ func TestPlanFRRZeroLPSolves(t *testing.T) {
 		{Link: 0, Start: 10, End: 40},
 		{Link: 4, Start: 60, End: 70}, // hits the backup itself while primary is up: no reroute needed
 	}}
+	before := te.LPSolves()
 	plan, err := p.Plan(sched, FRR, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.LPSolves != 0 {
-		t.Fatalf("FRR plan performed %d LP solves on the event path", plan.LPSolves)
+	if n := te.LPSolves() - before; plan.LPSolves != 0 || n != 0 {
+		t.Fatalf("FRR plan performed %d LP solves on the event path (%d process-wide)", plan.LPSolves, n)
 	}
 	if len(plan.Failures) != 4 {
 		t.Fatalf("%d failure events, want 4", len(plan.Failures))
@@ -297,12 +301,94 @@ func TestPlanFRRZeroLPSolves(t *testing.T) {
 	}
 }
 
+// TestPlanLPSolvesIgnoreConcurrentTE: an FRRReopt plan counts only its own
+// controller's simplex solves, so another controller solving on another
+// goroutine while the plan compiles leaves the count at its quiet value.
+func TestPlanLPSolvesIgnoreConcurrentTE(t *testing.T) {
+	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(), Config{Stretch: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := &Schedule{Horizon: 1000, NumLinks: 6}
+	for k := 0; k < 20; k++ {
+		sched.Outages = append(sched.Outages, Outage{Link: 0, Start: float64(40*k + 10), End: float64(40*k + 30)})
+	}
+	compile := func() int64 {
+		ctrl, err := te.NewController(5, protLinks(), protComms(), te.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := p.Plan(sched, FRRReopt, ctrl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.LPSolves
+	}
+	quiet := compile()
+	if quiet == 0 {
+		t.Fatal("the fixture's reopt plan ran no LP solves")
+	}
+
+	// The second controller alternates link 1-3's capacity, so every
+	// update re-solves the commodity's two-candidate LP.
+	stop, started := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		other, err := te.NewController(5, protLinks(), protComms(), te.Config{})
+		if err != nil {
+			t.Error(err)
+			close(started)
+			return
+		}
+		graded := protLinks()
+		for i := 0; ; i++ {
+			graded[1].RateBps = 40e6
+			if i%2 == 1 {
+				graded[1].RateBps = 80e6
+			}
+			if _, err := other.UpdateCapacities(graded); err != nil {
+				t.Error(err)
+			}
+			if i == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	<-started
+
+	// Compile until another solve is seen to land inside a compile: the
+	// process-wide count then moves by more than the fresh controller's
+	// initial solve plus the plan's own.
+	deadline := time.Now().Add(10 * time.Second)
+	for overlapped := false; !overlapped; {
+		if time.Now().After(deadline) {
+			t.Fatal("no concurrent solve overlapped a compile within 10 s")
+		}
+		before := te.LPSolves()
+		if got := compile(); got != quiet {
+			t.Fatalf("reopt plan counted %d LP solves beside a concurrent controller, %d alone", got, quiet)
+		}
+		overlapped = te.LPSolves()-before > 1+quiet
+	}
+}
+
 // TestAvailabilityOrdering pins the mode hierarchy on a schedule that
 // exercises every branch: reopt ≥ frr ≥ none, with strict gaps where the
 // fixture guarantees them, and stretch > 1 for rescued traffic.
 func TestAvailabilityOrdering(t *testing.T) {
 	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(),
-		Config{K: 8, Stretch: 1.5, DetectDelay: 0.05, ReoptDelay: 1})
+		Config{Stretch: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +452,7 @@ func TestAvailabilityOrdering(t *testing.T) {
 // makespan).
 func TestPlanAgreesAcrossEngines(t *testing.T) {
 	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(),
-		Config{K: 8, Stretch: 1.5, DetectDelay: 0.05})
+		Config{Stretch: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}

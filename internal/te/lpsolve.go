@@ -9,13 +9,14 @@ import (
 )
 
 // lpSolves counts simplex invocations process-wide. Fast-reroute promises
-// zero LP work on its event path; the counter is what lets tests and the
-// availability experiment pin that promise instead of trusting it.
+// zero LP work on its event path; the counter is what lets tests pin that
+// promise instead of trusting it. Controller.LPSolves counts one
+// controller's share.
 var lpSolves atomic.Int64
 
 // LPSolves returns the cumulative number of simplex solves the package has
 // performed in this process. Sample it before and after an operation to
-// count the solves the operation triggered.
+// count the solves the operation triggered, with no other TE work running.
 func LPSolves() int64 { return lpSolves.Load() }
 
 // tieEps weights the delay tie-break in the LP objective. The delay term is

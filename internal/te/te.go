@@ -114,6 +114,7 @@ type Controller struct {
 	comms  []teComm
 	sol    *Solution
 	method string
+	solves int64 // simplex solves run, the initial solve included
 }
 
 // NewController builds the TE graph, enumerates candidate paths for every
@@ -139,6 +140,12 @@ func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg
 // Solution returns the current routing decision. The returned value is
 // shared; treat it as read-only.
 func (c *Controller) Solution() *Solution { return c.sol }
+
+// LPSolves returns the number of simplex solves this controller has run,
+// its initial solve included. Unlike the process-wide LPSolves it counts
+// no other controller's work, so a delta across an operation stays exact
+// while other TE work runs concurrently.
+func (c *Controller) LPSolves() int64 { return c.solves }
 
 // UpdateCapacities installs new per-link capacities (the link list must
 // match the constructor's positionally — same endpoints, new RateBps; a
@@ -316,6 +323,7 @@ func (c *Controller) reroute(idxs []int) error {
 		)
 		if nx <= lpVarLimit {
 			method = "lp"
+			c.solves++
 			floor := maxUtil(c.g, base)
 			fracs, _, err = solveLP(c.g, shadows, base, floor, float64(c.cfg.UtilFloor))
 		} else {
@@ -388,6 +396,7 @@ func (c *Controller) solveBlocks(lpComms []*teComm, fixed []float64) ([][]float6
 			f, _, err := solveLP(c.g, cs, base, floor, float64(c.cfg.UtilFloor))
 			return blockResult{fracs: f, err: err}
 		})
+		c.solves += int64(nb)
 		next := make([][]float64, len(lpComms))
 		for b, r := range results {
 			if r.err != nil {

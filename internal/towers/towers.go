@@ -42,17 +42,17 @@ const CullMinHeight = 100.0
 // cellSize is the culling / indexing grid pitch in degrees.
 const cellSize = 0.5
 
+// cityRadius is the spread of a city's urban tower cluster: 40 km.
+const cityRadius units.Meters = 40e3
+
 // GenConfig parameterises synthetic registry generation.
 type GenConfig struct {
 	Seed int64
 
 	// CityTowerScale controls how many towers appear around each city:
 	// roughly CityTowerScale * sqrt(population/100k) towers are placed
-	// within CityRadius of the center. Default 12.
+	// within 40 km (cityRadius) of the center. Default 12.
 	CityTowerScale float64
-
-	// CityRadius is the spread of the urban cluster. Default 40km.
-	CityRadius units.Meters
 
 	// RuralPerCell is the expected number of background towers per 0.5°
 	// cell across the region bounding box. Default 3.
@@ -62,9 +62,6 @@ type GenConfig struct {
 func (c *GenConfig) setDefaults() {
 	if c.CityTowerScale == 0 {
 		c.CityTowerScale = 12
-	}
-	if c.CityRadius == 0 {
-		c.CityRadius = 40e3
 	}
 	if c.RuralPerCell == 0 {
 		c.RuralPerCell = 3
@@ -163,7 +160,7 @@ func Generate(cfg GenConfig, cs []cities.City) *Registry {
 		for i := 0; i < n; i++ {
 			bearing := rng.Float64() * 360
 			// Square-root radial density: uniform over the disk.
-			dist := units.Meters(float64(cfg.CityRadius) * math.Sqrt(rng.Float64()))
+			dist := units.Meters(float64(cityRadius) * math.Sqrt(rng.Float64()))
 			loc := city.Loc.Destination(bearing, dist)
 			ts = append(ts, Tower{
 				Loc:    loc,

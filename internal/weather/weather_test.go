@@ -146,7 +146,7 @@ func yearFixture(t testing.TB) (*design.Topology, *linkbuild.Links) {
 		}
 		reg := towers.Generate(towers.GenConfig{Seed: 3, RuralPerCell: 2, CityTowerScale: 12}, cs)
 		ev := los.NewEvaluator(terrain.Flat(), los.DefaultParams())
-		links := linkbuild.Build(cs, reg, ev, linkbuild.Config{})
+		links := linkbuild.Build(cs, reg, ev)
 		fn := fiber.Synthesize(fiber.Config{Seed: 5}, cs)
 		n := len(cs)
 		mk := func() [][]float64 {

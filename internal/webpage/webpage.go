@@ -89,6 +89,28 @@ func Corpus(cfg CorpusConfig) []Page {
 	return pages
 }
 
+// Client, server and transfer model of a load (§7.2).
+const (
+	// cpuPerObject is client compute (parse/eval) per object, seconds,
+	// paid before an object's children become fetchable.
+	cpuPerObject = 0.015
+	// renderTime is the page's serial script/layout work included in the
+	// onLoad PLT but independent of the network, seconds. Together with
+	// cpuPerObject this is why PLT improves less than RTT (§7.2).
+	renderTime = 0.65
+	// bandwidth is the effective end-to-end transfer rate in bps; the
+	// size/bandwidth term puts a floor under large-object times that RTT
+	// reduction cannot remove (why small objects improve most, §7.2).
+	bandwidth = 20e6
+	// serverThink is per-request server processing, seconds.
+	serverThink = 0.005
+	// connsPerOrigin is the parallel-connection limit.
+	connsPerOrigin = 6
+	// handshakeRTTs is connection setup cost in round trips (DNS + SYN +
+	// TLS), paid once per connection.
+	handshakeRTTs = 3
+)
+
 // ReplayConfig controls a load.
 type ReplayConfig struct {
 	// RTTScaleC2S scales the client→server direction; RTTScaleS2C the
@@ -96,31 +118,6 @@ type ReplayConfig struct {
 	// cISP-selective 0.33/1.0.
 	RTTScaleC2S float64
 	RTTScaleS2C float64
-
-	// CPUPerObject is client compute (parse/eval) per object, seconds,
-	// paid before an object's children become fetchable. Default 15 ms.
-	CPUPerObject float64
-
-	// RenderTime is the page's serial script/layout work included in the
-	// onLoad PLT but independent of the network. Default 500 ms. Together
-	// with CPUPerObject this is why PLT improves less than RTT (§7.2).
-	RenderTime float64
-
-	// Bandwidth is the effective end-to-end transfer rate in bps; the
-	// size/bandwidth term puts a floor under large-object times that RTT
-	// reduction cannot remove (why small objects improve most, §7.2).
-	// Default 20 Mbps.
-	Bandwidth float64
-
-	// ServerThink is per-request server processing, seconds. Default 5 ms.
-	ServerThink float64
-
-	// ConnsPerOrigin is the parallel-connection limit. Default 6.
-	ConnsPerOrigin int
-
-	// HandshakeRTTs is connection setup cost in round trips (TCP+TLS).
-	// Default 3 (DNS + SYN + TLS), paid once per connection.
-	HandshakeRTTs float64
 }
 
 func (c *ReplayConfig) setDefaults() {
@@ -129,24 +126,6 @@ func (c *ReplayConfig) setDefaults() {
 	}
 	if c.RTTScaleS2C == 0 {
 		c.RTTScaleS2C = 1
-	}
-	if c.CPUPerObject == 0 {
-		c.CPUPerObject = 0.015
-	}
-	if c.RenderTime == 0 {
-		c.RenderTime = 0.65
-	}
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 20e6
-	}
-	if c.ServerThink == 0 {
-		c.ServerThink = 0.005
-	}
-	if c.ConnsPerOrigin == 0 {
-		c.ConnsPerOrigin = 6
-	}
-	if c.HandshakeRTTs == 0 {
-		c.HandshakeRTTs = 3
 	}
 }
 
@@ -191,7 +170,7 @@ func Replay(p Page, cfg ReplayConfig) Result {
 	// Per-origin connection pools: next free time per connection slot.
 	pools := make([][]float64, p.Origins)
 	for o := range pools {
-		pools[o] = make([]float64, cfg.ConnsPerOrigin)
+		pools[o] = make([]float64, connsPerOrigin)
 		for k := range pools[o] {
 			pools[o][k] = -1 // -1: connection not yet established
 		}
@@ -224,21 +203,21 @@ func Replay(p Page, cfg ReplayConfig) Result {
 		start := math.Max(it.at, connAvail(pool[best]))
 		setup := 0.0
 		if pool[best] < 0 {
-			setup = cfg.HandshakeRTTs * rtt
+			setup = handshakeRTTs * rtt
 		}
 		// Request upstream once, then the response spends d downstream legs
 		// plus (d-1) upstream ACK legs while the window opens; transfer and
 		// server time are RTT-independent floors.
 		d := deliveryRTTs(obj.Size)
 		fetchTime := oneWayC2S + d*oneWayS2C + (d-1)*oneWayC2S +
-			float64(obj.Size)*8/cfg.Bandwidth + cfg.ServerThink
+			float64(obj.Size)*8/bandwidth + serverThink
 		done := start + setup + fetchTime
 		pool[best] = done
 		res.ObjectTimes[it.obj] = done - it.at
 		res.BytesC2S += requestBytes + int64(d-1)*40*int64(1+obj.Size/14600)
 		res.BytesS2C += int64(obj.Size)
 
-		processed := done + cfg.CPUPerObject
+		processed := done + cpuPerObject
 		if processed > plt {
 			plt = processed
 		}
@@ -249,7 +228,7 @@ func Replay(p Page, cfg ReplayConfig) Result {
 			}
 		}
 	}
-	res.PLT = plt + cfg.RenderTime
+	res.PLT = plt + renderTime
 	return res
 }
 

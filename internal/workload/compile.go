@@ -24,12 +24,12 @@ const (
 	Diurnal Kind = iota
 
 	// FlashCrowd models a live event at EventSite: every site's media
-	// demand redirects to the event origin and scales by SurgeFactor —
+	// demand redirects to the event origin and scales by eight —
 	// the whole country tuning into one stream with no CDN absorbing it.
 	FlashCrowd
 
 	// Disaster models a regional emergency at EventSite: activity of
-	// every site within RadiusM surges by SurgeFactor (everyone checking
+	// every site within 300 km surges threefold (everyone checking
 	// in at once) while a convective storm parks over the epicenter and a
 	// nearby fiber conduit is cut — the compound failure schedule PR 5's
 	// resilience layer exists for.
@@ -67,10 +67,28 @@ const (
 	cutEndSec        = 3000.0
 )
 
+// The population snapshot every scenario draws: penetration is the
+// subscriber fraction of each city's population, and snapshotUTCHour is
+// the demand instant — 00:00 UTC is 19:00 on the US east coast, the
+// evening peak sweeping westward.
+const (
+	penetration     = 0.6
+	snapshotUTCHour = 0
+)
+
+// Event scenarios scale their focused demand: a flash crowd's media load
+// by flashCrowdSurge, and activity within disasterRadius of a disaster's
+// epicenter by disasterSurge. disasterRadius is also the storm cell's
+// radius.
+const (
+	flashCrowdSurge              = 8
+	disasterSurge                = 3
+	disasterRadius  units.Meters = 300e3
+)
+
 // Spec describes one scenario. The zero value of every field is a usable
-// default: midnight UTC (evening across the US), a 0.6 penetration, the
-// most populous site as the event focus (site 0 — Coalesce sorts by
-// descending population), and kind-appropriate surge factors.
+// default: the most populous site as the event focus (site 0 — Coalesce
+// sorts by descending population), the default mix and four CDN replicas.
 type Spec struct {
 	Name string
 	Kind Kind
@@ -79,29 +97,12 @@ type Spec struct {
 	// DefaultMix.
 	Mix AppMix
 
-	// Penetration is the subscriber fraction of each city's population.
-	// Default 0.6.
-	Penetration float64
-
-	// UTCHour is the demand snapshot instant. The zero default (00:00
-	// UTC) is 19:00 on the US east coast — the evening peak sweeping
-	// westward.
-	UTCHour float64
-
 	// Seed drives the scenario's deterministic draws.
 	Seed int64
 
 	// EventSite focuses FlashCrowd and Disaster scenarios. Default 0,
 	// the most populous site.
 	EventSite int
-
-	// SurgeFactor scales the focused demand. Defaults: 8 for FlashCrowd,
-	// 3 for Disaster.
-	SurgeFactor float64
-
-	// RadiusM is the disaster's affected radius (also the storm cell
-	// radius). Default 300 km.
-	RadiusM units.Meters
 
 	// SinkCount is how many replicas CDNPlacement places. Default 4.
 	SinkCount int
@@ -110,19 +111,6 @@ type Spec struct {
 func (s Spec) withDefaults() Spec {
 	if !s.Mix.Valid() {
 		s.Mix = DefaultMix()
-	}
-	if s.Penetration <= 0 {
-		s.Penetration = 0.6
-	}
-	if s.SurgeFactor <= 0 {
-		if s.Kind == Disaster {
-			s.SurgeFactor = 3
-		} else {
-			s.SurgeFactor = 8
-		}
-	}
-	if s.RadiusM <= 0 {
-		s.RadiusM = 300e3
 	}
 	if s.SinkCount <= 0 {
 		s.SinkCount = 4
@@ -168,12 +156,12 @@ func Compile(spec Spec, b *Backbone) (*Compiled, error) {
 	}
 	c := &Compiled{Spec: spec, Backbone: b, CutLink: -1}
 
-	c.Users = ActiveUsers(b.Sites, spec.Penetration, spec.UTCHour)
+	c.Users = ActiveUsers(b.Sites, penetration, snapshotUTCHour)
 	if spec.Kind == Disaster {
 		epi := b.Sites[spec.EventSite].Loc
 		for i, s := range b.Sites {
-			if s.Loc.DistanceTo(epi) <= spec.RadiusM {
-				c.Users[i] *= spec.SurgeFactor
+			if s.Loc.DistanceTo(epi) <= disasterRadius {
+				c.Users[i] *= disasterSurge
 			}
 		}
 	}
@@ -209,9 +197,9 @@ func Compile(spec Spec, b *Backbone) (*Compiled, error) {
 	mw := weightsOf(Media)
 	if spec.Kind == FlashCrowd {
 		// The live event: every site pulls the stream straight from the
-		// origin, at SurgeFactor times the usual media load.
+		// origin, at flashCrowdSurge times the usual media load.
 		for i := range mw {
-			mw[i] *= spec.SurgeFactor
+			mw[i] *= flashCrowdSurge
 		}
 		c.PerApp[Media] = traffic.WeightedNearest(b.Sites, mw, []int{spec.EventSite})
 	} else {
@@ -245,7 +233,7 @@ func (c *Compiled) compileDisasterSchedule(spec Spec, b *Backbone) error {
 	epi := b.Sites[spec.EventSite].Loc
 	field := &weather.Field{Cells: []weather.StormCell{{
 		Center: epi,
-		Radius: spec.RadiusM,
+		Radius: disasterRadius,
 		PeakMM: 40,
 	}}}
 	conds := weather.NewBackboneGeometry(b).Conditions(field, nil)

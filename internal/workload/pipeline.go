@@ -39,9 +39,6 @@ type Pipeline struct {
 	Horizon     float64 // replay horizon, seconds (default 60)
 	Seed        int64
 
-	TECfg   te.Config
-	ProtCfg resilience.Config
-
 	// Span, when non-nil, parents the stage spans Run opens (te-solve,
 	// protect, the four replay legs) on the active obs tracer. Nil is
 	// fine: stage timings still reach the metrics registry, only the
@@ -210,7 +207,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 	snk := obs.Active()
 	teSp := p.Span.Child("te-solve")
 	teStop := snk.StartTimer("cisp_workload_stage_seconds", "stage", "te-solve")
-	ctrlH, err := te.NewController(b.Nodes, hybrid, fluidComms, p.TECfg)
+	ctrlH, err := te.NewController(b.Nodes, hybrid, fluidComms, te.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("workload: hybrid TE solve: %w", err)
 	}
@@ -245,7 +242,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		rep.HasFailures = true
 		protSp := p.Span.Child("protect")
 		protStop := snk.StartTimer("cisp_workload_stage_seconds", "stage", "protect")
-		protH, err := resilience.NewProtection(b.Nodes, hybrid, fluidComms, solH.Splits, p.ProtCfg)
+		protH, err := resilience.NewProtection(b.Nodes, hybrid, fluidComms, solH.Splits, resilience.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("workload: hybrid protection: %w", err)
 		}
@@ -261,7 +258,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		// link list: microwave fades vanish, the conduit cut keeps biting.
 		nMw := len(b.Mw)
 		fiberSched := c.Schedule.Remap(len(b.Fiber), func(li int) int { return li - nMw })
-		protF, err := resilience.NewProtection(b.Nodes, b.Fiber, fluidComms, solF.Splits, p.ProtCfg)
+		protF, err := resilience.NewProtection(b.Nodes, b.Fiber, fluidComms, solF.Splits, resilience.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("workload: fiber protection: %w", err)
 		}
