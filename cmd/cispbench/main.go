@@ -6,6 +6,8 @@
 //	          [-parallel N] [-workers N] [-mode packet|fluid] [-flows N]
 //	          [-obs addr] [-trace file] [-progress] [-obshold secs]
 //
+// An unknown -fig, -scale or -mode value exits 2 before anything runs.
+//
 // Independent figures execute concurrently in a bounded pool (-parallel,
 // GOMAXPROCS wide by default); output is still emitted in figure order,
 // streamed as each figure completes (-parallel 1 streams within figures
@@ -48,6 +50,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -127,12 +130,8 @@ func main() {
 	}
 	// The -fig help string is derived from the spec table itself, so a new
 	// figure can never drift out of the documented list.
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.Name
-	}
 	figs := flag.String("fig", "all",
-		fmt.Sprintf("comma-separated figure list (%s) or 'all'", strings.Join(names, ",")))
+		fmt.Sprintf("comma-separated figure list (%s) or 'all'", figNames(all)))
 	flag.Parse()
 
 	var err error
@@ -143,6 +142,11 @@ func main() {
 	}
 	opt := experiments.Options{Seed: *seed, Out: os.Stdout, Parallelism: *par}
 	if opt.Scale, err = cisp.ParseScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	specs, err := selectFigs(all, *figs)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -210,17 +214,43 @@ func main() {
 		}
 	}
 
-	// "all" derives from the spec table itself, so new figures can't be
-	// silently skipped by a stale name list.
+	figPar := *par
+	if figPar <= 0 {
+		figPar = runtime.GOMAXPROCS(0)
+	}
+	fig2 := slices.ContainsFunc(specs, func(s experiments.Spec) bool { return s.Name == "2" })
+	if fig2 && len(specs) > 1 && figPar > 1 {
+		fmt.Fprintln(os.Stderr,
+			"note: concurrent figures contend for CPU and inflate Fig 2's measured design runtimes; use -parallel 1 for timing fidelity")
+	}
+	experiments.RunAll(opt, specs)
+	finishObs()
+}
+
+// figNames lists the spec table's figure names, comma-separated.
+func figNames(all []experiments.Spec) string {
+	names := make([]string, len(all))
+	for i, s := range all {
+		names[i] = s.Name
+	}
+	return strings.Join(names, ",")
+}
+
+// selectFigs returns the specs a -fig value names, in table order: every
+// spec for "all", which derives from the table itself so a new figure is
+// never skipped by a stale name list. A name the table lacks is an error
+// that lists the valid ones.
+func selectFigs(all []experiments.Spec, list string) ([]experiments.Spec, error) {
+	if list == "all" {
+		return all, nil
+	}
 	want := map[string]bool{}
-	if *figs == "all" {
-		for _, s := range all {
-			want[s.Name] = true
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.ContainsFunc(all, func(s experiments.Spec) bool { return s.Name == name }) {
+			return nil, fmt.Errorf("unknown figure %q (want all or a comma-separated list of %s)", name, figNames(all))
 		}
-	} else {
-		for _, f := range strings.Split(*figs, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
+		want[name] = true
 	}
 	var specs []experiments.Spec
 	for _, s := range all {
@@ -228,14 +258,5 @@ func main() {
 			specs = append(specs, s)
 		}
 	}
-	figPar := *par
-	if figPar <= 0 {
-		figPar = runtime.GOMAXPROCS(0)
-	}
-	if want["2"] && len(specs) > 1 && figPar > 1 {
-		fmt.Fprintln(os.Stderr,
-			"note: concurrent figures contend for CPU and inflate Fig 2's measured design runtimes; use -parallel 1 for timing fidelity")
-	}
-	experiments.RunAll(opt, specs)
-	finishObs()
+	return specs, nil
 }

@@ -273,26 +273,6 @@ func TestPerCostGreedyAblation(t *testing.T) {
 	}
 }
 
-func TestHasLink(t *testing.T) {
-	p := randomProblem(9, 6, 100)
-	top := NewTopology(p)
-	if top.HasLink(0, 1) {
-		t.Fatal("empty topology claims a link")
-	}
-	// Find a feasible pair.
-	for i := 0; i < p.N; i++ {
-		for j := i + 1; j < p.N; j++ {
-			if !math.IsInf(p.MW[i][j], 1) {
-				top.AddLink(i, j)
-				if !top.HasLink(i, j) || !top.HasLink(j, i) {
-					t.Fatal("HasLink false after AddLink")
-				}
-				return
-			}
-		}
-	}
-}
-
 func BenchmarkGreedy20Cities(b *testing.B) {
 	p := randomProblem(1, 20, 100)
 	b.ReportAllocs()

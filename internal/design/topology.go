@@ -2,7 +2,6 @@ package design
 
 import (
 	"math"
-	"sync"
 
 	"cisp/internal/obs"
 	"cisp/internal/parallel"
@@ -37,14 +36,6 @@ type Topology struct {
 	d      [][]float64 // hybrid latency-equivalent APSP
 	fiberD [][]float64 // fiber-only metric closure (for pruning/baselines)
 	cost   float64
-
-	// built holds the normalized (i<j) pairs of Built for O(1) HasLink.
-	// It is materialized from Built on the first query (sync.Once, so
-	// concurrent first reads are safe) rather than maintained eagerly:
-	// the exact solvers clone topologies once per branch-and-bound node
-	// and never call HasLink, so they must not pay for map copies.
-	builtOnce sync.Once
-	built     map[[2]int]struct{}
 }
 
 // NewTopology returns the fiber-only topology for p (no microwave links).
@@ -82,9 +73,6 @@ func normPair(i, j int) [2]int {
 func (t *Topology) AddLink(i, j int) {
 	w := t.P.MW[i][j]
 	t.Built = append(t.Built, Link{I: i, J: j, Dist: w, Cost: t.P.MWCost[i][j]})
-	if t.built != nil {
-		t.built[normPair(i, j)] = struct{}{}
-	}
 	t.cost += t.P.MWCost[i][j]
 	obs.Active().Counter("cisp_design_apsp_updates_total").Inc()
 	updateAPSP(t.d, i, j, w)
@@ -225,22 +213,6 @@ func (t *Topology) gainOf(i, j int) float64 {
 		}
 	}
 	return gain
-}
-
-// HasLink reports whether the (i,j) microwave link is built. O(1) after
-// the first call: backed by a set keyed on the normalized pair, built once
-// from Built (concurrent first calls are safe; like every other accessor,
-// HasLink must not race with AddLink).
-func (t *Topology) HasLink(i, j int) bool {
-	t.builtOnce.Do(func() {
-		m := make(map[[2]int]struct{}, len(t.Built))
-		for _, l := range t.Built {
-			m[normPair(l.I, l.J)] = struct{}{}
-		}
-		t.built = m
-	})
-	_, ok := t.built[normPair(i, j)]
-	return ok
 }
 
 // MeanFiberStretch returns the traffic-weighted mean stretch of the

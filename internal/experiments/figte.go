@@ -173,7 +173,7 @@ func FigTE(opt Options, totalFlows int) *FigTEResult {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := weather.ReoptimizeTE(ctrl, tt.Mw, conds, tt.Fiber); err != nil {
+				if _, err := ctrl.UpdateCapacities(append(weather.GradedRates(tt.Mw, conds), tt.Fiber...)); err != nil {
 					return nil, err
 				}
 				return ctrl.Solution(), nil

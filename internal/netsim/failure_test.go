@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -276,6 +278,47 @@ func TestScenarioFailureDeterminism(t *testing.T) {
 			if a.LinkLoads[i] != b.LinkLoads[i] {
 				t.Fatalf("%s: link load %d differs", mode, i)
 			}
+		}
+	}
+}
+
+// TestMalformedActionsRejectedAtSetup: both engines reject the same
+// malformed timed actions before the run starts, wherever they fall in
+// time. The two updates sit past the horizon, where no engine would ever
+// apply them.
+func TestMalformedActionsRejectedAtSetup(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(sc *Scenario)
+		want string
+	}{
+		{"update path misses the destination", func(sc *Scenario) {
+			sc.Updates = []PathUpdate{{Time: sc.Horizon + 10, Flow: 1,
+				Paths: []SplitPath{{Path: []int{0, 1}, Frac: 1}}}}
+		}, "does not connect"},
+		{"update with no positive fraction", func(sc *Scenario) {
+			sc.Updates = []PathUpdate{{Time: sc.Horizon + 10, Flow: 1,
+				Paths: []SplitPath{{Path: []int{0, 1, 2}, Frac: 0}}}}
+		}, "no usable path"},
+		{"failure on a link outside Links", func(sc *Scenario) {
+			sc.Failures = []FailureEvent{{Time: 1, Link: len(sc.Links)}}
+		}, "outside"},
+	}
+	for _, tc := range cases {
+		for _, mode := range []Mode{PacketMode, FluidMode} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Errorf("%s, %s: no panic", tc.name, mode)
+					} else if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+						t.Errorf("%s, %s: panic %q does not mention %q", tc.name, mode, msg, tc.want)
+					}
+				}()
+				sc := agreementScenario()
+				tc.edit(sc)
+				sc.Run(mode)
+			}()
 		}
 	}
 }

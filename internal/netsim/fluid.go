@@ -181,7 +181,8 @@ func (f *FluidSim) AddRoute(path []int) int {
 
 // StartAt schedules a flow of the given payload on a registered route,
 // arriving at time at (>= the current simulation time), and returns its
-// flow ID. FCTs are measured from at.
+// flow ID. Flow IDs count up from 0 in StartAt order. FCTs are measured
+// from at.
 func (f *FluidSim) StartAt(route int, bytes float64, at float64) int {
 	if at < f.now {
 		at = f.now

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -72,7 +73,8 @@ type Scenario struct {
 	// both engine modes: at each event's Time, the duplex link
 	// Links[Event.Link] goes down (queued and in-flight packets are lost,
 	// fluid flows crossing it re-rate to zero) or comes back up. Events at
-	// the same instant apply before any Updates at that instant.
+	// the same instant apply before any Updates at that instant. A Link
+	// outside Links panics when the run starts.
 	Failures []FailureEvent
 
 	// Updates re-route commodities mid-run, identically in both engine
@@ -84,7 +86,10 @@ type Scenario struct {
 	// finish (or die) on the old path and retransmissions take the new one;
 	// in fluid mode remaining bytes carry over. This is the installation
 	// hook for fast-reroute and reoptimization plans
-	// (internal/resilience).
+	// (internal/resilience). Both modes check every update when the run
+	// starts, even one past the Horizon: a positive-fraction path that does
+	// not connect the commodity, or no positive fraction at all, panics.
+	// An update of a commodity that has no flows moves nothing.
 	Updates []PathUpdate
 
 	FlowBytes   int     // payload per flow (default 100 KB)
@@ -103,9 +108,10 @@ type FailureEvent struct {
 }
 
 // PathUpdate is one timed re-routing command: at Time, the commodity with
-// flow ID Flow has its clone flows re-apportioned across Paths. An empty
-// Paths is invalid; to model an unprotected commodity simply omit updates
-// for it and let its flows stall on the dead path.
+// flow ID Flow has its clone flows re-apportioned across Paths. Paths
+// without a positive fraction are invalid; to model an unprotected
+// commodity simply omit updates for it and let its flows stall on the dead
+// path.
 type PathUpdate struct {
 	Time  float64
 	Flow  int
@@ -181,47 +187,65 @@ func (r *ScenarioResult) MeanRateByCommodity() map[int]float64 {
 	return out
 }
 
-func (sc *Scenario) defaults() (flowBytes int, horizon float64) {
-	flowBytes = sc.FlowBytes
-	if flowBytes == 0 {
-		flowBytes = 100 << 10
-	}
-	horizon = sc.Horizon
-	if horizon == 0 {
-		horizon = 30
-	}
-	return
+// replay is the engine-neutral expansion of a Scenario: everything a run
+// replays, resolved and validated once. runPacket and runFluid only
+// materialize it, so both engines see the same clone flows, per-path
+// populations, action order and update draws by construction.
+//
+// Clones are numbered densely, commodity-major: clone i is Flows[i] of the
+// result, flow i of the packet engine's Network and flow i of the
+// FluidSim.
+type replay struct {
+	horizon float64
+	comms   []replayComm   // routed commodities, in Scenario order
+	flows   []FlowResult   // per clone: its commodity and start time
+	acts    []replayAction // failures and updates, in the order they apply
 }
 
-// starts draws the per-flow start times; identical in both modes so the
-// engines see the same offered load. Flows are ordered commodity-major.
-func (sc *Scenario) starts(total int) []float64 {
-	out := make([]float64, total)
-	if sc.StartSpread <= 0 {
-		return out
-	}
-	rng := rand.New(rand.NewSource(sc.Seed + 1))
-	for i := range out {
-		out[i] = rng.Float64() * sc.StartSpread
-	}
-	return out
+// replayComm is one routed commodity and its clones [first, first+n). Each
+// clone carries bytes of payload, and clone first+k starts on
+// paths[pick(assign, k)].
+type replayComm struct {
+	Commodity
+	bytes, first, n int
+	paths           [][]int
+	assign          []int
 }
 
-// commodityRouting is one commodity's resolved forwarding choice: its
-// candidate paths and, for fractional splits, each clone flow's path index
-// (nil assign = every flow on paths[0]). nil paths marks an unroutable
-// commodity.
-type commodityRouting struct {
+// replayAction is one timed action. A failure (link >= 0) takes the duplex
+// link Links[link] down or, with up, restores it. An update (link < 0)
+// moves clone first+k of comms[comm] onto paths[pick(assign, k)]; an
+// update of a commodity with no clones (comm < 0) moves nothing.
+type replayAction struct {
+	t      float64
+	link   int
+	up     bool
+	comm   int
 	paths  [][]int
 	assign []int
 }
 
-// routeCommodities resolves per-commodity forwarding for a run: commodities
-// with a Splits entry get their weighted paths and a deterministic per-flow
-// path assignment drawn from Seed; the rest are routed by Scheme via
-// ComputeRoutes. Both engines call this with identical inputs, so per-path
-// flow populations are identical across modes.
-func (sc *Scenario) routeCommodities() []commodityRouting {
+// pick returns clone k's path index under a split assignment (nil = every
+// clone on path 0).
+func pick(assign []int, k int) int {
+	if assign == nil {
+		return 0
+	}
+	return assign[k]
+}
+
+// expand resolves the scenario for one run. Commodities with a Splits
+// entry get their weighted paths, the rest are routed by Scheme via
+// ComputeRoutes; a commodity left with no path gets no clones.
+//
+// The random draws keep a fixed order: one Seed+2 source runs over the
+// commodities in order and draws only for splits with at least two usable
+// paths; start times come from Seed+1 over the clones; each update's draw
+// is keyed by its index in Updates, not by when it applies. Malformed
+// input panics here, before either engine starts, wherever it falls in
+// time: a split or update path that does not connect its commodity, an
+// update with no positive fraction, a failure on a link outside Links.
+func (sc *Scenario) expand() *replay {
 	var routed []Commodity
 	for _, c := range sc.Comms {
 		if len(sc.Splits[c.Flow]) == 0 {
@@ -232,26 +256,90 @@ func (sc *Scenario) routeCommodities() []commodityRouting {
 	if len(routed) > 0 {
 		single = ComputeRoutes(sc.Nodes, sc.Links, routed, sc.Scheme)
 	}
+	x := &replay{horizon: cmp.Or(sc.Horizon, 30)}
+	index := make(map[int]int, len(sc.Comms)) // commodity flow ID -> index into x.comms
+	flowBytes := cmp.Or(sc.FlowBytes, 100<<10)
 	rng := rand.New(rand.NewSource(sc.Seed + 2))
-	out := make([]commodityRouting, len(sc.Comms))
-	for i, c := range sc.Comms {
-		sp := sc.Splits[c.Flow]
-		if len(sp) == 0 {
-			if p := single[c.Flow]; p != nil {
-				out[i].paths = [][]int{p}
+	clones := 0
+	for _, c := range sc.Comms {
+		rc := replayComm{Commodity: c, bytes: flowBytes, first: clones, n: max(c.Count, 1)}
+		if c.FlowBytes > 0 {
+			rc.bytes = c.FlowBytes
+		}
+		if sp := sc.Splits[c.Flow]; len(sp) > 0 {
+			var fracs []float64
+			rc.paths, fracs = splitPaths(c, sp)
+			if len(rc.paths) > 1 {
+				rc.assign = splitAssignments(rc.n, fracs, rng)
 			}
+		} else if p := single[c.Flow]; p != nil {
+			rc.paths = [][]int{p}
+		}
+		if rc.paths == nil {
 			continue
 		}
-		paths, fracs := splitPaths(c, sp)
-		if len(paths) == 0 {
-			continue
-		}
-		out[i].paths = paths
-		if len(paths) > 1 {
-			out[i].assign = splitAssignments(max(c.Count, 1), fracs, rng)
+		index[c.Flow] = len(x.comms)
+		x.comms = append(x.comms, rc)
+		clones += rc.n
+	}
+
+	x.flows = make([]FlowResult, clones)
+	starts := rand.New(rand.NewSource(sc.Seed + 1))
+	for ci := range x.comms {
+		rc := &x.comms[ci]
+		for i := rc.first; i < rc.first+rc.n; i++ {
+			x.flows[i].Flow = rc.Flow
+			if sc.StartSpread > 0 {
+				x.flows[i].Start = starts.Float64() * sc.StartSpread
+			}
 		}
 	}
-	return out
+
+	for _, ev := range sc.Failures {
+		if ev.Link < 0 || ev.Link >= len(sc.Links) {
+			panic(fmt.Sprintf("netsim: failure event link %d outside [0,%d)", ev.Link, len(sc.Links)))
+		}
+		x.acts = append(x.acts, replayAction{t: ev.Time, link: ev.Link, up: ev.Up, comm: -1})
+	}
+	for ui, u := range sc.Updates {
+		a := replayAction{t: u.Time, link: -1, comm: -1}
+		if ci, ok := index[u.Flow]; ok {
+			var fracs []float64
+			a.comm = ci
+			a.paths, fracs = splitPaths(x.comms[ci].Commodity, u.Paths)
+			if len(a.paths) == 0 {
+				panic(fmt.Sprintf("netsim: path update for commodity %d has no usable path", u.Flow))
+			}
+			if len(a.paths) > 1 {
+				draw := rand.New(rand.NewSource(sc.Seed + 1_000_003*int64(ui+1)))
+				a.assign = splitAssignments(x.comms[ci].n, fracs, draw)
+			}
+		}
+		x.acts = append(x.acts, a)
+	}
+	// Failures were appended first, so the stable sort applies same-instant
+	// failures before same-instant updates, each kind in Scenario order.
+	sort.SliceStable(x.acts, func(i, j int) bool { return x.acts[i].t < x.acts[j].t })
+	return x
+}
+
+// settle fills in each clone's mean rate once a run has ended at res.End
+// with every completed clone's FCT recorded: payload over FCT for a
+// completed clone, the bytes it was served over the time since its start
+// for an incomplete one.
+func (x *replay) settle(res *ScenarioResult, served func(clone int) float64) {
+	for ci := range x.comms {
+		rc := &x.comms[ci]
+		for i := rc.first; i < rc.first+rc.n; i++ {
+			fr := &res.Flows[i]
+			if fr.Completed {
+				fr.MeanRateBps = float64(rc.bytes) * 8 / fr.FCT
+				res.Completed++
+			} else if el := res.End - fr.Start; el > 0 {
+				fr.MeanRateBps = served(i) * 8 / el
+			}
+		}
+	}
 }
 
 // splitPaths validates a commodity's weighted paths and extracts the
@@ -270,26 +358,6 @@ func splitPaths(c Commodity, sp []SplitPath) (paths [][]int, fracs []float64) {
 		fracs = append(fracs, s.Frac)
 	}
 	return paths, fracs
-}
-
-// updateAssign draws the per-clone path assignment for the ui-th update.
-// The source depends only on (Seed, ui), never on engine state, so packet
-// and fluid runs re-apportion clone-for-clone identically.
-func (sc *Scenario) updateAssign(ui, nClones int, fracs []float64) []int {
-	if len(fracs) <= 1 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(sc.Seed + 1_000_003*int64(ui+1)))
-	return splitAssignments(nClones, fracs, rng)
-}
-
-// checkFailures bounds-checks the failure schedule against the link list.
-func (sc *Scenario) checkFailures() {
-	for _, ev := range sc.Failures {
-		if ev.Link < 0 || ev.Link >= len(sc.Links) {
-			panic(fmt.Sprintf("netsim: failure event link %d outside [0,%d)", ev.Link, len(sc.Links)))
-		}
-	}
 }
 
 // splitAssignments apportions n flows across paths in proportion to fracs
@@ -356,136 +424,57 @@ func RunMany(scs []*Scenario, mode Mode) []*ScenarioResult {
 	})
 }
 
+// runPacket materializes the replay as TCP connections on a packet
+// network. Starts are scheduled before actions, and actions in apply
+// order, so same-instant events run in that order.
 func (sc *Scenario) runPacket() *ScenarioResult {
-	flowBytes, horizon := sc.defaults()
+	x := sc.expand()
 	var sim Simulator
 	nw := NewNetwork(&sim, sc.Nodes)
 	BuildTopology(nw, sc.Links)
-	routings := sc.routeCommodities()
-
-	// Flow IDs: each commodity keeps its own ID for its first flow; clones
-	// get fresh IDs past the maximum so delivery demux stays per-flow.
-	nextID := 0
-	for _, c := range sc.Comms {
-		if c.Flow >= nextID {
-			nextID = c.Flow + 1
-		}
-	}
-	total := 0
-	for ci, c := range sc.Comms {
-		if routings[ci].paths != nil {
-			total += max(c.Count, 1)
-		}
-	}
-	startAt := sc.starts(total)
-
-	res := &ScenarioResult{Mode: PacketMode}
-	type live struct {
-		conn *TCPConn
-		idx  int // index into res.Flows
-	}
-	var conns []live
-	cloneIDs := make(map[int][]int) // commodity flow ID -> clone netsim flow IDs
-	commOf := make(map[int]Commodity, len(sc.Comms))
-	fi := 0
-	for ci, c := range sc.Comms {
-		r := &routings[ci]
-		if r.paths == nil {
-			continue
-		}
-		commOf[c.Flow] = c
-		fb := flowBytes
-		if c.FlowBytes > 0 {
-			fb = c.FlowBytes
-		}
-		revs := make([][]int, len(r.paths))
-		for pi, path := range r.paths {
-			revs[pi] = reversePath(path)
-		}
-		for k := 0; k < max(c.Count, 1); k++ {
-			id := c.Flow
-			if k > 0 {
-				id = nextID
-				nextID++
-			}
-			pi := 0
-			if r.assign != nil {
-				pi = r.assign[k]
-			}
-			nw.SetFlowPath(id, r.paths[pi])
+	res := &ScenarioResult{Mode: PacketMode, Flows: x.flows}
+	conns := make([]*TCPConn, len(x.flows))
+	for ci := range x.comms {
+		rc := &x.comms[ci]
+		revs := reversed(rc.paths)
+		for k := 0; k < rc.n; k++ {
+			id, pi := rc.first+k, pick(rc.assign, k)
+			nw.SetFlowPath(id, rc.paths[pi])
 			nw.SetFlowPath(id, revs[pi])
-			cloneIDs[c.Flow] = append(cloneIDs[c.Flow], id)
-			idx := len(res.Flows)
-			res.Flows = append(res.Flows, FlowResult{Flow: c.Flow, Start: startAt[fi]})
-			conn := &TCPConn{
-				Net: nw, Flow: id, Src: c.Src, Dst: c.Dst,
-				FlowSize: fb,
+			fr := &res.Flows[id]
+			conns[id] = &TCPConn{
+				Net: nw, Flow: id, Src: rc.Src, Dst: rc.Dst, FlowSize: rc.bytes,
+				Done: func(fct float64) { fr.FCT, fr.Completed = fct, true },
 			}
-			conn.Done = func(fct float64) {
-				res.Flows[idx].FCT = fct
-				res.Flows[idx].Completed = true
-				res.Flows[idx].MeanRateBps = float64(fb) * 8 / fct
-				res.Completed++
-			}
-			conns = append(conns, live{conn: conn, idx: idx})
-			sim.Schedule(startAt[fi], conn.Start)
-			fi++
+			sim.Schedule(fr.Start, conns[id].Start)
 		}
 	}
-
-	// Failure schedule: flip both directions of the duplex link. Scheduled
-	// before updates, so same-instant failures apply first (matching the
-	// fluid engine's action ordering).
-	sc.checkFailures()
-	for _, ev := range sc.Failures {
-		down := !ev.Up
-		ab := nw.Link(sc.Links[ev.Link].A, sc.Links[ev.Link].B)
-		ba := nw.Link(sc.Links[ev.Link].B, sc.Links[ev.Link].A)
-		sim.Schedule(ev.Time, func() {
-			ab.SetDown(down)
-			ba.SetDown(down)
-		})
-	}
-	// Path updates: re-install forwarding (and the reverse ACK path) for
-	// every clone of the commodity. In-flight packets keep their resolved
-	// hops; retransmissions pick up the new route.
-	for ui, u := range sc.Updates {
-		ids := cloneIDs[u.Flow]
-		if len(ids) == 0 {
-			continue // commodity unroutable at setup: no clones to move
-		}
-		paths, fracs := splitPaths(commOf[u.Flow], u.Paths)
-		if len(paths) == 0 {
-			panic(fmt.Sprintf("netsim: path update for commodity %d has no usable path", u.Flow))
-		}
-		revs := make([][]int, len(paths))
-		for pi, path := range paths {
-			revs[pi] = reversePath(path)
-		}
-		assign := sc.updateAssign(ui, len(ids), fracs)
-		sim.Schedule(u.Time, func() {
-			for k, fid := range ids {
-				pi := 0
-				if assign != nil {
-					pi = assign[k]
+	for _, a := range x.acts {
+		switch {
+		case a.link >= 0:
+			l, down := sc.Links[a.link], !a.up
+			ab, ba := nw.Link(l.A, l.B), nw.Link(l.B, l.A)
+			sim.Schedule(a.t, func() {
+				ab.SetDown(down)
+				ba.SetDown(down)
+			})
+		case a.comm >= 0:
+			// In-flight packets keep their resolved hops; retransmissions
+			// take the new route.
+			rc, revs := &x.comms[a.comm], reversed(a.paths)
+			sim.Schedule(a.t, func() {
+				for k := 0; k < rc.n; k++ {
+					pi := pick(a.assign, k)
+					nw.SetFlowPath(rc.first+k, a.paths[pi])
+					nw.SetFlowPath(rc.first+k, revs[pi])
 				}
-				nw.SetFlowPath(fid, paths[pi])
-				nw.SetFlowPath(fid, revs[pi])
-			}
-		})
+			})
+		}
 	}
-	sim.Run(horizon)
+	sim.Run(x.horizon)
 	res.End = sim.Now()
 	res.EventsProcessed = sim.Processed()
-	for _, l := range conns {
-		fr := &res.Flows[l.idx]
-		if fr.Completed {
-			continue
-		}
-		if el := res.End - fr.Start; el > 0 {
-			fr.MeanRateBps = float64(l.conn.Acked()) * 8 / el
-		}
-	}
+	x.settle(res, func(i int) float64 { return float64(conns[i].Acked()) })
 	loads := make([]LinkLoad, 0, len(nw.Links()))
 	drops := int64(0)
 	for _, l := range nw.Links() {
@@ -498,13 +487,16 @@ func (sc *Scenario) runPacket() *ScenarioResult {
 	return res
 }
 
-// reversePath returns the node path reversed (the ACK direction).
-func reversePath(path []int) []int {
-	rev := make([]int, len(path))
-	for i, v := range path {
-		rev[len(path)-1-i] = v
+// reversed returns each node path reversed (the ACK direction).
+func reversed(paths [][]int) [][]int {
+	out := make([][]int, len(paths))
+	for pi, path := range paths {
+		out[pi] = make([]int, len(path))
+		for i, v := range path {
+			out[pi][len(path)-1-i] = v
+		}
 	}
-	return rev
+	return out
 }
 
 // PathKey canonicalizes a node path as a comparable string — the shared
@@ -518,141 +510,73 @@ func PathKey(path []int) string {
 	return string(b)
 }
 
+// runFluid materializes the replay as fluid flows. Route IDs set the
+// max-min iteration order, so routes are registered as they come into
+// use: each commodity's paths at setup, in commodity order and duplicates
+// included, and an update's new paths only when the update applies.
 func (sc *Scenario) runFluid() *ScenarioResult {
-	flowBytes, horizon := sc.defaults()
+	x := sc.expand()
 	f := NewFluid(sc.Nodes, sc.Links)
-	routings := sc.routeCommodities()
-
-	total := 0
-	for ci, c := range sc.Comms {
-		if routings[ci].paths != nil {
-			total += max(c.Count, 1)
-		}
-	}
-	startAt := sc.starts(total)
-
-	res := &ScenarioResult{Mode: FluidMode}
-	type live struct {
-		fid   int // fluid flow ID
-		idx   int
-		bytes int // payload, after any per-commodity override
-	}
-	var flows []live
-	cloneFids := make(map[int][]int)         // commodity flow ID -> clone fluid flow IDs
-	routesOf := make(map[int]map[string]int) // commodity flow ID -> path key -> route ID
-	commOf := make(map[int]Commodity, len(sc.Comms))
-	fi := 0
-	for ci, c := range sc.Comms {
-		r := &routings[ci]
-		if r.paths == nil {
-			continue
-		}
-		commOf[c.Flow] = c
-		fb := flowBytes
-		if c.FlowBytes > 0 {
-			fb = c.FlowBytes
-		}
-		routesOf[c.Flow] = make(map[string]int, len(r.paths))
-		routes := make([]int, len(r.paths))
-		for pi, path := range r.paths {
+	res := &ScenarioResult{Mode: FluidMode, Flows: x.flows}
+	routeOf := make([]map[string]int, len(x.comms)) // per commodity: path key -> route ID
+	for ci := range x.comms {
+		rc := &x.comms[ci]
+		routes := make([]int, len(rc.paths))
+		routeOf[ci] = make(map[string]int, len(rc.paths))
+		for pi, path := range rc.paths {
 			routes[pi] = f.AddRoute(path)
-			routesOf[c.Flow][PathKey(path)] = routes[pi]
+			routeOf[ci][PathKey(path)] = routes[pi]
 		}
-		for k := 0; k < max(c.Count, 1); k++ {
-			pi := 0
-			if r.assign != nil {
-				pi = r.assign[k]
-			}
-			idx := len(res.Flows)
-			res.Flows = append(res.Flows, FlowResult{Flow: c.Flow, Start: startAt[fi]})
-			fid := f.StartAt(routes[pi], float64(fb), startAt[fi])
-			cloneFids[c.Flow] = append(cloneFids[c.Flow], fid)
-			flows = append(flows, live{fid: fid, idx: idx, bytes: fb})
-			fi++
+		for k := 0; k < rc.n; k++ {
+			f.StartAt(routes[pick(rc.assign, k)], float64(rc.bytes), x.flows[rc.first+k].Start)
 		}
 	}
 
-	// Interleave failure events and path updates with the fluid run: advance
-	// to each action time, apply the batch, recompute once. Failures sort
-	// before updates at the same instant, matching the packet engine's
-	// scheduling order.
-	sc.checkFailures()
-	type action struct {
-		t    float64
-		fail int // index into sc.Failures, or -1
-		upd  int // index into sc.Updates, or -1
-	}
-	var acts []action
-	for i, ev := range sc.Failures {
-		acts = append(acts, action{t: ev.Time, fail: i, upd: -1})
-	}
-	for i, u := range sc.Updates {
-		acts = append(acts, action{t: u.Time, fail: -1, upd: i})
-	}
-	sort.SliceStable(acts, func(i, j int) bool { return acts[i].t < acts[j].t })
-	for ai := 0; ai < len(acts); {
-		t := acts[ai].t
-		if t > horizon {
+	// Advance to each action time, apply the batch due then, recompute once.
+	for ai := 0; ai < len(x.acts); {
+		t := x.acts[ai].t
+		if t > x.horizon {
 			break
 		}
 		f.Run(t)
-		for ; ai < len(acts) && acts[ai].t == t; ai++ {
-			a := acts[ai]
-			if a.fail >= 0 {
-				ev := sc.Failures[a.fail]
-				l := sc.Links[ev.Link]
-				rate := 0.0
-				if ev.Up {
+		for ; ai < len(x.acts) && x.acts[ai].t == t; ai++ {
+			a := &x.acts[ai]
+			switch {
+			case a.link >= 0:
+				l, rate := sc.Links[a.link], 0.0
+				if a.up {
 					rate = float64(l.RateBps)
 				}
 				f.SetLinkRate(l.A, l.B, rate)
 				f.SetLinkRate(l.B, l.A, rate)
-				continue
-			}
-			u := sc.Updates[a.upd]
-			fids := cloneFids[u.Flow]
-			if len(fids) == 0 {
-				continue // commodity unroutable at setup: no clones to move
-			}
-			paths, fracs := splitPaths(commOf[u.Flow], u.Paths)
-			if len(paths) == 0 {
-				panic(fmt.Sprintf("netsim: path update for commodity %d has no usable path", u.Flow))
-			}
-			routes := make([]int, len(paths))
-			for pi, path := range paths {
-				key := PathKey(path)
-				rid, ok := routesOf[u.Flow][key]
-				if !ok {
-					rid = f.AddRoute(path)
-					routesOf[u.Flow][key] = rid
+			case a.comm >= 0:
+				rc := &x.comms[a.comm]
+				routes := make([]int, len(a.paths))
+				for pi, path := range a.paths {
+					key := PathKey(path)
+					rid, ok := routeOf[a.comm][key]
+					if !ok {
+						rid = f.AddRoute(path)
+						routeOf[a.comm][key] = rid
+					}
+					routes[pi] = rid
 				}
-				routes[pi] = rid
-			}
-			assign := sc.updateAssign(a.upd, len(fids), fracs)
-			for k, fid := range fids {
-				pi := 0
-				if assign != nil {
-					pi = assign[k]
+				for k := 0; k < rc.n; k++ {
+					f.Reroute(rc.first+k, routes[pick(a.assign, k)])
 				}
-				f.Reroute(fid, routes[pi])
 			}
 		}
 		f.Recompute()
 	}
-	f.Run(horizon)
+	f.Run(x.horizon)
 	res.End = f.Now()
 	res.EventsProcessed = f.Processed()
-	for _, l := range flows {
-		fr := &res.Flows[l.idx]
-		if fct, done := f.FCT(l.fid); done {
-			fr.FCT = fct
-			fr.Completed = true
-			fr.MeanRateBps = float64(l.bytes) * 8 / fct
-			res.Completed++
-		} else if el := res.End - fr.Start; el > 0 {
-			fr.MeanRateBps = f.ServedBytes(l.fid) * 8 / el
+	for i := range res.Flows {
+		if fct, done := f.FCT(i); done {
+			res.Flows[i].FCT, res.Flows[i].Completed = fct, true
 		}
 	}
+	x.settle(res, f.ServedBytes)
 	res.finishLinkLoads(f.LinkUtilizations())
 	publishObs(res, f.MaxPending(), 0)
 	return res

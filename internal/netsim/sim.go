@@ -17,7 +17,13 @@
 // Both modes run from a shared declarative Scenario and route identically
 // (ComputeRoutes) under the three §5 schemes: latency-shortest paths,
 // minimise-maximum-link-utilization, and throughput-optimal (widest-path)
-// routing. Bulk runs fan out over internal/parallel via RunMany.
+// routing. A run first expands its Scenario once, whatever the mode: the
+// routed commodities, each clone flow's path, payload and start time, and
+// the failure and path-update actions in the order they apply. Each engine
+// only materializes that expansion, and malformed input (a path that does
+// not connect its commodity, an update with no positive fraction, a
+// failure on an unknown link) panics there, before either engine starts.
+// Bulk runs fan out over internal/parallel via RunMany.
 package netsim
 
 import "cisp/internal/xheap"

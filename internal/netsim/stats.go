@@ -9,9 +9,11 @@ import (
 // linear interpolation between order statistics (sorted or not; the input
 // is not modified). NaN for an empty slice.
 //
-// This is the single percentile implementation in the codebase; every
-// integer or float percentile (queue occupancies, FCT distributions,
-// stretch tables) funnels through it.
+// Every integer or float percentile (queue occupancies, FCT
+// distributions, stretch tables) funnels through it, with one exception
+// kept on purpose: gaming.percentile, behind Fig 12's p95 frame times,
+// picks the order statistic at the truncated rank without interpolating,
+// and folding it in would move that column.
 func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()

@@ -83,3 +83,27 @@ func (lg *LinkGeometry) Conditions(f *Field, out []LinkCondition) []LinkConditio
 	}
 	return out
 }
+
+// GradedRates returns a copy of mwLinks with each link's rate scaled by its
+// graded adaptive-modulation capacity fraction (0 for links whose worst hop
+// exceeded the fade margin). Unlike the MeasureFCT grading, failed links
+// are kept in place at zero rate: positions are preserved link-for-link, so
+// a te.Controller built at clear sky over mwLinks followed by the fiber
+// links re-solves an interval with
+// ctrl.UpdateCapacities(append(GradedRates(mwLinks, conds), fiber...)).
+// conds[i] grades mwLinks[i]; a nil conds returns clear-sky rates.
+func GradedRates(mwLinks []netsim.TopoLink, conds []LinkCondition) []netsim.TopoLink {
+	out := append([]netsim.TopoLink(nil), mwLinks...)
+	for li := range out {
+		if li >= len(conds) {
+			break
+		}
+		switch {
+		case conds[li].Failed:
+			out[li].RateBps = 0
+		default:
+			out[li].RateBps = units.BitsPerSecond(float64(out[li].RateBps) * conds[li].CapFrac)
+		}
+	}
+	return out
+}

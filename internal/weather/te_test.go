@@ -37,10 +37,11 @@ func TestGradedRates(t *testing.T) {
 }
 
 // TestReoptimizeTEStormCycle drives a TE controller through a storm
-// interval and back: a diamond whose fast microwave arm fades while a
-// parallel fiber-ish detour rides through. Only the commodity crossing the
-// faded arm is re-solved; its traffic shifts, then shifts back when the
-// interval clears.
+// interval and back, feeding it GradedRates the way FigTE's rain row does:
+// a diamond whose fast microwave arm fades while a parallel fiber-ish
+// detour rides through. Only the commodity crossing the faded arm is
+// re-solved; its traffic shifts, then shifts back when the interval
+// clears.
 func TestReoptimizeTEStormCycle(t *testing.T) {
 	mw := []netsim.TopoLink{
 		{A: 0, B: 1, RateBps: 10e6, PropDelay: 0.002},
@@ -69,7 +70,7 @@ func TestReoptimizeTEStormCycle(t *testing.T) {
 		{Failed: true},
 		{CapFrac: 1},
 	}
-	affected, err := ReoptimizeTE(ctrl, mw, stormy, fiber)
+	affected, err := ctrl.UpdateCapacities(append(GradedRates(mw, stormy), fiber...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestReoptimizeTEStormCycle(t *testing.T) {
 	}
 
 	// Interval clears: everything back to the clear-sky decision.
-	affected, err = ReoptimizeTE(ctrl, mw, nil, fiber)
+	affected, err = ctrl.UpdateCapacities(append(GradedRates(mw, nil), fiber...))
 	if err != nil {
 		t.Fatal(err)
 	}
