@@ -187,14 +187,59 @@ func (l *Loader) Load(importPath string, withTests bool) (*Package, error) {
 }
 
 // LoadXTest type-checks the external test package (package foo_test) of
-// the given module package, or returns (nil, nil) when there is none.
+// the given module package, or returns (nil, nil) when there is none. As
+// under the go command, the external test package imports the package
+// together with its in-package test files, so it sees an export_test.go
+// hook, and so does every module package it imports that depends on it.
 func (l *Loader) LoadXTest(importPath string) (*Package, error) {
 	dir := l.dirFor(importPath)
 	names, err := unitFileNames(dir, unitXTest)
 	if err != nil || len(names) == 0 {
 		return nil, err
 	}
-	return l.loadUnit(importPath+"_test", dir, unitXTest)
+	return l.testView(importPath).loadUnit(importPath+"_test", dir, unitXTest)
+}
+
+// testView returns a loader whose importers see importPath with its
+// in-package test files. It shares l's file set and standard-library
+// importer and reuses l's cached packages that do not depend on
+// importPath; the ones that do are type-checked again against the test
+// view, so the external test package sees one version of each type.
+func (l *Loader) testView(importPath string) *Loader {
+	v := *l
+	v.cache = make(map[string]*loadedImport, len(l.cache))
+	deps := map[*types.Package]bool{}
+	for path, c := range l.cache {
+		if c.err == nil && !dependsOn(c.pkg, importPath, deps) {
+			v.cache[path] = c
+		}
+	}
+	p, err := v.loadUnit(importPath, v.dirFor(importPath), unitWithTests)
+	c := &loadedImport{err: err}
+	if err == nil {
+		c.pkg = p.Types
+	}
+	v.cache[importPath] = c
+	return &v
+}
+
+// dependsOn reports whether pkg is path or imports it, directly or not,
+// memoizing verdicts in seen.
+func dependsOn(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	if pkg.Path() == path {
+		return true
+	}
+	if v, ok := seen[pkg]; ok {
+		return v
+	}
+	seen[pkg] = false // an import cycle cannot type-check; break it anyway
+	for _, imp := range pkg.Imports() {
+		if dependsOn(imp, path, seen) {
+			seen[pkg] = true
+			return true
+		}
+	}
+	return false
 }
 
 // LoadDir type-checks the single package in dir (outside the module tree,

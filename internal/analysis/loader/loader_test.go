@@ -126,3 +126,39 @@ func TestLoadXTest(t *testing.T) {
 		t.Fatalf("xtest package name = %q", pkg.Types.Name())
 	}
 }
+
+// TestLoadXTestSeesExportHooks: an external test package imports its
+// package with the in-package test files, as the go command builds it.
+// design's pins_test.go (package design_test) calls the export_test.go
+// hook design.GreedyILPNodes, and passes it a *design.Problem made by the
+// root package cisp, which imports design: both must be the one type.
+func TestLoadXTestSeesExportHooks(t *testing.T) {
+	l := newTestLoader(t)
+	if _, err := l.Load("cisp", false); err != nil { // warm the cache with design's plain view
+		t.Fatalf("Load: %v", err)
+	}
+	pkg, err := l.LoadXTest("cisp/internal/design")
+	if err != nil {
+		t.Fatalf("LoadXTest: %v", err)
+	}
+	if pkg == nil {
+		t.Fatal("no external test package for design")
+	}
+	found := false
+	for id, obj := range pkg.Info.Uses {
+		if id.Name == "GreedyILPNodes" && obj.Pkg() != nil && obj.Pkg().Path() == "cisp/internal/design" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("design_test does not resolve the export_test.go hook GreedyILPNodes")
+	}
+	// The plain view is still what other importers get.
+	plain, err := l.Import("cisp/internal/design")
+	if err != nil {
+		t.Fatalf("Import: %v", err)
+	}
+	if plain.Scope().Lookup("GreedyILPNodes") != nil {
+		t.Fatal("the export_test.go hook leaked into design's plain view")
+	}
+}

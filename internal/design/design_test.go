@@ -153,6 +153,17 @@ func TestGreedyMonotoneInBudget(t *testing.T) {
 	}
 }
 
+// mustExact solves p exactly and fails the test if the search stopped at
+// its node cap, since an unfinished search proves nothing optimal.
+func mustExact(t *testing.T, p *Problem) *Topology {
+	t.Helper()
+	top, complete := Exact(p, ExactOptions{})
+	if !complete {
+		t.Fatal("exact search stopped at its node cap")
+	}
+	return top
+}
+
 func TestGreedyMatchesExactSmall(t *testing.T) {
 	// Fig 2b: the cISP heuristic's stretch "matches that of the ILP to two
 	// decimal places" on small instances. We require GreedyILP ≤ Exact+0.01
@@ -160,7 +171,7 @@ func TestGreedyMatchesExactSmall(t *testing.T) {
 	// logged for reference.
 	for seed := int64(0); seed < 8; seed++ {
 		p := randomProblem(seed+50, 7, 25)
-		exact := Exact(p, ExactOptions{}).MeanStretch()
+		exact := mustExact(t, p).MeanStretch()
 		greedy := Greedy(p, GreedyOptions{}).MeanStretch()
 		refined := GreedyILP(p, 0).MeanStretch()
 		if exact > greedy+1e-9 {
@@ -181,7 +192,7 @@ func TestFlowILPMatchesExactTiny(t *testing.T) {
 	// same optimization.
 	for seed := int64(0); seed < 4; seed++ {
 		p := randomProblem(seed+200, 5, 15)
-		exact := Exact(p, ExactOptions{})
+		exact := mustExact(t, p)
 		flow, stats, err := FlowILP(p, FlowILPOptions{Prune: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -218,7 +229,7 @@ func TestFlowILPPruningPreservesOptimum(t *testing.T) {
 func TestLPRoundingNoBetterThanExact(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		p := randomProblem(seed+400, 5, 15)
-		exact := Exact(p, ExactOptions{}).MeanStretch()
+		exact := mustExact(t, p).MeanStretch()
 		rounded, _, err := LPRounding(p, true)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -234,7 +245,7 @@ func TestLPRoundingNoBetterThanExact(t *testing.T) {
 
 func TestExactRespectsBudget(t *testing.T) {
 	p := randomProblem(6, 7, 18)
-	top := Exact(p, ExactOptions{})
+	top := mustExact(t, p)
 	if top.CostUsed() > p.Budget {
 		t.Fatalf("exact used %v > budget %v", top.CostUsed(), p.Budget)
 	}

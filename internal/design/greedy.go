@@ -147,6 +147,13 @@ func Greedy(p *Problem, opt GreedyOptions) *Topology {
 // seeds the incumbent, so the result is never worse than plain Greedy.
 // maxNodes bounds the refinement search (0 = default).
 func GreedyILP(p *Problem, maxNodes int) *Topology {
+	top, _ := greedyILP(p, maxNodes)
+	return top
+}
+
+// greedyILP is GreedyILP that also returns the number of refinement
+// search nodes visited.
+func greedyILP(p *Problem, maxNodes int) (*Topology, int) {
 	// On small instances candidate pruning is unnecessary: hand every
 	// useful link to the selector and the result is the exact optimum
 	// (Fig 2b's regime).
@@ -164,7 +171,8 @@ func GreedyILP(p *Problem, maxNodes int) *Topology {
 		incumbent = alt
 	}
 	if len(all) <= 48 {
-		return exactOverCandidates(p, all, incumbent, maxNodes)
+		top, nodes, _ := exactOverCandidates(p, all, incumbent, maxNodes)
+		return top, nodes
 	}
 	// At scale: the paper's pruning — candidates from greedy at 2× budget,
 	// under both scoring rules to keep high-impact and high-efficiency
@@ -183,5 +191,6 @@ func GreedyILP(p *Problem, maxNodes int) *Topology {
 			}
 		}
 	}
-	return exactOverCandidates(p, cands, incumbent, maxNodes)
+	top, nodes, _ := exactOverCandidates(p, cands, incumbent, maxNodes)
+	return top, nodes
 }

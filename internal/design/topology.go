@@ -60,6 +60,16 @@ func (t *Topology) Clone() *Topology {
 	return c
 }
 
+// copyFrom makes t an independent copy of src, reusing t's storage; t
+// must cover the same number of sites.
+func (t *Topology) copyFrom(src *Topology) {
+	t.P, t.fiberD, t.cost = src.P, src.fiberD, src.cost
+	t.Built = append(t.Built[:0], src.Built...)
+	for i := range src.d {
+		copy(t.d[i], src.d[i])
+	}
+}
+
 // normPair returns the (min,max) normalization of a link key.
 func normPair(i, j int) [2]int {
 	if i > j {

@@ -20,6 +20,9 @@ func TestFig2ScalingShape(t *testing.T) {
 		if !row.ILPRan {
 			continue
 		}
+		if row.ILPCapped {
+			t.Errorf("n=%d: exact search stopped at its node cap", row.Cities)
+		}
 		// Fig 2b: the heuristic matches the ILP's stretch to two decimals.
 		if row.CISPStretch-row.ILPStretch > 0.01 {
 			t.Errorf("n=%d: cISP stretch %.4f vs ILP %.4f — gap > 0.01",

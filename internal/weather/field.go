@@ -29,6 +29,11 @@ type Field struct {
 	Bands []FrontalBand
 }
 
+// cellReach is how far a storm cell rains, in units of its Radius (σ):
+// beyond 3.5σ the Gaussian profile is below 0.22% of its peak and counts
+// as dry. RainRate applies it per sample and PathAttenuation per hop.
+const cellReach = 3.5
+
 // RainRate returns the rain rate in mm/h at p (max of overlapping systems).
 func (f *Field) RainRate(p geo.Point) float64 {
 	rate := 0.0
@@ -36,7 +41,7 @@ func (f *Field) RainRate(p geo.Point) float64 {
 		c := &f.Cells[i]
 		d := p.DistanceTo(c.Center)
 		x := units.Ratio(d, c.Radius)
-		if x > 3.5 {
+		if x > cellReach {
 			continue
 		}
 		if r := c.PeakMM * math.Exp(-0.5*x*x); r > rate {
@@ -149,10 +154,31 @@ func (g *Generator) randPoint(rng *rand.Rand) geo.Point {
 
 // PathAttenuation integrates specific attenuation along the great circle
 // between two points, sampling every step (total attenuation).
+//
+// Each sample lies on the arc within half its length of the arc's
+// midpoint, so by the triangle inequality a cell farther than
+// cellReach·σ + total/2 from the midpoint is beyond cellReach·σ of every
+// sample, where RainRate skips it. The cells are therefore culled once
+// per hop, with a 1e-6 relative margin that covers the rounding of the
+// computed distances, into a stack buffer that keeps their order, so
+// each sample's rain rate is bit-identical to one over the whole field.
+// Bands are not culled. A hop with no cell and no band in reach returns
+// 0 without sampling: the sum of its samples would be 0 too.
 func (f *Field) PathAttenuation(a, b geo.Point, fGHz float64, step units.Meters) units.DB {
 	arc := a.ArcTo(b)
 	total := arc.Length()
 	if total == 0 {
+		return 0
+	}
+	mid := arc.At(0.5)
+	var buf [64]StormCell
+	near := Field{Cells: buf[:0], Bands: f.Bands}
+	for _, c := range f.Cells {
+		if mid.DistanceTo(c.Center) <= (cellReach*c.Radius+total/2)*(1+1e-6) {
+			near.Cells = append(near.Cells, c)
+		}
+	}
+	if len(near.Cells) == 0 && len(near.Bands) == 0 {
 		return 0
 	}
 	n := int(total/step) + 1
@@ -167,7 +193,7 @@ func (f *Field) PathAttenuation(a, b geo.Point, fGHz float64, step units.Meters)
 		if i == 0 || i == n {
 			w = 0.5 // trapezoidal ends
 		}
-		dB += w * SpecificAttenuation(f.RainRate(p), fGHz) * segKm
+		dB += w * SpecificAttenuation(near.RainRate(p), fGHz) * segKm
 	}
 	return units.DB(dB)
 }
