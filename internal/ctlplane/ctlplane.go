@@ -80,9 +80,15 @@ type Daemon struct {
 	ctrl    *te.Controller
 	prot    *resilience.Protection
 	base    map[int][]netsim.SplitPath // latest reopt solution (or primaries)
-	backups []BackupWire
 	version uint64
 	epoch   uint64
+
+	// Publication state over clear and comms, which are fixed for the
+	// daemon's lifetime: split validation, the MLU graph, and the encoder
+	// with its per-flow cache.
+	rules *netsim.SplitRules
+	mlu   *te.MLUGraph
+	enc   *encoder
 }
 
 // request is one serialized unit of work for the event loop.
@@ -125,9 +131,16 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.down = make([]bool, len(d.clear))
 	d.epoch = 1
+	d.rules = netsim.NewSplitRules(d.nodes, d.clear, d.comms)
+	d.enc = newEncoder(d.comms)
 	if err := d.rebuild(te.Config{}); err != nil {
 		return nil, err
 	}
+	mlu, err := te.NewMLUGraph(d.nodes, d.clear)
+	if err != nil {
+		return nil, fmt.Errorf("ctlplane: snapshot MLU: %w", err)
+	}
+	d.mlu = mlu
 	if err := d.publish(KindInitial, d.copyBase()); err != nil {
 		return nil, err
 	}
@@ -319,34 +332,40 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 		}
 		d.base = copySplits(d.ctrl.Solution().Splits)
 	}
-	d.backups = d.backups[:0]
 	flows := make([]int, 0, len(prot.Backups))
 	for flow := range prot.Backups {
 		flows = append(flows, flow)
 	}
 	sort.Ints(flows)
+	// A fresh slice: published snapshots keep the one they were built with.
+	var backups []BackupWire
 	for _, flow := range flows {
-		d.backups = append(d.backups, BackupWire{Flow: flow, Path: prot.Backups[flow].Path})
+		backups = append(backups, BackupWire{Flow: flow, Path: prot.Backups[flow].Path})
 	}
-	return nil
+	return d.enc.setBackups(backups)
 }
 
 // publish validates, versions, encodes, and atomically swaps in a new
-// snapshot, then notifies metrics and the OnPublish hook.
+// snapshot, then notifies metrics and the OnPublish hook. Only commodities
+// whose splits differ from their last published entry are validated and
+// encoded: validity depends on nothing but the splits, clear and comms,
+// and the last two never change, so an unchanged entry is still valid.
+// MLU is te.MLUOf's, over the composed link state.
 func (d *Daemon) publish(kind string, splits map[int][]netsim.SplitPath) error {
 	snk := obs.Active()
 	stop := snk.StartTimer("cisp_ctlplane_publish_seconds")
 	defer stop()
-	if err := netsim.ValidateSplits(d.nodes, d.clear, d.comms, splits); err != nil {
+	entries, err := d.enc.stage(splits, d.rules.Check)
+	if err != nil {
 		return fmt.Errorf("ctlplane: refusing to publish: %w", err)
 	}
-	mlu, err := te.MLUOf(d.nodes, d.effective(), d.comms, splits)
+	mlu, err := d.mlu.MLU(d.effective(), d.comms, splits)
 	if err != nil {
 		return fmt.Errorf("ctlplane: snapshot MLU: %w", err)
 	}
 	d.version++
-	snap, err := buildSnapshot(d.version, d.epoch, kind, d.cfg.Clock().Unix(),
-		d.ctrl.Solution().Method, float64(mlu), d.down, d.comms, splits, d.backups)
+	snap, err := d.enc.snapshot(d.version, d.epoch, kind, d.cfg.Clock().Unix(),
+		d.ctrl.Solution().Method, float64(mlu), d.down, entries)
 	if err != nil {
 		return err
 	}

@@ -235,9 +235,10 @@ func (h *Harness) FRRLPSolves() float64 {
 // AssertInvariants checks the publication sequence against the contract
 // every snapshot stream must satisfy, regardless of the event schedule:
 // versions strictly increase by one from 1, epochs are monotone, every
-// commodity's split fractions sum to one within netsim.SplitSumTol, JSON
-// encodings are present and newline-terminated, and no LP solve ever ran
-// on a fast-reroute publication.
+// commodity's split fractions sum to one within netsim.SplitSumTol, every
+// snapshot's JSON is json.Marshal of the snapshot plus a newline (the
+// oracle for the daemon's per-flow encoding), and no LP solve ever ran on
+// a fast-reroute publication.
 func (h *Harness) AssertInvariants() {
 	h.T.Helper()
 	seq := h.Sequence()
@@ -251,8 +252,12 @@ func (h *Harness) AssertInvariants() {
 		if i > 0 && s.Epoch < seq[i-1].Epoch {
 			h.T.Fatalf("ctltest: epoch regressed %d -> %d at version %d", seq[i-1].Epoch, s.Epoch, s.Version)
 		}
-		if len(s.JSON()) == 0 || s.JSON()[len(s.JSON())-1] != '\n' {
-			h.T.Fatalf("ctltest: snapshot v%d encoding missing or unterminated", s.Version)
+		want, err := json.Marshal(s)
+		if err != nil {
+			h.T.Fatalf("ctltest: marshaling snapshot v%d: %v", s.Version, err)
+		}
+		if string(s.JSON()) != string(want)+"\n" {
+			h.T.Fatalf("ctltest: snapshot v%d encoding differs from json.Marshal:\n  got:  %s  want: %s", s.Version, s.JSON(), want)
 		}
 		for _, cw := range s.Commodities {
 			sum := 0.0

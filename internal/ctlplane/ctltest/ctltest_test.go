@@ -2,12 +2,14 @@ package ctltest
 
 import (
 	"encoding/json"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cisp/internal/ctlplane"
 	"cisp/internal/netsim"
@@ -359,6 +361,54 @@ func TestDeterministicSequenceAcrossWorkers(t *testing.T) {
 	eight := run(8)
 	if d := Diff(one, eight); d != "" {
 		t.Fatalf("snapshot sequences diverge across worker counts:\n%s", d)
+	}
+}
+
+// TestSnapshotSequencePinned pins the bytes of one fixed schedule's whole
+// publication sequence: fades, fails and repairs on microwave and fiber
+// links, and one Reload while links are degraded. The pins were recorded
+// when every publish encoded the whole snapshot with json.Marshal.
+// TestDeterministicSequenceAcrossWorkers compares two runs of the same
+// code, so only this pin catches an encoder that is consistently wrong.
+func TestSnapshotSequencePinned(t *testing.T) {
+	const (
+		wantSnapshots = 23
+		wantHash      = 0xb6b85f0a0b06187a
+	)
+	h := Start(t, Options{})
+	steps := [][]ctlplane.Event{
+		{{Type: ctlplane.EventFade, Link: 0, CapFrac: 0.5}},
+		{{Type: ctlplane.EventFail, Link: 2}},
+		{{Type: ctlplane.EventFade, Link: 3, CapFrac: 0.25}, {Type: ctlplane.EventFade, Link: 1, CapFrac: 0}},
+		{{Type: ctlplane.EventFail, Link: 9}},
+		nil, // Reload
+		{{Type: ctlplane.EventFade, Link: 4, CapFrac: 0.75}},
+		{{Type: ctlplane.EventRepair, Link: 2}},
+		{{Type: ctlplane.EventFade, Link: 1, CapFrac: 1}, {Type: ctlplane.EventFade, Link: 0, CapFrac: 0.25}},
+		{{Type: ctlplane.EventRepair, Link: 9}},
+		{{Type: ctlplane.EventFail, Link: 0}},
+		{{Type: ctlplane.EventFade, Link: 0, CapFrac: 1}},
+		{{Type: ctlplane.EventRepair, Link: 0}},
+		{{Type: ctlplane.EventFade, Link: 3, CapFrac: 1}, {Type: ctlplane.EventFade, Link: 4, CapFrac: 1}},
+	}
+	for _, evs := range steps {
+		h.Clock.Advance(time.Minute)
+		if evs == nil {
+			if _, err := h.D.Reload(te.Config{K: 6}); err != nil {
+				t.Fatalf("reload: %v", err)
+			}
+			continue
+		}
+		h.Inject(evs...)
+	}
+	h.AssertInvariants()
+	seq := h.SequenceBytes()
+	sum := fnv.New64a()
+	for _, b := range seq {
+		sum.Write(b)
+	}
+	if len(seq) != wantSnapshots || sum.Sum64() != wantHash {
+		t.Fatalf("sequence of %d snapshots hashes to %#x, want %d snapshots hashing to %#x", len(seq), sum.Sum64(), wantSnapshots, uint64(wantHash))
 	}
 }
 

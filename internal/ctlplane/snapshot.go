@@ -3,6 +3,8 @@ package ctlplane
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"cisp/internal/netsim"
@@ -42,7 +44,8 @@ type BackupWire struct {
 // Epoch increments only when a config reload rebuilds the control plane.
 // A snapshot is never mutated after Publish — readers hold it without
 // locks, and its JSON encoding is computed once and byte-stable
-// (commodities sorted by flow, down links sorted ascending).
+// (commodities sorted by flow, down links sorted ascending). Snapshots
+// share unchanged commodity entries, which are immutable too.
 type Snapshot struct {
 	Version     uint64          `json:"version"`
 	Epoch       uint64          `json:"epoch"`
@@ -59,14 +62,116 @@ type Snapshot struct {
 
 // JSON returns the snapshot's canonical wire encoding (newline-terminated),
 // computed once at publish time — serving a snapshot at high QPS is a
-// pointer load plus a buffer write.
+// pointer load plus a buffer write. The bytes are json.Marshal's encoding
+// of the snapshot plus a newline.
 func (s *Snapshot) JSON() []byte { return s.encoded }
 
-// buildSnapshot assembles the deterministic wire form: splits sorted by
-// flow ID, down-set sorted ascending, then one json.Marshal.
-func buildSnapshot(version, epoch uint64, kind string, unixSec int64, method string,
-	mlu float64, down []bool, comms []netsim.Commodity,
-	splits map[int][]netsim.SplitPath, backups []BackupWire) (*Snapshot, error) {
+// snapshotHeader is a Snapshot's wire form up to its commodities, the
+// same fields under the same tags, so that encoding/json formats its
+// numbers and escapes its strings as it would in the whole snapshot.
+type snapshotHeader struct {
+	Version   uint64  `json:"version"`
+	Epoch     uint64  `json:"epoch"`
+	Kind      string  `json:"kind"`
+	TimeUnix  int64   `json:"time_unix"`
+	Method    string  `json:"method"`
+	MLU       float64 `json:"mlu"`
+	DownLinks []int   `json:"down_links"`
+}
+
+// encoder builds one daemon's snapshots. It keeps, per flow, the wire
+// entry last published and its JSON fragment, and the backups' encoding,
+// so a publish encodes only the commodities whose splits changed and
+// assembles the rest of its bytes from what it kept.
+type encoder struct {
+	comms       map[int]netsim.Commodity
+	flows       map[int]*flowWire
+	backups     []BackupWire
+	backupsJSON []byte
+}
+
+// flowWire is one commodity's wire entry and its encoding.
+type flowWire struct {
+	wire CommodityWire
+	frag []byte
+}
+
+func newEncoder(comms []netsim.Commodity) *encoder {
+	e := &encoder{comms: make(map[int]netsim.Commodity, len(comms)), flows: make(map[int]*flowWire, len(comms))}
+	for _, c := range comms {
+		e.comms[c.Flow] = c
+	}
+	return e
+}
+
+// setBackups replaces the backups every later snapshot carries.
+func (e *encoder) setBackups(backups []BackupWire) error {
+	enc, err := json.Marshal(backups)
+	if err != nil {
+		return fmt.Errorf("ctlplane: encoding backups: %w", err)
+	}
+	e.backups, e.backupsJSON = backups, enc
+	return nil
+}
+
+// stage returns the wire entries of splits, sorted by flow. A flow whose
+// split set is the one its kept entry was built from (the same paths, the
+// same fraction bits) reuses that entry. Every other flow, a new or
+// unknown one included, must pass check before it is encoded. Nothing is
+// kept until snapshot publishes the entries.
+func (e *encoder) stage(splits map[int][]netsim.SplitPath, check func(flow int, sps []netsim.SplitPath) error) ([]*flowWire, error) {
+	flows := make([]int, 0, len(splits))
+	for flow := range splits {
+		flows = append(flows, flow)
+	}
+	sort.Ints(flows)
+	out := make([]*flowWire, len(flows))
+	for i, flow := range flows {
+		sps := splits[flow]
+		if fw, ok := e.flows[flow]; ok && fw.carries(sps) {
+			out[i] = fw
+			continue
+		}
+		if err := check(flow, sps); err != nil {
+			return nil, err
+		}
+		c, ok := e.comms[flow]
+		if !ok {
+			return nil, fmt.Errorf("ctlplane: snapshot split for unknown commodity %d", flow)
+		}
+		cw := CommodityWire{Flow: flow, Src: c.Src, Dst: c.Dst, DemandBps: float64(c.Demand)}
+		for _, sp := range sps {
+			cw.Splits = append(cw.Splits, SplitWire{Path: sp.Path, Frac: sp.Frac})
+		}
+		frag, err := json.Marshal(cw)
+		if err != nil {
+			return nil, fmt.Errorf("ctlplane: encoding snapshot: %w", err)
+		}
+		out[i] = &flowWire{wire: cw, frag: frag}
+	}
+	return out, nil
+}
+
+// carries reports whether the entry was built from exactly sps.
+func (fw *flowWire) carries(sps []netsim.SplitPath) bool {
+	if len(fw.wire.Splits) != len(sps) {
+		return false
+	}
+	for i, sp := range sps {
+		w := fw.wire.Splits[i]
+		if math.Float64bits(w.Frac) != math.Float64bits(sp.Frac) || !slices.Equal(w.Path, sp.Path) {
+			return false
+		}
+	}
+	return true
+}
+
+// snapshot assembles a snapshot over staged entries and keeps them as the
+// last published. Its bytes are the header's encoding, the entries'
+// fragments and the backups' encoding, joined as json.Marshal would join
+// them: down-set sorted ascending, null for an empty commodity list.
+func (e *encoder) snapshot(version, epoch uint64, kind string, unixSec int64, method string,
+	mlu float64, down []bool, entries []*flowWire) (*Snapshot, error) {
 
 	s := &Snapshot{
 		Version:  version,
@@ -75,38 +180,42 @@ func buildSnapshot(version, epoch uint64, kind string, unixSec int64, method str
 		TimeUnix: unixSec,
 		Method:   method,
 		MLU:      mlu,
-		Backups:  backups,
+		Backups:  e.backups,
 	}
 	for li, d := range down {
 		if d {
 			s.DownLinks = append(s.DownLinks, li)
 		}
 	}
-	byFlow := make(map[int]netsim.Commodity, len(comms))
-	for _, c := range comms {
-		byFlow[c.Flow] = c
-	}
-	flows := make([]int, 0, len(splits))
-	for flow := range splits {
-		flows = append(flows, flow)
-	}
-	sort.Ints(flows)
-	for _, flow := range flows {
-		c, ok := byFlow[flow]
-		if !ok {
-			return nil, fmt.Errorf("ctlplane: snapshot split for unknown commodity %d", flow)
-		}
-		cw := CommodityWire{Flow: flow, Src: c.Src, Dst: c.Dst, DemandBps: float64(c.Demand)}
-		for _, sp := range splits[flow] {
-			cw.Splits = append(cw.Splits, SplitWire{Path: sp.Path, Frac: sp.Frac})
-		}
-		s.Commodities = append(s.Commodities, cw)
-	}
-	enc, err := json.Marshal(s)
+	hdr, err := json.Marshal(snapshotHeader{s.Version, s.Epoch, s.Kind, s.TimeUnix, s.Method, s.MLU, s.DownLinks})
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: encoding snapshot: %w", err)
 	}
-	s.encoded = append(enc, '\n')
+	size := len(hdr) + len(`,"commodities":null,"backups":}`) + len(e.backupsJSON) + 1
+	for _, fw := range entries {
+		size += len(fw.frag) + 1
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, hdr[:len(hdr)-1]...) // reopen the header's object
+	buf = append(buf, `,"commodities":`...)
+	if len(entries) == 0 {
+		buf = append(buf, "null"...)
+	} else {
+		s.Commodities = make([]CommodityWire, len(entries))
+		buf = append(buf, '[')
+		for i, fw := range entries {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, fw.frag...)
+			s.Commodities[i] = fw.wire
+			e.flows[fw.wire.Flow] = fw
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, `,"backups":`...)
+	buf = append(buf, e.backupsJSON...)
+	s.encoded = append(buf, "}\n"...)
 	return s, nil
 }
 

@@ -23,6 +23,23 @@ func wireFixture() (down []bool, comms []netsim.Commodity, splits map[int][]nets
 	return
 }
 
+// buildSnapshot encodes one snapshot through a fresh encoder, without
+// validating the splits.
+func buildSnapshot(version, epoch uint64, kind string, unixSec int64, method string,
+	mlu float64, down []bool, comms []netsim.Commodity,
+	splits map[int][]netsim.SplitPath, backups []BackupWire) (*Snapshot, error) {
+
+	e := newEncoder(comms)
+	if err := e.setBackups(backups); err != nil {
+		return nil, err
+	}
+	entries, err := e.stage(splits, func(int, []netsim.SplitPath) error { return nil })
+	if err != nil {
+		return nil, err
+	}
+	return e.snapshot(version, epoch, kind, unixSec, method, mlu, down, entries)
+}
+
 // snapshotWireGolden pins the exact bytes of the snapshot wire format —
 // the contract data-plane consumers parse. Any change to field names,
 // ordering, or number formatting must be deliberate and show up here.

@@ -82,7 +82,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 	var best *Solution
 	bestObj := math.Inf(1)
 	nodes := 0
-	sawFeasibleLP := false
 
 	for len(stack) > 0 {
 		if nodes >= maxNodes || (!deadline.IsZero() && time.Now().After(deadline)) { //lint:allow determinism -- opt-in solver budget; deterministic runs use MaxNodes
@@ -118,7 +117,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 			// unbounded; propagate.
 			return &Solution{Status: Unbounded, Nodes: nodes}, nil
 		}
-		sawFeasibleLP = true
 		if sol.Objective >= bestObj-1e-9 {
 			continue
 		}
@@ -163,9 +161,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 	if best != nil {
 		best.Nodes = nodes
 		return best, nil
-	}
-	if !sawFeasibleLP {
-		return &Solution{Status: Infeasible, Nodes: nodes}, nil
 	}
 	return &Solution{Status: Infeasible, Nodes: nodes}, nil
 }

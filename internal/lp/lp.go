@@ -7,10 +7,15 @@
 //
 // It is the in-repo substitute for the commercial solver (Gurobi) the paper
 // uses for its Step-2 ILP: exact on the same formulations, merely slower.
-// Problems are stated with sparse constraint rows but solved on a dense
+// Problems are stated with sparse constraint rows and solved on a dense
 // tableau, which is simple and adequate at the scales the cISP flow ILP
 // reaches before its exponential blow-up makes any solver irrelevant
-// (Fig 2a).
+// (Fig 2a). Storage is dense, but a pivot eliminates only on the pivot
+// row's nonzero columns: the TE LPs the control plane re-solves have
+// pivot rows of a few dozen nonzeros across hundreds of columns. Skipping
+// the zeros changes at most the sign of an exact zero, which no later
+// step can tell apart (see pivot), so every pivot sequence and every
+// nonzero tableau entry is the one dense elimination computes.
 package lp
 
 import (
@@ -118,10 +123,15 @@ const eps = 1e-9
 // its iteration budget (cycling or a pathological instance).
 var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 
+// observe, when non-nil, sees every problem Solve returns a solution for.
+// Only the package's tests set it (export_test.go), to pin the solves
+// other packages run through the kernel.
+var observe func(*Problem, *Solution)
+
 // Solve runs two-phase simplex and returns the solution. The returned error
 // is non-nil only for internal failures (iteration limit); infeasibility and
 // unboundedness are reported via Solution.Status.
-func Solve(p *Problem) (*Solution, error) {
+func Solve(p *Problem) (sol *Solution, err error) {
 	m := len(p.Cons)
 	n := p.NumVars
 
@@ -132,6 +142,9 @@ func Solve(p *Problem) (*Solution, error) {
 		stop()
 		snk.Counter("cisp_lp_solves_total").Inc()
 		snk.Counter("cisp_lp_pivots_total").Add(int64(pivots))
+		if observe != nil && sol != nil {
+			observe(p, sol)
+		}
 	}()
 
 	// Normalise to b ≥ 0, count slack/artificial columns.
@@ -180,6 +193,7 @@ func Solve(p *Problem) (*Solution, error) {
 		tab[i] = make([]float64, total+1)
 	}
 	basis := make([]int, m)
+	nz := make([]int, total+1) // pivot's nonzero-column buffer
 
 	slackAt := n
 	artAt := n + nSlack
@@ -230,7 +244,7 @@ func Solve(p *Problem) (*Solution, error) {
 				}
 			}
 		}
-		st, np, err := simplex(tab, basis, total)
+		st, np, err := simplex(tab, basis, total, nz)
 		pivots += np
 		if err != nil {
 			return nil, err
@@ -241,23 +255,19 @@ func Solve(p *Problem) (*Solution, error) {
 		if -tab[m][total] > 1e-7 {
 			return &Solution{Status: Infeasible, Pivots: pivots}, nil
 		}
-		// Drive any artificial still in the basis out (degenerate rows).
+		// Drive any artificial still in the basis out (degenerate rows). A
+		// row with no eligible column is redundant; its artificial stays
+		// basic at zero.
 		for i, b := range basis {
 			if !isArt(b, n+nSlack) {
 				continue
 			}
-			pivoted := false
 			for j := 0; j < n+nSlack; j++ {
 				if math.Abs(tab[i][j]) > eps {
-					pivot(tab, basis, i, j, total)
+					pivot(tab, basis, i, j, total, nz)
 					pivots++
-					pivoted = true
 					break
 				}
-			}
-			if !pivoted {
-				// Redundant row; leave the artificial at zero.
-				_ = i
 			}
 		}
 	}
@@ -284,7 +294,7 @@ func Solve(p *Problem) (*Solution, error) {
 			}
 		}
 	}
-	st, np, err := simplex(tab, basis, total)
+	st, np, err := simplex(tab, basis, total, nz)
 	pivots += np
 	if err != nil {
 		return nil, err
@@ -314,8 +324,8 @@ func isArt(col, artStart int) bool { return col >= artStart }
 // simplex runs primal simplex iterations on the tableau until optimality or
 // unboundedness, also reporting how many pivots it performed. Dantzig
 // pricing with a Bland fallback to guarantee termination on degenerate
-// problems.
-func simplex(tab [][]float64, basis []int, total int) (Status, int, error) {
+// problems. nz is pivot's buffer, total+1 long.
+func simplex(tab [][]float64, basis []int, total int, nz []int) (Status, int, error) {
 	m := len(basis)
 	maxIter := 200 * (m + total + 10)
 	blandAfter := maxIter / 2
@@ -358,30 +368,44 @@ func simplex(tab [][]float64, basis []int, total int) (Status, int, error) {
 		if leave < 0 {
 			return Unbounded, iter, nil
 		}
-		pivot(tab, basis, leave, enter, total)
+		pivot(tab, basis, leave, enter, total, nz)
 	}
 	return Optimal, maxIter, ErrIterationLimit
 }
 
-// pivot makes column enter basic in row leave.
-func pivot(tab [][]float64, basis []int, leave, enter, total int) {
-	m := len(basis)
+// pivot makes column enter basic in row leave. It gathers the pivot row's
+// nonzero columns into nz (total+1 long, owned by Solve) while scaling
+// them, then updates every other row with a nonzero in column enter at
+// those columns only. Each entry it writes gets the dense elimination's
+// arithmetic. An entry it skips would have been a zero scaled, or had an
+// exact zero subtracted: that changes at most the sign of a zero.
+// Pricing and the ratio test compare against ±eps, and the f == 0 skip,
+// the price-outs' obj[b] != 0 test and Phase 1's feasibility check read
+// −0 as 0. So the pivot sequence and every nonzero entry match the dense
+// kernel bit for bit, and a solution can differ only in a zero's sign.
+//
+//cisp:hotpath
+func pivot(tab [][]float64, basis []int, leave, enter, total int, nz []int) {
 	pr := tab[leave]
-	pv := pr[enter]
-	inv := 1 / pv
+	inv := 1 / pr[enter]
+	k := 0
 	for j := 0; j <= total; j++ {
-		pr[j] *= inv
+		if pr[j] != 0 {
+			pr[j] *= inv
+			nz[k] = j
+			k++
+		}
 	}
-	for i := 0; i <= m; i++ {
+	cols := nz[:k]
+	for i, row := range tab {
 		if i == leave {
 			continue
 		}
-		f := tab[i][enter]
+		f := row[enter]
 		if f == 0 {
 			continue
 		}
-		row := tab[i]
-		for j := 0; j <= total; j++ {
+		for _, j := range cols {
 			row[j] -= f * pr[j]
 		}
 	}

@@ -112,56 +112,78 @@ const SplitSumTol = 1e-5
 // TopoLink), every fraction must be positive and finite, and the fractions
 // must sum to 1 within SplitSumTol. This is the wire-format gate the
 // control-plane daemon runs before swapping a snapshot in, and the same
-// contract Scenario.Run assumes of its Splits field.
+// contract Scenario.Run assumes of its Splits field. Commodities are
+// checked in flow order, and the first failure is returned.
 func ValidateSplits(n int, links []TopoLink, comms []Commodity, splits map[int][]SplitPath) error {
-	have := make(map[[2]int]bool, 2*len(links))
-	for _, l := range links {
-		have[[2]int{l.A, l.B}] = true
-		have[[2]int{l.B, l.A}] = true
-	}
-	byFlow := make(map[int]Commodity, len(comms))
-	for _, c := range comms {
-		byFlow[c.Flow] = c
-	}
+	r := NewSplitRules(n, links, comms)
 	flows := make([]int, 0, len(splits))
 	for flow := range splits {
 		flows = append(flows, flow)
 	}
 	sort.Ints(flows)
 	for _, flow := range flows {
-		c, ok := byFlow[flow]
-		if !ok {
-			return fmt.Errorf("netsim: splits for unknown commodity %d", flow)
+		if err := r.Check(flow, splits[flow]); err != nil {
+			return err
 		}
-		sps := splits[flow]
-		if len(sps) == 0 {
-			return fmt.Errorf("netsim: commodity %d has an empty split set", flow)
+	}
+	return nil
+}
+
+// SplitRules is ValidateSplits prepared for one topology and commodity
+// list, for a caller that checks one commodity's split set at a time
+// against inputs that do not change.
+type SplitRules struct {
+	n      int
+	have   map[[2]int]bool
+	byFlow map[int]Commodity
+}
+
+// NewSplitRules indexes the topology's links and the commodities by flow.
+func NewSplitRules(n int, links []TopoLink, comms []Commodity) *SplitRules {
+	r := &SplitRules{n: n, have: make(map[[2]int]bool, 2*len(links)), byFlow: make(map[int]Commodity, len(comms))}
+	for _, l := range links {
+		r.have[[2]int{l.A, l.B}] = true
+		r.have[[2]int{l.B, l.A}] = true
+	}
+	for _, c := range comms {
+		r.byFlow[c.Flow] = c
+	}
+	return r
+}
+
+// Check applies ValidateSplits' rules to one commodity's split set.
+func (r *SplitRules) Check(flow int, sps []SplitPath) error {
+	c, ok := r.byFlow[flow]
+	if !ok {
+		return fmt.Errorf("netsim: splits for unknown commodity %d", flow)
+	}
+	if len(sps) == 0 {
+		return fmt.Errorf("netsim: commodity %d has an empty split set", flow)
+	}
+	sum := 0.0
+	for _, sp := range sps {
+		if !(sp.Frac > 0) || math.IsInf(sp.Frac, 0) {
+			return fmt.Errorf("netsim: commodity %d has non-positive or non-finite fraction %v", flow, sp.Frac)
 		}
-		sum := 0.0
-		for _, sp := range sps {
-			if !(sp.Frac > 0) || math.IsInf(sp.Frac, 0) {
-				return fmt.Errorf("netsim: commodity %d has non-positive or non-finite fraction %v", flow, sp.Frac)
+		sum += sp.Frac
+		if len(sp.Path) < 2 {
+			return fmt.Errorf("netsim: commodity %d has a degenerate path %v", flow, sp.Path)
+		}
+		if sp.Path[0] != c.Src || sp.Path[len(sp.Path)-1] != c.Dst {
+			return fmt.Errorf("netsim: commodity %d path %v does not run %d→%d", flow, sp.Path, c.Src, c.Dst)
+		}
+		for i := 0; i+1 < len(sp.Path); i++ {
+			a, b := sp.Path[i], sp.Path[i+1]
+			if a < 0 || a >= r.n || b < 0 || b >= r.n {
+				return fmt.Errorf("netsim: commodity %d path hop %d→%d outside node range [0,%d)", flow, a, b, r.n)
 			}
-			sum += sp.Frac
-			if len(sp.Path) < 2 {
-				return fmt.Errorf("netsim: commodity %d has a degenerate path %v", flow, sp.Path)
-			}
-			if sp.Path[0] != c.Src || sp.Path[len(sp.Path)-1] != c.Dst {
-				return fmt.Errorf("netsim: commodity %d path %v does not run %d→%d", flow, sp.Path, c.Src, c.Dst)
-			}
-			for i := 0; i+1 < len(sp.Path); i++ {
-				a, b := sp.Path[i], sp.Path[i+1]
-				if a < 0 || a >= n || b < 0 || b >= n {
-					return fmt.Errorf("netsim: commodity %d path hop %d→%d outside node range [0,%d)", flow, a, b, n)
-				}
-				if !have[[2]int{a, b}] {
-					return fmt.Errorf("netsim: commodity %d path hop %d→%d is not a topology link", flow, a, b)
-				}
+			if !r.have[[2]int{a, b}] {
+				return fmt.Errorf("netsim: commodity %d path hop %d→%d is not a topology link", flow, a, b)
 			}
 		}
-		if math.Abs(sum-1) > SplitSumTol {
-			return fmt.Errorf("netsim: commodity %d fractions sum to %.9f, want 1±%g", flow, sum, SplitSumTol)
-		}
+	}
+	if math.Abs(sum-1) > SplitSumTol {
+		return fmt.Errorf("netsim: commodity %d fractions sum to %.9f, want 1±%g", flow, sum, SplitSumTol)
 	}
 	return nil
 }

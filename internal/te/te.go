@@ -516,19 +516,55 @@ func allIndices(n int) []int {
 // netsim.ScenarioResult.MLU, useful for comparing a TE solution against
 // single-path routing before simulating either.
 func MLUOf(n int, links []netsim.TopoLink, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) (units.Utilization, error) {
-	g, err := buildGraph(n, links)
+	m, err := NewMLUGraph(n, links)
 	if err != nil {
 		return 0, err
 	}
-	idx := make(map[[2]int]int32, len(g.edges))
+	return m.MLU(links, comms, splits)
+}
+
+// MLUGraph is MLUOf prepared for one topology: the directed graph and its
+// hop index, built once for a caller that re-evaluates split sets as link
+// rates change. MLU writes the rates into the graph, so an MLUGraph is
+// not safe for concurrent use.
+type MLUGraph struct {
+	g   *graph
+	hop map[[2]int]int32
+}
+
+// NewMLUGraph builds the graph MLU evaluates over.
+func NewMLUGraph(n int, links []netsim.TopoLink) (*MLUGraph, error) {
+	g, err := buildGraph(n, links)
+	if err != nil {
+		return nil, err
+	}
+	hop := make(map[[2]int]int32, len(g.edges))
 	for ei, e := range g.edges {
-		idx[[2]int{e.from, e.to}] = int32(ei)
+		hop[[2]int{e.from, e.to}] = int32(ei)
+	}
+	return &MLUGraph{g: g, hop: hop}, nil
+}
+
+// MLU is MLUOf over the prepared topology at links' rates. links must list
+// the links NewMLUGraph was given, in the same order; only RateBps may
+// differ. Load accrues commodity by commodity, split by split, hop by hop.
+func (m *MLUGraph) MLU(links []netsim.TopoLink, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) (units.Utilization, error) {
+	g := m.g
+	if 2*len(links) != len(g.edges) {
+		return 0, fmt.Errorf("te: MLU over %d links, graph has %d", len(links), len(g.edges)/2)
+	}
+	for i, l := range links {
+		if e := g.edges[2*i]; e.from != l.A || e.to != l.B {
+			return 0, fmt.Errorf("te: MLU link %d is %d-%d, graph has %d-%d", i, l.A, l.B, e.from, e.to)
+		}
+		g.edges[2*i].capBps = float64(l.RateBps)
+		g.edges[2*i+1].capBps = float64(l.RateBps)
 	}
 	load := make([]float64, len(g.edges))
 	for _, cm := range comms {
 		for _, sp := range splits[cm.Flow] {
 			for i := 0; i+1 < len(sp.Path); i++ {
-				ei, ok := idx[[2]int{sp.Path[i], sp.Path[i+1]}]
+				ei, ok := m.hop[[2]int{sp.Path[i], sp.Path[i+1]}]
 				if !ok {
 					return 0, fmt.Errorf("te: split path hop %d->%d not in topology", sp.Path[i], sp.Path[i+1])
 				}
