@@ -26,8 +26,6 @@
 // Bulk runs fan out over internal/parallel via RunMany.
 package netsim
 
-import "cisp/internal/xheap"
-
 // Simulator is a discrete-event scheduler. The zero value is ready to use.
 //
 // Besides the event heap, a link's packets in propagation wait on the
@@ -41,7 +39,7 @@ type Simulator struct {
 	processed  int64
 	parked     int // stamped events waiting on delay lines, outside the heap
 	maxPending int
-	events     []event
+	events     eventHeap
 }
 
 type event struct {
@@ -50,13 +48,82 @@ type event struct {
 	fn  func()
 }
 
-// eventLess orders events by time, FIFO within a timestamp. Top-level so
-// the xheap call sites pass a static (non-capturing, non-allocating) func.
+// eventLess orders events by time, FIFO within a timestamp.
 func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is the simulator's event queue: a 4-ary min-heap under
+// eventLess, the children of slot i at 4i+1 … 4i+4. Every event's
+// (at, seq) key is unique, so any exact min-heap pops the same sequence;
+// four children per slot make it half as deep as a binary heap, and its
+// sifts call eventLess directly rather than through a function value.
+type eventHeap []event
+
+// push adds e.
+//
+//cisp:hotpath
+func (h *eventHeap) push(e event) {
+	//lint:allow hotpathalloc -- amortized growth of the heap's backing array
+	q := append(*h, e)
+	j := len(q) - 1
+	for j > 0 {
+		p := (j - 1) / 4
+		if !eventLess(e, q[p]) {
+			break
+		}
+		q[j] = q[p]
+		j = p
 	}
-	return a.seq < b.seq
+	q[j] = e
+	*h = q
+}
+
+// pop removes the minimum event; the heap must not be empty. The last
+// event fills the hole the minimum leaves, sifted down from the root.
+//
+//cisp:hotpath
+func (h *eventHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	x := q[n]
+	q[n] = event{} // release the vacated slot's closure
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		if c+3 < n {
+			if eventLess(q[c+1], q[m]) {
+				m = c + 1
+			}
+			if eventLess(q[c+2], q[m]) {
+				m = c + 2
+			}
+			if eventLess(q[c+3], q[m]) {
+				m = c + 3
+			}
+		} else {
+			for k := c + 1; k < n; k++ {
+				if eventLess(q[k], q[m]) {
+					m = k
+				}
+			}
+		}
+		if !eventLess(q[m], x) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = x
 }
 
 // Now returns the current simulation time in seconds.
@@ -93,7 +160,7 @@ func (s *Simulator) stamp(delay float64) (at float64, seq int64) {
 //cisp:hotpath
 func (s *Simulator) push(at float64, seq int64, fn func()) {
 	s.parked--
-	xheap.Push(&s.events, event{at: at, seq: seq, fn: fn}, eventLess)
+	s.events.push(event{at: at, seq: seq, fn: fn})
 }
 
 // Run processes events until the queue drains or simulated time reaches
@@ -106,7 +173,7 @@ func (s *Simulator) Run(until float64) {
 		if e.at > until {
 			break
 		}
-		xheap.Pop(&s.events, eventLess)
+		s.events.pop()
 		if e.at > s.now {
 			s.now = e.at
 		}

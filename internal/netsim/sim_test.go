@@ -3,8 +3,11 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
+
+	"cisp/internal/xheap"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -310,5 +313,106 @@ func TestPercentile(t *testing.T) {
 	}
 	if !math.IsNaN(Percentile(nil, 50)) {
 		t.Fatal("empty percentile should be NaN")
+	}
+}
+
+// binarySim is the reference event queue: the simulator's scheduling and
+// counting over xheap's binary heap.
+type binarySim struct {
+	now        float64
+	seq        int64
+	maxPending int
+	events     []event
+}
+
+func (s *binarySim) Now() float64    { return s.now }
+func (s *binarySim) Pending() int    { return len(s.events) }
+func (s *binarySim) MaxPending() int { return s.maxPending }
+
+func (s *binarySim) Schedule(delay float64, fn func()) {
+	if delay < 0 {
+		delay = 0
+	}
+	s.seq++
+	xheap.Push(&s.events, event{at: s.now + delay, seq: s.seq, fn: fn}, eventLess)
+	s.maxPending = max(s.maxPending, len(s.events))
+}
+
+func (s *binarySim) Run(until float64) {
+	for len(s.events) > 0 && s.events[0].at <= until {
+		e := xheap.Pop(&s.events, eventLess)
+		s.now = max(s.now, e.at)
+		e.fn()
+	}
+	s.now = max(s.now, until)
+}
+
+type queueSim interface {
+	Schedule(delay float64, fn func())
+	Run(until float64)
+	Now() float64
+	Pending() int
+	MaxPending() int
+}
+
+// driveQueue runs a seeded script of scheduling bursts and partial runs.
+// Delays come from four values on a 0.5 s grid, so many events share a
+// timestamp, and events schedule further events when they run (up to three
+// generations deep). It returns the order events ran in, with the clock at
+// each, and Pending and MaxPending after every step.
+func driveQueue(sim queueSim, seed int64) (ran []string, counts [][2]int) {
+	rng := rand.New(rand.NewSource(seed))
+	delays := []float64{0, 0.5, 1, 1.5}
+	id := 0
+	var schedule func(gen int)
+	schedule = func(gen int) {
+		id++
+		me := id
+		sim.Schedule(delays[rng.Intn(len(delays))], func() {
+			ran = append(ran, fmt.Sprintf("%d@%v", me, sim.Now()))
+			if gen < 3 {
+				for k := rng.Intn(3); k > 0; k-- {
+					schedule(gen + 1)
+				}
+			}
+		})
+	}
+	for step := 0; step < 200; step++ {
+		if rng.Intn(2) == 0 {
+			for k := rng.Intn(40); k > 0; k-- {
+				schedule(0)
+			}
+		} else {
+			sim.Run(sim.Now() + delays[rng.Intn(len(delays))])
+		}
+		counts = append(counts, [2]int{sim.Pending(), sim.MaxPending()})
+	}
+	sim.Run(math.Inf(1))
+	counts = append(counts, [2]int{sim.Pending(), sim.MaxPending()})
+	return ran, counts
+}
+
+// TestEventQueueMatchesBinaryHeap: the simulator's 4-ary event heap runs
+// events in the same order as a binary heap over the same keys, with the
+// same Pending and MaxPending after every step, on tie-heavy scripts with
+// nested scheduling.
+func TestEventQueueMatchesBinaryHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		got, gotCounts := driveQueue(&Simulator{}, seed)
+		want, wantCounts := driveQueue(&binarySim{}, seed)
+		if !slices.Equal(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d: event %d ran as %s, binary heap ran %s", seed, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("seed %d: %d events ran, binary heap ran %d", seed, len(got), len(want))
+		}
+		if !slices.Equal(gotCounts, wantCounts) {
+			t.Fatalf("seed %d: (Pending, MaxPending) %v, binary heap %v", seed, gotCounts, wantCounts)
+		}
+		if gotCounts[len(gotCounts)-1][1] < 100 {
+			t.Fatalf("seed %d: the heap never held more than %d events", seed, gotCounts[len(gotCounts)-1][1])
+		}
 	}
 }

@@ -3,9 +3,11 @@ package te
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cisp/internal/netsim"
 	"cisp/internal/parallel"
+	"cisp/internal/xheap"
 )
 
 // edge is one directed link of the TE graph.
@@ -70,15 +72,31 @@ func (g *graph) pathFromEdges(src int, eids []int32) Path {
 	return p
 }
 
-// dijkstraMasked finds the minimum-delay path src→dst as an edge-ID
-// sequence, skipping banned edges and nodes and edges with zero capacity.
-// Scratch slices are caller-owned so Yen's inner loop does not reallocate.
+// dijkstraScratch is one worker's minimum-delay search state for yen,
+// sized once per graph and reused across searches. Banned edges and nodes
+// and edges with zero capacity are skipped.
 type dijkstraScratch struct {
 	dist    []float64
 	prevE   []int32
 	done    []bool
 	edgeBan []bool
 	nodeBan []bool
+	heap    []distNode // one entry per improving relaxation, plus the source
+	path    []int32    // the last search's path
+}
+
+// distNode is a search frontier entry. A node's entries carry strictly
+// decreasing distances, so no two keys tie and the heap pops in one order.
+type distNode struct {
+	d float64
+	v int32
+}
+
+func distLess(a, b distNode) bool {
+	if a.d != b.d {
+		return a.d < b.d
+	}
+	return a.v < b.v
 }
 
 func newScratch(g *graph) *dijkstraScratch {
@@ -88,24 +106,43 @@ func newScratch(g *graph) *dijkstraScratch {
 		done:    make([]bool, g.n),
 		edgeBan: make([]bool, len(g.edges)),
 		nodeBan: make([]bool, g.n),
+		heap:    make([]distNode, 0, len(g.edges)+1),
+		path:    make([]int32, g.n),
 	}
 }
 
-func (s *dijkstraScratch) run(g *graph, src, dst int) ([]int32, float64) {
+// run returns the minimum-delay path src→dst as edge IDs and its delay, or
+// nil when dst is unreachable or when a path reaching dst would be longer
+// than maxDelay after a root prefix of delay rootD. The path aliases the
+// scratch and is valid until the next run.
+//
+// Delays are nonnegative, so nodes settle in order of (distance, index):
+// exactly the node a scan for the least distance, lowest index on ties,
+// would pick at each step. Every prevE, and so every path, is the scan's.
+// The search stops once rootD + d > maxDelay for the settled distance d:
+// dst is no nearer than d, and float addition is monotone, so its path
+// would break the cap too.
+func (s *dijkstraScratch) run(g *graph, src, dst int, rootD, maxDelay float64) ([]int32, float64) {
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)
 		s.prevE[i] = -1
 		s.done[i] = false
 	}
 	s.dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < g.n; v++ {
-			if !s.done[v] && !s.nodeBan[v] && s.dist[v] < best {
-				u, best = v, s.dist[v]
-			}
+	h := s.heap[:0]
+	if !s.nodeBan[src] {
+		h = append(h, distNode{0, int32(src)})
+	}
+	for len(h) > 0 {
+		top := xheap.Pop(&h, distLess)
+		u := int(top.v)
+		if s.done[u] {
+			continue // superseded by a shorter entry for u, settled earlier
 		}
-		if u < 0 || u == dst {
+		if rootD+top.d > maxDelay {
+			return nil, 0
+		}
+		if u == dst {
 			break
 		}
 		s.done[u] = true
@@ -114,26 +151,26 @@ func (s *dijkstraScratch) run(g *graph, src, dst int) ([]int32, float64) {
 			if s.edgeBan[ei] || s.nodeBan[e.to] || e.capBps <= 0 {
 				continue
 			}
-			if nd := s.dist[u] + e.delay; nd < s.dist[e.to] {
+			if nd := top.d + e.delay; nd < s.dist[e.to] {
 				s.dist[e.to] = nd
 				s.prevE[e.to] = ei
+				xheap.Push(&h, distNode{nd, int32(e.to)}, distLess)
 			}
 		}
 	}
 	if math.IsInf(s.dist[dst], 1) {
 		return nil, 0
 	}
-	var rev []int32
-	for v := dst; v != src; {
-		ei := s.prevE[v]
-		rev = append(rev, ei)
-		v = g.edges[ei].from
+	hops := 0
+	for v := dst; v != src; v = g.edges[s.prevE[v]].from {
+		hops++
 	}
-	out := make([]int32, len(rev))
-	for i, e := range rev {
-		out[len(rev)-1-i] = e
+	path := s.path[:hops]
+	for v, i := dst, hops-1; v != src; i-- {
+		path[i] = s.prevE[v]
+		v = g.edges[path[i]].from
 	}
-	return out, s.dist[dst]
+	return path, s.dist[dst]
 }
 
 func sameEdges(a, b []int32) bool {
@@ -148,65 +185,63 @@ func sameEdges(a, b []int32) bool {
 	return true
 }
 
+// hasPath reports whether some path in ps is root followed by spur.
+func hasPath(ps []Path, root, spur []int32) bool {
+	for _, p := range ps {
+		if len(p.edges) == len(root)+len(spur) &&
+			sameEdges(p.edges[:len(root)], root) && sameEdges(p.edges[len(root):], spur) {
+			return true
+		}
+	}
+	return false
+}
+
 // yen enumerates up to k loopless minimum-delay paths src→dst (Yen's
 // algorithm) and drops any whose delay exceeds stretch × the shortest
 // path's delay — the latency-diversity cap that keeps every TE split inside
-// the paper's stretch budget.
+// the paper's stretch budget. Each spur search stops as soon as it can
+// only find a deviation beyond that cap.
 func yen(g *graph, scratch *dijkstraScratch, src, dst, k int, stretch float64) []Path {
-	bestE, bestD := scratch.run(g, src, dst)
+	bestE, bestD := scratch.run(g, src, dst, 0, math.Inf(1))
 	if bestE == nil {
 		return nil
 	}
 	maxDelay := bestD * stretch
-	A := []Path{g.pathFromEdges(src, bestE)}
+	A := []Path{g.pathFromEdges(src, slices.Clone(bestE))}
 	var B []Path
 	for len(A) < k {
 		prev := A[len(A)-1]
+		rootD := 0.0 // delay of prev's first i edges, summed in path order
 		for i := 0; i < len(prev.edges); i++ {
-			spur := prev.Nodes[i]
+			spur, root := prev.Nodes[i], prev.edges[:i]
 			// Ban the i-th edge of every accepted path sharing the root
 			// prefix, and every root node before the spur, then search for
 			// a deviation.
 			for _, p := range A {
-				if len(p.edges) > i && sameEdges(p.edges[:i], prev.edges[:i]) {
+				if len(p.edges) > i && sameEdges(p.edges[:i], root) {
 					scratch.edgeBan[p.edges[i]] = true
 				}
 			}
 			for _, v := range prev.Nodes[:i] {
 				scratch.nodeBan[v] = true
 			}
-			spurE, spurD := scratch.run(g, spur, dst)
+			spurE, _ := scratch.run(g, spur, dst, rootD, maxDelay)
 			for _, p := range A {
-				if len(p.edges) > i && sameEdges(p.edges[:i], prev.edges[:i]) {
+				if len(p.edges) > i && sameEdges(p.edges[:i], root) {
 					scratch.edgeBan[p.edges[i]] = false
 				}
 			}
 			for _, v := range prev.Nodes[:i] {
 				scratch.nodeBan[v] = false
 			}
-			if spurE == nil {
-				continue
-			}
-			rootD := 0.0
-			for _, ei := range prev.edges[:i] {
-				rootD += g.edges[ei].delay
-			}
-			if rootD+spurD > maxDelay {
+			rootD += g.edges[prev.edges[i]].delay
+			if spurE == nil || hasPath(A, root, spurE) || hasPath(B, root, spurE) {
 				continue
 			}
 			full := make([]int32, 0, i+len(spurE))
-			full = append(full, prev.edges[:i]...)
+			full = append(full, root...)
 			full = append(full, spurE...)
-			dup := false
-			for _, p := range append(A, B...) {
-				if sameEdges(p.edges, full) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				B = append(B, g.pathFromEdges(src, full))
-			}
+			B = append(B, g.pathFromEdges(src, full))
 		}
 		if len(B) == 0 {
 			break
@@ -241,12 +276,19 @@ func pathLess(a, b *Path) bool {
 }
 
 // enumerate finds each commodity's candidate paths, fanned out over the
-// shared worker pool (one Yen run per commodity; results are positionally
-// stable, so the fan-out is deterministic).
+// shared worker pool: one Yen run per commodity, one scratch per chunk.
+// Results are positionally stable, and yen restores every ban it sets and
+// run resets the rest, so neither the fan-out nor the chunking can change
+// a path.
 func enumerate(g *graph, comms []netsim.Commodity, cfg Config) [][]Path {
-	return parallel.Map(len(comms), 1, func(i int) []Path {
-		return yen(g, newScratch(g), comms[i].Src, comms[i].Dst, cfg.K, cfg.Stretch)
+	out := make([][]Path, len(comms))
+	parallel.For(len(comms), 1, func(lo, hi int) {
+		scratch := newScratch(g)
+		for i := lo; i < hi; i++ {
+			out[i] = yen(g, scratch, comms[i].Src, comms[i].Dst, cfg.K, cfg.Stretch)
+		}
 	})
+	return out
 }
 
 // Candidates enumerates every commodity's latency-bounded candidate paths

@@ -238,7 +238,7 @@ func TestMethodSelectionAndOrdering(t *testing.T) {
 		g, _ := buildGraph(n, links)
 		scratch := newScratch(g)
 		for _, cm := range comms {
-			eids, _ := scratch.run(g, cm.Src, cm.Dst)
+			eids, _ := scratch.run(g, cm.Src, cm.Dst, 0, math.Inf(1))
 			p := g.pathFromEdges(cm.Src, eids)
 			base[cm.Flow] = []netsim.SplitPath{{Path: p.Nodes, Frac: 1}}
 		}

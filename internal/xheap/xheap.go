@@ -1,7 +1,11 @@
 // Package xheap provides generic binary-heap operations on plain slices.
-// It replaces container/heap throughout the repo: the standard interface
-// converts every pushed element to interface{}, which allocates for any
-// element wider than a pointer — one garbage object per scheduled event.
+// It stands in for container/heap, whose interface converts every pushed
+// element to interface{}, which allocates for any element wider than a
+// pointer. It serves the Dijkstra searches, the fluid engine's heaps,
+// design's lazy greedy and the page replay. The packet engine's event
+// queue is netsim's own 4-ary heap instead: its (time, sequence) keys are
+// unique, so its shape cannot change the pop order, while some of these
+// callers hold tied keys and rely on the binary sift order below.
 // These functions are monomorphized over the element type and a
 // caller-supplied ordering, so a push is an append into the backing array
 // and nothing escapes. Push, Pop, Init and Fix sift exactly as
