@@ -80,6 +80,7 @@ type Daemon struct {
 	ctrl    *te.Controller
 	prot    *resilience.Protection
 	base    map[int][]netsim.SplitPath // latest reopt solution (or primaries)
+	method  string                     // the TE method that computed base
 	version uint64
 	epoch   uint64
 
@@ -227,6 +228,10 @@ func (d *Daemon) loop() {
 		}
 		req.reply <- res
 	}
+	// Nothing reoptimizes after the loop: drop the controller and the
+	// backups, so a closed daemon whose owner still holds it (to serve its
+	// last snapshot) keeps no solver storage alive.
+	d.ctrl, d.prot = nil, nil
 }
 
 // effective composes the current link state: clear-sky rates scaled by the
@@ -284,7 +289,7 @@ func (d *Daemon) reoptimize(kind string) error {
 	if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 		return fmt.Errorf("ctlplane: reoptimizing: %w", err)
 	}
-	d.base = copySplits(d.ctrl.Solution().Splits)
+	d.base, d.method = copySplits(d.ctrl.Solution().Splits), d.ctrl.Solution().Method
 	return d.publish(kind, d.prot.PatchedFrom(d.base, d.down))
 }
 
@@ -314,7 +319,7 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 		return fmt.Errorf("ctlplane: backup precomputation: %w", err)
 	}
 	d.ctrl, d.prot = ctrl, prot
-	d.base = primaries
+	d.base, d.method = primaries, ctrl.Solution().Method
 	degraded := false
 	for i := range d.capFrac {
 		if d.capFrac[i] != 1 {
@@ -330,7 +335,7 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 		if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 			return fmt.Errorf("ctlplane: replaying link state: %w", err)
 		}
-		d.base = copySplits(d.ctrl.Solution().Splits)
+		d.base, d.method = copySplits(d.ctrl.Solution().Splits), d.ctrl.Solution().Method
 	}
 	flows := make([]int, 0, len(prot.Backups))
 	for flow := range prot.Backups {
@@ -365,7 +370,7 @@ func (d *Daemon) publish(kind string, splits map[int][]netsim.SplitPath) error {
 	}
 	d.version++
 	snap, err := d.enc.snapshot(d.version, d.epoch, kind, d.cfg.Clock().Unix(),
-		d.ctrl.Solution().Method, float64(mlu), d.down, entries)
+		d.method, float64(mlu), d.down, entries)
 	if err != nil {
 		return err
 	}

@@ -50,7 +50,8 @@ var ErrNoProgress = errors.New("ilp: LP solver failure")
 const intTol = 1e-6
 
 // Solve runs best-first branch & bound. Binary variables are branched by
-// fixing them to 0 or 1 via equality constraints.
+// fixing them to 0 or 1 via equality constraints. Every node LP is solved
+// on one lp.Workspace, so the search reuses one tableau's storage.
 func Solve(p *Problem, opt Options) (*Solution, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
@@ -82,6 +83,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 	var best *Solution
 	bestObj := math.Inf(1)
 	nodes := 0
+	var ws lp.Workspace
 
 	for len(stack) > 0 {
 		if nodes >= maxNodes || (!deadline.IsZero() && time.Now().After(deadline)) { //lint:allow determinism -- opt-in solver budget; deterministic runs use MaxNodes
@@ -105,7 +107,7 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		for v, val := range nd.fixed {
 			sub.AddConstraint([]int{v}, []float64{1}, lp.EQ, val)
 		}
-		sol, err := lp.Solve(&sub)
+		sol, err := ws.Solve(&sub)
 		if err != nil {
 			return nil, errors.Join(ErrNoProgress, err)
 		}

@@ -16,6 +16,13 @@
 // the zeros changes at most the sign of an exact zero, which no later
 // step can tell apart (see pivot), so every pivot sequence and every
 // nonzero tableau entry is the one dense elimination computes.
+//
+// Solve builds each tableau on fresh storage. A caller that solves LPs in
+// turn, such as a TE controller's warm reoptimizations or a branch and
+// bound's node relaxations, can keep one Workspace and solve on it
+// instead: it reuses the previous solve's storage, cleared, and returns
+// the same Solution bit for bit. A Workspace serves one goroutine at a
+// time; Solve is safe for concurrent use.
 package lp
 
 import (
@@ -128,10 +135,38 @@ var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 // other packages run through the kernel.
 var observe func(*Problem, *Solution)
 
-// Solve runs two-phase simplex and returns the solution. The returned error
-// is non-nil only for internal failures (iteration limit); infeasibility and
-// unboundedness are reported via Solution.Status.
-func Solve(p *Problem) (sol *Solution, err error) {
+// Solve runs two-phase simplex on a fresh Workspace and returns the
+// solution. The returned error is non-nil only for internal failures
+// (iteration limit) and malformed problems (a variable out of range);
+// infeasibility and unboundedness are reported via Solution.Status.
+func Solve(p *Problem) (*Solution, error) { return new(Workspace).Solve(p) }
+
+// Workspace holds one solve's storage: the tableau rows, the normalised
+// rows, the basis and pivot's nonzero-column buffer. Its next Solve
+// reuses that storage, cleared, and grows only what is short, so a caller
+// solving LPs in turn allocates little more than each Solution. Tableau
+// rows stay separate allocations, as fresh solves make them (DESIGN.md
+// §7 gives the measurement). The zero value is ready to use. A Workspace
+// serves one goroutine at a time.
+type Workspace struct {
+	tab   [][]float64
+	rows  []normRow
+	basis []int
+	nz    []int
+}
+
+// normRow is a constraint normalised to a non-negative right-hand side;
+// neg records that its terms enter the tableau negated.
+type normRow struct {
+	sense Sense
+	rhs   float64
+	neg   bool
+}
+
+// Solve runs two-phase simplex on the workspace's storage and returns what
+// the package-level Solve returns for p, bit for bit. The Solution shares
+// nothing with the workspace.
+func (w *Workspace) Solve(p *Problem) (sol *Solution, err error) {
 	m := len(p.Cons)
 	n := p.NumVars
 
@@ -148,20 +183,12 @@ func Solve(p *Problem) (sol *Solution, err error) {
 	}()
 
 	// Normalise to b ≥ 0, count slack/artificial columns.
-	type rowSpec struct {
-		terms []Term
-		sense Sense
-		rhs   float64
-	}
-	rows := make([]rowSpec, m)
+	w.rows = resize(w.rows, m)
+	rows := w.rows
 	for i, c := range p.Cons {
-		r := rowSpec{terms: c.Terms, sense: c.Sense, rhs: c.RHS}
+		r := normRow{sense: c.Sense, rhs: c.RHS}
 		if r.rhs < 0 {
-			neg := make([]Term, len(r.terms))
-			for k, t := range r.terms {
-				neg[k] = Term{Var: t.Var, Coeff: -t.Coeff}
-			}
-			r.terms = neg
+			r.neg = true
 			r.rhs = -r.rhs
 			switch r.sense {
 			case LE:
@@ -188,22 +215,24 @@ func Solve(p *Problem) (sol *Solution, err error) {
 
 	total := n + nSlack + nArt
 	// Tableau: m rows × (total+1) cols (last col = RHS), plus objective row.
-	tab := make([][]float64, m+1)
-	for i := range tab {
-		tab[i] = make([]float64, total+1)
-	}
-	basis := make([]int, m)
-	nz := make([]int, total+1) // pivot's nonzero-column buffer
+	w.setup(m, total)
+	tab, basis, nz := w.tab, w.basis, w.nz
 
+	// Artificial columns follow the slacks, one per GE or EQ row in row
+	// order: artStart up to total.
+	artStart := n + nSlack
 	slackAt := n
-	artAt := n + nSlack
-	artCols := make([]int, 0, nArt)
+	artAt := artStart
 	for i, r := range rows {
-		for _, t := range r.terms {
+		for _, t := range p.Cons[i].Terms {
 			if t.Var < 0 || t.Var >= n {
 				return nil, fmt.Errorf("lp: constraint %d references variable %d out of range [0,%d)", i, t.Var, n)
 			}
-			tab[i][t.Var] += t.Coeff
+			c := t.Coeff
+			if r.neg {
+				c = -c
+			}
+			tab[i][t.Var] += c
 		}
 		tab[i][total] = r.rhs
 		switch r.sense {
@@ -216,12 +245,10 @@ func Solve(p *Problem) (sol *Solution, err error) {
 			slackAt++
 			tab[i][artAt] = 1
 			basis[i] = artAt
-			artCols = append(artCols, artAt)
 			artAt++
 		case EQ:
 			tab[i][artAt] = 1
 			basis[i] = artAt
-			artCols = append(artCols, artAt)
 			artAt++
 		}
 	}
@@ -229,10 +256,7 @@ func Solve(p *Problem) (sol *Solution, err error) {
 	// Phase 1: minimise sum of artificials.
 	if nArt > 0 {
 		obj := tab[m]
-		for j := range obj {
-			obj[j] = 0
-		}
-		for _, j := range artCols {
+		for j := artStart; j < total; j++ {
 			obj[j] = 1
 		}
 		// Price out the artificial basis.
@@ -259,10 +283,10 @@ func Solve(p *Problem) (sol *Solution, err error) {
 		// row with no eligible column is redundant; its artificial stays
 		// basic at zero.
 		for i, b := range basis {
-			if !isArt(b, n+nSlack) {
+			if !isArt(b, artStart) {
 				continue
 			}
-			for j := 0; j < n+nSlack; j++ {
+			for j := 0; j < artStart; j++ {
 				if math.Abs(tab[i][j]) > eps {
 					pivot(tab, basis, i, j, total, nz)
 					pivots++
@@ -281,7 +305,7 @@ func Solve(p *Problem) (sol *Solution, err error) {
 		obj[j] = p.Objective[j]
 	}
 	// Blank out artificial columns so they can never re-enter.
-	for _, j := range artCols {
+	for j := artStart; j < total; j++ {
 		for i := 0; i <= m; i++ {
 			tab[i][j] = 0
 		}
@@ -317,6 +341,43 @@ func Solve(p *Problem) (sol *Solution, err error) {
 		objVal = -objVal
 	}
 	return &Solution{Status: Optimal, X: x, Objective: objVal, Pivots: pivots}, nil
+}
+
+// setup sizes the tableau to m+1 rows of total+1 zeroed columns, the
+// basis to m and pivot's buffer to total+1. A row is reused when its
+// capacity suffices and allocated alone when it does not, so the
+// workspace never joins rows into one block.
+//
+//cisp:hotpath
+func (w *Workspace) setup(m, total int) {
+	if cap(w.tab) < m+1 {
+		grown := make([][]float64, m+1) //lint:allow hotpathalloc -- pool miss only; the rows are reused thereafter
+		copy(grown, w.tab[:cap(w.tab)])
+		w.tab = grown
+	}
+	w.tab = w.tab[:m+1]
+	for i, row := range w.tab {
+		if cap(row) < total+1 {
+			w.tab[i] = make([]float64, total+1) //lint:allow hotpathalloc -- pool miss only; the row is reused thereafter
+			continue
+		}
+		row = row[:total+1]
+		clear(row)
+		w.tab[i] = row
+	}
+	w.basis = resize(w.basis, m)
+	w.nz = resize(w.nz, total+1)
+}
+
+// resize returns s at length n, on its own backing array when that is
+// long enough. The contents are not cleared.
+//
+//cisp:hotpath
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n) //lint:allow hotpathalloc -- pool miss only; the workspace keeps the storage thereafter
+	}
+	return s[:n]
 }
 
 func isArt(col, artStart int) bool { return col >= artStart }
@@ -374,7 +435,7 @@ func simplex(tab [][]float64, basis []int, total int, nz []int) (Status, int, er
 }
 
 // pivot makes column enter basic in row leave. It gathers the pivot row's
-// nonzero columns into nz (total+1 long, owned by Solve) while scaling
+// nonzero columns into nz (total+1 long, the workspace's) while scaling
 // them, then updates every other row with a nonzero in column enter at
 // those columns only. Each entry it writes gets the dense elimination's
 // arithmetic. An entry it skips would have been a zero scaled, or had an

@@ -26,6 +26,23 @@ func LPSolves() int64 { return lpSolves.Load() }
 // capacity is plentiful).
 const tieEps = 1e-3
 
+// lpScratch is the storage a controller's warm re-solves reuse: the
+// simplex workspace, the problem with its constraint list and term arena,
+// the variable offsets, and an edge-indexed table of capacity rows. The
+// zero value is ready to use. It serves one solve at a time.
+type lpScratch struct {
+	ws    lp.Workspace
+	p     lp.Problem
+	terms []lp.Term
+	varAt []int
+	rows  []edgeRow // by edge ID; all zero between solves
+	used  []int32   // edges some candidate touches, in first-touch order
+}
+
+// edgeRow locates one edge's capacity row in the term arena: its terms
+// start at start, and n of them are placed (counted, during sizing).
+type edgeRow struct{ start, n int }
+
 // solveLP solves the path-assignment LP for the given commodity subset
 // against residual capacities. Writing θ for the max link utilization and
 // φ = max(0, θ − u0) for its overload above the uncongested hinge u0
@@ -44,12 +61,17 @@ const tieEps = 1e-3
 // loads already force somewhere in the network (headroom the subset may use
 // for free). Returns per-commodity path fractions and the solved θ.
 // Infeasibility or unboundedness indicate a formulation bug and fail
-// loudly; they never return garbage splits.
-func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64) ([][]float64, float64, error) {
+// loudly; they never return garbage splits. The LP is built and solved on
+// s, or on fresh storage when s is nil; the fractions are the caller's.
+func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64, s *lpScratch) ([][]float64, float64, error) {
 	lpSolves.Add(1)
 	obs.Active().Counter("cisp_te_lp_solves_total").Inc()
+	if s == nil {
+		s = new(lpScratch)
+	}
 	nx := 0
-	varAt := make([]int, len(cs)+1)
+	s.varAt = resize(s.varAt, len(cs)+1)
+	varAt := s.varAt
 	totD, maxDelay := 0.0, 0.0
 	for i, c := range cs {
 		varAt[i] = nx
@@ -63,7 +85,10 @@ func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64) ([][]flo
 	}
 	varAt[len(cs)] = nx
 	phi := nx
-	p := &lp.Problem{NumVars: nx + 1, Objective: make([]float64, nx+1)}
+	p := &s.p
+	p.NumVars = nx + 1
+	p.Objective = resize(p.Objective, nx+1)
+	clear(p.Objective)
 	p.Objective[phi] = 1
 	if totD > 0 && maxDelay > 0 {
 		for i, c := range cs {
@@ -73,60 +98,74 @@ func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64) ([][]flo
 		}
 	}
 
-	// Per-commodity conservation.
-	for i, c := range cs {
-		vars := make([]int, len(c.cands))
-		ones := make([]float64, len(c.cands))
-		for pi := range c.cands {
-			vars[pi] = varAt[i] + pi
-			ones[pi] = 1
-		}
-		p.AddConstraint(vars, ones, lp.EQ, 1)
-	}
-
-	// Per-edge capacity, only for edges some candidate touches.
-	type row struct {
-		vars   []int
-		coeffs []float64
-	}
-	rows := map[int32]*row{}
-	var used []int32
-	for i, c := range cs {
-		for pi, cand := range c.cands {
+	// Size the rows: one conservation term per path, then a capacity row
+	// per edge some candidate touches (one term per crossing path, plus φ),
+	// then the floor row's φ.
+	s.rows = resize(s.rows, len(g.edges))
+	s.used = s.used[:0]
+	for _, c := range cs {
+		for _, cand := range c.cands {
 			for _, ei := range cand.edges {
-				r := rows[ei]
-				if r == nil {
-					r = &row{}
-					rows[ei] = r
-					used = append(used, ei)
+				if s.rows[ei].n == 0 {
+					s.used = append(s.used, ei)
 				}
-				r.vars = append(r.vars, varAt[i]+pi)
-				r.coeffs = append(r.coeffs, c.demand)
+				s.rows[ei].n++
 			}
 		}
 	}
-	for _, ei := range used {
-		// Normalize each row to utilization units (divide by the edge
-		// capacity): demands and capacities arrive in bps at 1e6–1e9
-		// magnitudes, and the dense simplex's absolute pivot tolerances
-		// degrade badly at that scale — warm reoptimization over a
-		// part-failed topology was reported infeasible before this. Every
-		// used edge has positive capacity (candidates crossing a downed
-		// link are masked before the LP is built).
-		r := rows[ei]
-		cap := g.edges[ei].capBps
-		for k := range r.coeffs {
-			r.coeffs[k] /= cap
-		}
-		r.vars = append(r.vars, phi)
-		r.coeffs = append(r.coeffs, -1)
-		p.AddConstraint(r.vars, r.coeffs, lp.LE, u0-base[ei]/cap)
+	nt := nx
+	for _, ei := range s.used {
+		r := &s.rows[ei]
+		r.start, nt = nt, nt+r.n+1
+		r.n = 0
 	}
-	if floor > u0 {
-		p.AddConstraint([]int{phi}, []float64{1}, lp.GE, floor-u0)
+	s.terms = resize(s.terms, nt+1)
+	terms := s.terms
+	p.Cons = p.Cons[:0]
+
+	// Per-commodity conservation.
+	for i, c := range cs {
+		row := terms[varAt[i]:varAt[i+1]]
+		for pi := range c.cands {
+			row[pi] = lp.Term{Var: varAt[i] + pi, Coeff: 1}
+		}
+		p.Cons = append(p.Cons, lp.Constraint{Terms: row, Sense: lp.EQ, RHS: 1})
 	}
 
-	sol, err := lp.Solve(p)
+	// Per-edge capacity, only for edges some candidate touches, each row
+	// normalized to utilization units (divided by the edge capacity):
+	// demands and capacities arrive in bps at 1e6–1e9 magnitudes, and the
+	// dense simplex's absolute pivot tolerances degrade badly at that
+	// scale — warm reoptimization over a part-failed topology was reported
+	// infeasible before this. Every used edge has positive capacity
+	// (candidates crossing a downed link are masked before the LP is
+	// built).
+	for i, c := range cs {
+		for pi, cand := range c.cands {
+			for _, ei := range cand.edges {
+				r := &s.rows[ei]
+				terms[r.start+r.n] = lp.Term{Var: varAt[i] + pi, Coeff: c.demand / g.edges[ei].capBps}
+				r.n++
+			}
+		}
+	}
+	for _, ei := range s.used {
+		r := &s.rows[ei]
+		cap := g.edges[ei].capBps
+		row := terms[r.start : r.start+r.n+1]
+		row[r.n] = lp.Term{Var: phi, Coeff: -1}
+		p.Cons = append(p.Cons, lp.Constraint{Terms: row, Sense: lp.LE, RHS: u0 - base[ei]/cap})
+		*r = edgeRow{}
+	}
+	if floor > u0 {
+		terms[nt] = lp.Term{Var: phi, Coeff: 1}
+		p.Cons = append(p.Cons, lp.Constraint{Terms: terms[nt : nt+1], Sense: lp.GE, RHS: floor - u0})
+	}
+
+	sol, err := s.ws.Solve(p)
+	if err == nil && solveFault != nil {
+		err = solveFault()
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("te: simplex failed on %d commodities × %d paths: %w", len(cs), nx, err)
 	}
@@ -156,4 +195,19 @@ func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64) ([][]flo
 		fracs[i] = f
 	}
 	return fracs, u0 + sol.X[phi], nil
+}
+
+// solveFault, when non-nil, is called after every simplex solve that
+// succeeded, and a non-nil result fails the solve as a solver error would.
+// Only the package's tests set it (export_test.go), to fail a chosen
+// solve mid-update.
+var solveFault func() error
+
+// resize returns s at length n, on its own backing array when that is
+// long enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

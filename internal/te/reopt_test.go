@@ -1,0 +1,127 @@
+package te_test
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"cisp/internal/ctlplane/ctltest"
+	"cisp/internal/netsim"
+	"cisp/internal/te"
+	"cisp/internal/units"
+)
+
+// backboneController is a default-tuned controller over ctltest.Backbone
+// with its clear-sky links.
+func backboneController(t *testing.T) (*te.Controller, []netsim.TopoLink) {
+	t.Helper()
+	bb := ctltest.Backbone()
+	links := bb.Links()
+	ctrl, err := te.NewController(bb.Nodes, links, ctltest.Commodities(), te.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl, links
+}
+
+// faded returns links with link i's rate scaled by f.
+func faded(links []netsim.TopoLink, i int, f float64) []netsim.TopoLink {
+	out := append([]netsim.TopoLink(nil), links...)
+	out[i].RateBps = units.BitsPerSecond(float64(out[i].RateBps) * f)
+	return out
+}
+
+// warmReoptAllocs bounds the allocations of one fade of microwave link 0
+// to 0.25 and back on the ctltest.Backbone controller: two warm re-solves.
+// It is the count measured when the controller began reusing its LP
+// storage (356 before). Lower it when a change allocates less; raising it
+// needs a reason.
+const warmReoptAllocs = 120
+
+// TestWarmReoptAllocs ratchets what a warm reoptimization allocates. The
+// controller builds and solves every LP after its first on storage it
+// keeps, so the count is what the update allocates around the solver.
+func TestWarmReoptAllocs(t *testing.T) {
+	ctrl, links := backboneController(t)
+	down := faded(links, 0, 0.25)
+	update := func(l []netsim.TopoLink) {
+		if ids, err := ctrl.UpdateCapacities(l); err != nil || len(ids) == 0 {
+			t.Fatalf("update re-solved %v: %v", ids, err)
+		}
+	}
+	before := ctrl.LPSolves()
+	allocs := testing.AllocsPerRun(20, func() {
+		update(down)
+		update(links)
+	})
+	if solves := ctrl.LPSolves() - before; solves != 2*21 {
+		t.Fatalf("%d LP solves over 21 runs, want two per run", solves)
+	}
+	t.Logf("%.0f allocations per fade and recovery", allocs)
+	if allocs > warmReoptAllocs {
+		t.Fatalf("a fade and recovery allocates %.0f times, the ratchet allows %d", allocs, warmReoptAllocs)
+	}
+}
+
+// TestFailedUpdateKeepsState fails a warm update's re-solve and requires
+// the controller to be the one that never saw the update: the same
+// Solution, and the same answers to later updates, a retry of the failed
+// one included. Updates with a NaN, infinite or negative rate are
+// rejected before any capacity changes.
+func TestFailedUpdateKeepsState(t *testing.T) {
+	ctrl, links := backboneController(t)
+	ref, _ := backboneController(t)
+
+	boom := errors.New("injected solver failure")
+	calls := 0
+	prev := te.SetSolveFault(func() error {
+		calls++
+		if calls == 1 {
+			return boom
+		}
+		return nil
+	})
+	_, err := ctrl.UpdateCapacities(faded(links, 0, 0.25))
+	te.SetSolveFault(prev)
+	if !errors.Is(err, boom) {
+		t.Fatalf("update with a failing solve returned %v, want the injected failure", err)
+	}
+	sameSolution(t, "after the failed update", ctrl, ref)
+
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		bad := faded(links, 1, 0.5)
+		bad[2].RateBps = units.BitsPerSecond(rate)
+		if _, err := ctrl.UpdateCapacities(bad); err == nil {
+			t.Fatalf("update with rate %v accepted", rate)
+		}
+	}
+	sameSolution(t, "after the rejected rates", ctrl, ref)
+
+	for k, upd := range [][]netsim.TopoLink{faded(links, 1, 0.5), faded(faded(links, 1, 0.5), 0, 0.25), links} {
+		got, err := ctrl.UpdateCapacities(upd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.UpdateCapacities(upd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("update %d re-solved %v, the reference %v", k, got, want)
+		}
+		sameSolution(t, "after a later update", ctrl, ref)
+	}
+}
+
+func sameSolution(t *testing.T, when string, ctrl, ref *te.Controller) {
+	t.Helper()
+	got, want := ctrl.Solution(), ref.Solution()
+	if len(got.Splits) != len(want.Splits) {
+		t.Fatalf("%s: %d commodities have splits, the reference %d", when, len(got.Splits), len(want.Splits))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: solution differs from the reference's", when)
+	}
+}

@@ -107,7 +107,8 @@ func Solve(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg Config)
 
 // Controller holds the control-plane state between reoptimizations: the TE
 // graph, each commodity's candidate paths (enumerated once, on the
-// clear-sky topology) and the current splits.
+// clear-sky topology), the current splits, and the storage its warm
+// re-solves reuse. A Controller serves one goroutine at a time.
 type Controller struct {
 	cfg    Config
 	g      *graph
@@ -115,6 +116,11 @@ type Controller struct {
 	sol    *Solution
 	method string
 	solves int64 // simplex solves run, the initial solve included
+
+	// lp is the LP storage of every "lp"-method solve after construction.
+	// The constructor's solve, the largest by far, runs on fresh storage,
+	// so the controller does not keep a tableau that size alive.
+	lp *lpScratch
 }
 
 // NewController builds the TE graph, enumerates candidate paths for every
@@ -134,6 +140,7 @@ func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg
 	if err := c.reroute(allIndices(len(c.comms))); err != nil {
 		return nil, err
 	}
+	c.lp = new(lpScratch)
 	return c, nil
 }
 
@@ -148,12 +155,13 @@ func (c *Controller) Solution() *Solution { return c.sol }
 func (c *Controller) LPSolves() int64 { return c.solves }
 
 // UpdateCapacities installs new per-link capacities (the link list must
-// match the constructor's positionally — same endpoints, new RateBps; a
-// rate of 0 marks a failed link) and re-solves only the affected
-// commodities: those with a candidate path crossing a changed link. The
-// others keep their splits, entering the re-solve as pinned load — a warm
-// start that keeps storm-interval reoptimization cheap. Returns the sorted
-// affected commodity flow IDs.
+// match the constructor's positionally — same endpoints, new RateBps, a
+// finite rate ≥ 0; a rate of 0 marks a failed link) and re-solves only the
+// affected commodities: those with a candidate path crossing a changed
+// link. The others keep their splits, entering the re-solve as pinned load
+// — a warm start that keeps storm-interval reoptimization cheap. Returns
+// the sorted affected commodity flow IDs. An update is all or nothing: on
+// any error the controller keeps its capacities, candidates and splits.
 func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 	snk := obs.Active()
 	stop := snk.StartTimer("cisp_te_reopt_seconds")
@@ -175,12 +183,17 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 				return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, e.from, e.to)
 			}
 		}
+		if r := float64(l.RateBps); math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			return nil, fmt.Errorf("te: capacity update link %d has rate %v", i, r)
+		}
 	}
 	changed := make([]bool, len(c.g.edges))
+	prev := make([]float64, len(c.g.edges))
 	anyChanged := false
 	for i, l := range links {
 		for dir := 0; dir < 2; dir++ {
 			e := &c.g.edges[2*i+dir]
+			prev[2*i+dir] = e.capBps
 			if e.capBps != float64(l.RateBps) {
 				changed[2*i+dir] = true
 				anyChanged = true
@@ -210,7 +223,20 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 			affected = append(affected, i)
 		}
 	}
+	// reroute clears the affected commodities' splits and may append
+	// re-enumerated candidates. If it fails, put back what it found and
+	// the old capacities, or the next update would drop those commodities.
+	saved := make([]teComm, len(affected))
+	for k, i := range affected {
+		saved[k] = c.comms[i]
+	}
 	if err := c.reroute(affected); err != nil {
+		for ei := range c.g.edges {
+			c.g.edges[ei].capBps = prev[ei]
+		}
+		for k, i := range affected {
+			c.comms[i] = saved[k]
+		}
 		return nil, err
 	}
 	snk.Counter("cisp_te_reopts_total").Inc()
@@ -325,7 +351,7 @@ func (c *Controller) reroute(idxs []int) error {
 			method = "lp"
 			c.solves++
 			floor := maxUtil(c.g, base)
-			fracs, _, err = solveLP(c.g, shadows, base, floor, float64(c.cfg.UtilFloor))
+			fracs, _, err = solveLP(c.g, shadows, base, floor, float64(c.cfg.UtilFloor), c.lp)
 		} else {
 			method = "block-lp"
 			fracs, err = c.solveBlocks(shadows, base)
@@ -393,7 +419,7 @@ func (c *Controller) solveBlocks(lpComms []*teComm, fixed []float64) ([][]float6
 				cs[k].subLoadFracs(base, fracs[ci])
 			}
 			floor := maxUtil(c.g, base)
-			f, _, err := solveLP(c.g, cs, base, floor, float64(c.cfg.UtilFloor))
+			f, _, err := solveLP(c.g, cs, base, floor, float64(c.cfg.UtilFloor), nil)
 			return blockResult{fracs: f, err: err}
 		})
 		c.solves += int64(nb)
