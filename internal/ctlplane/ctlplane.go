@@ -90,6 +90,8 @@ type Daemon struct {
 	rules *netsim.SplitRules
 	mlu   *te.MLUGraph
 	enc   *encoder
+
+	eff []netsim.TopoLink // effective's output, refilled at every call
 }
 
 // request is one serialized unit of work for the event loop.
@@ -131,6 +133,7 @@ func New(cfg Config) (*Daemon, error) {
 		d.capFrac[i] = 1
 	}
 	d.down = make([]bool, len(d.clear))
+	d.eff = make([]netsim.TopoLink, len(d.clear))
 	d.epoch = 1
 	d.rules = netsim.NewSplitRules(d.nodes, d.clear, d.comms)
 	d.enc = newEncoder(d.comms)
@@ -237,9 +240,12 @@ func (d *Daemon) loop() {
 // effective composes the current link state: clear-sky rates scaled by the
 // microwave fade grading, zeroed where hard-failed — the one place fade
 // and failure meet, positionally aligned with the clear-sky list the
-// controller was built over.
+// controller was built over. It fills the daemon's one list and returns
+// it, so callers only read it, and only until the next call
+// (UpdateCapacities and MLUGraph.MLU keep nothing of it).
 func (d *Daemon) effective() []netsim.TopoLink {
-	out := append([]netsim.TopoLink(nil), d.clear...)
+	out := d.eff
+	copy(out, d.clear)
 	for i := 0; i < d.nMw; i++ {
 		out[i].RateBps = units.BitsPerSecond(float64(out[i].RateBps) * d.capFrac[i])
 	}

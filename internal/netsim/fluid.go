@@ -22,15 +22,22 @@ import (
 // individual flows, and each group tracks its members' departures through a
 // cumulative service accumulator — a flow of B bytes arriving when the
 // group has served S bytes per flow departs when the accumulator reaches
-// S + B. Per-event cost is therefore O(links + rounds × loaded links +
-// Σ active route lengths), where a round freezes one bottleneck and loaded
-// links are those carrying flows; it is independent of the number of
-// concurrent flows. Superseded departure events are dropped lazily, and
-// the departure heap is compacted before a push would take it past twice
-// the route count, so it never holds more than 2 × routes entries.
+// S + B. The allocator is incremental: each allocation logs its bottleneck
+// rounds (a round freezes one bottleneck link's routes), every write to a
+// link's flow count or capacity marks the link dirty, and the next
+// allocation replays the logged rounds whose bottleneck is still clean and
+// searches for a bottleneck only among dirty links (see recompute). Per-event
+// cost is therefore O(links + Σ active route lengths + dirty-link scans):
+// two copies of the link arrays, one subtraction per hop of every active
+// route, and share scans over only the links an event changed or whose
+// logged rounds it undid. It is independent of the number of concurrent
+// flows. Superseded departure events are dropped lazily, and the departure
+// heap is compacted before a push would take it past twice the route
+// count, so it never holds more than 2 × routes entries.
 //
-// The simulation is deterministic: allocation iterates links and routes in
-// index order and all heap orderings carry explicit tie-breaks.
+// The simulation is deterministic: allocation picks the same bottlenecks,
+// in the same order, as a scan of every link in index order, and all heap
+// orderings carry explicit tie-breaks.
 type FluidSim struct {
 	nNodes     int
 	processed  int64 // events executed (live departures + arrivals)
@@ -62,22 +69,50 @@ type FluidSim struct {
 	arrivals []arrivalItem
 	deps     []depItem
 
-	// Allocator state. linkW is maintained incrementally (active flows per
-	// link); scratch arrays and the worklist of loaded links are reused
-	// across recomputations.
+	// Allocator state. linkW (active flows per link) and capBps (current
+	// capacity; 0 = link down) are maintained incrementally, and every
+	// write to either marks the link dirty for the next recompute. scratchW
+	// and scratchR are a recompute's residual weight and capacity.
 	linkW    []float64
+	capBps   []float64
 	scratchW []float64
 	scratchR []float64
-	work     []int32
 	frozenAt []int64
-	epoch    int64
+	epoch    int64 // stamps frozenAt and dirtyAt; advanced after each recompute
+
+	// Allocation log: rounds[:nRounds] are the last recompute's bottleneck
+	// rounds in order, and round k froze the groups
+	// order[rounds[k-1].end:rounds[k].end]. A recompute writes its own log
+	// into nextRounds and nextOrder, then swaps. Rounds never outnumber
+	// links (each drains its bottleneck) and each group freezes once, so
+	// NewFluid and AddRoute size all four.
+	rounds, nextRounds []fluidRound
+	order, nextOrder   []int32
+	nRounds            int
+
+	// Dirty links: dirtyAt[li] == epoch marks a link whose weight or
+	// capacity changed since the last recompute, or (during one) whose
+	// residuals left the logged ones. dirty[:nDirty] lists them.
+	dirtyAt []int64
+	dirty   []int32
+	nDirty  int
+
+	freshRounds, replayedRounds int64 // work counters, read by the tests
 }
 
 type fluidLink struct {
 	from, to int
-	capBps   float64 // current capacity; 0 = link down
 	origCap  float64 // construction-time (clear-sky) capacity, for utilization reporting
 	groups   []int32 // routes crossing this link (grows with AddRoute)
+}
+
+// fluidRound is one logged bottleneck round: the link it drained, the
+// per-flow share it froze its groups at, and the end of its groups in the
+// log's group order.
+type fluidRound struct {
+	link  int32
+	end   int32
+	share float64
 }
 
 type fluidGroup struct {
@@ -135,26 +170,44 @@ func arrivalLess(a, b arrivalItem) bool {
 // NewFluid builds a fluid simulator over the duplex topology (two directed
 // fluid links per TopoLink; queue capacities are meaningless at the fluid
 // level and ignored).
+//
+// Panics on a duplicate link or on a rate that is NaN, infinite or
+// negative.
 func NewFluid(nNodes int, links []TopoLink) *FluidSim {
-	f := &FluidSim{nNodes: nNodes, linkIdx: make(map[[2]int]int32, 2*len(links))}
+	f := &FluidSim{nNodes: nNodes, linkIdx: make(map[[2]int]int32, 2*len(links)), epoch: 1}
 	add := func(a, b int, capBps float64) {
 		key := [2]int{a, b}
 		if _, dup := f.linkIdx[key]; dup {
 			panic(fmt.Sprintf("netsim: duplicate fluid link %d->%d", a, b))
 		}
+		checkFluidRate(a, b, capBps)
 		f.linkIdx[key] = int32(len(f.links))
-		f.links = append(f.links, fluidLink{from: a, to: b, capBps: capBps, origCap: capBps})
+		f.links = append(f.links, fluidLink{from: a, to: b, origCap: capBps})
+		f.capBps = append(f.capBps, capBps)
 	}
 	for _, l := range links {
 		add(l.A, l.B, float64(l.RateBps))
 		add(l.B, l.A, float64(l.RateBps))
 	}
-	f.linkW = make([]float64, len(f.links))
-	f.scratchW = make([]float64, len(f.links))
-	f.scratchR = make([]float64, len(f.links))
-	f.work = make([]int32, len(f.links))
-	f.linkServed = make([]float64, len(f.links))
+	n := len(f.links)
+	f.linkW = make([]float64, n)
+	f.scratchW = make([]float64, n)
+	f.scratchR = make([]float64, n)
+	f.linkServed = make([]float64, n)
+	f.rounds = make([]fluidRound, n)
+	f.nextRounds = make([]fluidRound, n)
+	f.dirtyAt = make([]int64, n)
+	f.dirty = make([]int32, n)
 	return f
+}
+
+// checkFluidRate panics unless capBps is a usable link rate: finite and
+// not negative. A NaN or infinite capacity never bottlenecks, so flows
+// crossing only such links would keep stale rates.
+func checkFluidRate(from, to int, capBps float64) {
+	if math.IsNaN(capBps) || math.IsInf(capBps, 0) || capBps < 0 {
+		panic(fmt.Sprintf("netsim: fluid link %d->%d has rate %v bps", from, to, capBps))
+	}
 }
 
 // AddRoute registers a directed route (a node path of length >= 2) and
@@ -176,6 +229,8 @@ func (f *FluidSim) AddRoute(path []int) int {
 	}
 	f.groups = append(f.groups, g)
 	f.frozenAt = append(f.frozenAt, 0)
+	f.order = append(f.order, 0)
+	f.nextOrder = append(f.nextOrder, 0)
 	return int(gid)
 }
 
@@ -297,12 +352,15 @@ func (f *FluidSim) LinkUtilizations() []LinkLoad {
 // down (flows crossing it re-rate to zero and stall), a positive rate
 // restores or resizes it. Edits do not take effect until the next
 // Recompute — batch a set of SetLinkRate/Reroute calls and recompute once.
+// Panics on an unknown link or a NaN, infinite or negative rate.
 func (f *FluidSim) SetLinkRate(from, to int, capBps float64) {
 	li, ok := f.linkIdx[[2]int{from, to}]
 	if !ok {
 		panic(fmt.Sprintf("netsim: no fluid link %d->%d", from, to))
 	}
-	f.links[li].capBps = capBps
+	checkFluidRate(from, to, capBps)
+	f.capBps[li] = capBps
+	f.markDirty(li)
 }
 
 // Recompute re-runs the max-min allocation and reschedules departure
@@ -351,6 +409,7 @@ func (f *FluidSim) Reroute(flow, route int) {
 	g.n--
 	for _, li := range g.links {
 		f.linkW[li]--
+		f.markDirty(li)
 	}
 	if g.n == 0 {
 		f.activeG--
@@ -381,6 +440,7 @@ func (f *FluidSim) Reroute(flow, route int) {
 	xheap.Push(&ng.thr, thrItem{thr: ng.svc + remaining, flow: int32(flow)}, thrLess)
 	for _, li := range ng.links {
 		f.linkW[li]++
+		f.markDirty(li)
 	}
 }
 
@@ -479,6 +539,7 @@ func (f *FluidSim) admit(it arrivalItem) {
 	xheap.Push(&g.thr, thrItem{thr: g.svc + bytes, flow: it.flow}, thrLess)
 	for _, li := range g.links {
 		f.linkW[li]++
+		f.markDirty(li)
 	}
 	f.active++
 }
@@ -504,6 +565,7 @@ func (f *FluidSim) departGroup(gi int32) {
 		g.n--
 		for _, li := range g.links {
 			f.linkW[li]--
+			f.markDirty(li)
 		}
 	}
 	if g.n == 0 {
@@ -515,72 +577,160 @@ func (f *FluidSim) departGroup(gi int32) {
 }
 
 // recompute reruns weighted progressive filling: repeatedly find the link
-// with the smallest fair share (residual capacity / unfrozen flow count),
-// freeze every route through it at that per-flow rate, and subtract the
-// frozen routes from their other links. Groups whose rate changed or whose
-// pending event was invalidated get a fresh departure event.
+// with the smallest fair share (residual capacity / unfrozen flow count,
+// the first in index order among equal shares), freeze every route through
+// it at that per-flow rate, and subtract the frozen routes from their
+// other links. Groups whose rate changed or whose pending event was
+// invalidated get a fresh departure event.
 //
-// Only links that carry flows can bottleneck, so each round scans a
-// worklist of the links with unfrozen weight, in index order, and drops
-// the ones that have drained since the last round. Frozen weight never
-// comes back within a recompute, so the rounds visit the same links in the
-// same order as a scan of the whole link array would.
+// It does so incrementally, from the previous recompute's log of rounds,
+// and picks the same bottlenecks in the same order as a scan of every link
+// would. A clean link (not dirty) has the same initial weight and capacity
+// as last time and has received the same subtractions, in the same order,
+// as at the same point of the previous allocation, so its share and
+// liveness are the logged ones. The logged rounds are walked in order:
+//   - a round whose bottleneck is dirty is dropped, and every link of its
+//     groups turns dirty (those links miss its subtractions);
+//   - otherwise its bottleneck sorts before every clean live link, as it
+//     did last time, so unless the least dirty live link sorts first by
+//     (share, link index) the round is replayed verbatim: same share, same
+//     groups (any change among them would have dirtied the bottleneck),
+//     same subtraction order;
+//   - when the dirty link sorts first it runs a fresh round, freezing its
+//     active unfrozen groups and dirtying all their links.
+//
+// Once the log is spent only dirty links can still carry weight. The first
+// recompute is the same loop with an empty log, every loaded link marked
+// by its admissions. Only dirty links are scanned for a share, so a
+// recompute costs O(links) to reset the residuals (two copies), Σ active
+// route lengths of subtractions, and the dirty links' scans.
+// TestFluidMatchesReference and FuzzFluidMatchesReference hold every rate
+// and the log to a full-scan reference, and TestFluidReplayWorkPinned pins
+// how many rounds run fresh and how many replay.
 //
 //cisp:hotpath
 func (f *FluidSim) recompute() {
-	f.epoch++
-	n := 0
-	for li := range f.links {
-		if f.linkW[li] > 0 {
-			f.scratchW[li] = f.linkW[li]
-			f.scratchR[li] = f.links[li].capBps
-			f.work[n] = int32(li)
-			n++
-		}
-	}
-	work := f.work[:n]
+	copy(f.scratchW, f.linkW)
+	copy(f.scratchR, f.capBps)
 	remaining := f.activeG
+	k, from := 0, int32(0) // next logged round, and the start of its groups
+	nr, ng := 0, int32(0)  // rounds and frozen groups logged so far
 	for remaining > 0 {
-		best, bestShare := int32(-1), math.Inf(1)
-		kept := 0
-		for _, li := range work {
-			if f.scratchW[li] > 0 {
-				work[kept] = li
-				kept++
-				share := f.scratchR[li] / f.scratchW[li]
-				if share < 0 {
-					share = 0
-				}
-				if share < bestShare {
-					best, bestShare = li, share
+		for k < f.nRounds && f.dirtyAt[f.rounds[k].link] == f.epoch {
+			for _, gi := range f.order[from:f.rounds[k].end] {
+				for _, li := range f.groups[gi].links {
+					f.markDirty(li)
 				}
 			}
+			from = f.rounds[k].end
+			k++
 		}
-		work = work[:kept]
-		if best < 0 {
-			break // defensive: every active group weights some link
-		}
-		for _, gi := range f.links[best].groups {
-			g := &f.groups[gi]
-			if g.n == 0 || f.frozenAt[gi] == f.epoch {
+		d, share := f.leastDirty()
+		if k < f.nRounds {
+			if r := f.rounds[k]; d < 0 || r.share < share || r.share == share && r.link < d {
+				for _, gi := range f.order[from:r.end] {
+					f.freeze(gi, r.share)
+					f.nextOrder[ng] = gi
+					ng++
+					remaining--
+				}
+				from = r.end
+				k++
+				f.nextRounds[nr] = fluidRound{link: r.link, end: ng, share: r.share}
+				nr++
+				f.replayedRounds++
 				continue
 			}
-			f.frozenAt[gi] = f.epoch
-			remaining--
-			f.setRate(gi, bestShare)
-			w := float64(g.n)
-			for _, li := range g.links {
-				f.scratchW[li] -= w
-				f.scratchR[li] -= bestShare * w
-				if f.scratchW[li] < 1e-9 {
-					f.scratchW[li] = 0
-				}
-				if f.scratchR[li] < 0 {
-					f.scratchR[li] = 0
-				}
+		}
+		if d < 0 {
+			break // defensive: every active group weights some link
+		}
+		for _, gi := range f.links[d].groups {
+			if f.groups[gi].n == 0 || f.frozenAt[gi] == f.epoch {
+				continue
 			}
+			f.freeze(gi, share)
+			for _, li := range f.groups[gi].links {
+				f.markDirty(li)
+			}
+			f.nextOrder[ng] = gi
+			ng++
+			remaining--
+		}
+		f.nextRounds[nr] = fluidRound{link: d, end: ng, share: share}
+		nr++
+		f.freshRounds++
+	}
+	f.rounds, f.nextRounds = f.nextRounds, f.rounds
+	f.order, f.nextOrder = f.nextOrder, f.order
+	f.nRounds = nr
+	f.nDirty = 0
+	f.epoch++
+}
+
+// freeze fixes an active, unfrozen group at a round's share and takes its
+// weight and allocation off every link it crosses.
+//
+//cisp:hotpath
+func (f *FluidSim) freeze(gi int32, share float64) {
+	f.frozenAt[gi] = f.epoch
+	g := &f.groups[gi]
+	if share != g.rate || !g.hasEvent { // otherwise setRate has nothing to do
+		f.setRate(gi, share)
+	}
+	w := float64(g.n)
+	sw, sr := f.scratchW, f.scratchR
+	for _, li := range g.links {
+		rw := sw[li] - w
+		if rw < 1e-9 {
+			rw = 0
+		}
+		sw[li] = rw
+		rr := sr[li] - share*w
+		if rr < 0 {
+			rr = 0
+		}
+		sr[li] = rr
+	}
+}
+
+// markDirty marks a link whose weight or capacity changed, or whose
+// residuals leave the logged ones within a recompute.
+//
+//cisp:hotpath
+func (f *FluidSim) markDirty(li int32) {
+	if f.dirtyAt[li] != f.epoch {
+		f.dirtyAt[li] = f.epoch
+		f.dirty[f.nDirty] = li
+		f.nDirty++
+	}
+}
+
+// leastDirty returns the live dirty link with the smallest (share, link
+// index), or -1, and its share. It drops drained links from the dirty
+// list as it scans: weight never comes back within a recompute.
+//
+//cisp:hotpath
+func (f *FluidSim) leastDirty() (int32, float64) {
+	best, bestShare := int32(-1), math.Inf(1)
+	kept := 0
+	for _, li := range f.dirty[:f.nDirty] {
+		w := f.scratchW[li]
+		if w <= 0 {
+			continue
+		}
+		f.dirty[kept] = li
+		kept++
+		share := f.scratchR[li] / w
+		if share < 0 {
+			share = 0
+		}
+		if best < 0 || share < bestShare || share == bestShare && li < best {
+			best, bestShare = li, share
 		}
 	}
+	f.nDirty = kept
+	return best, bestShare
 }
 
 // setRate applies a group's new allocation and (re)schedules its next

@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,9 +174,9 @@ func TestFluidConservation(t *testing.T) {
 			load[li] += g.rate * float64(g.n)
 		}
 	}
-	for li, l := range f.links {
-		if load[li] > l.capBps*(1+1e-9) {
-			t.Fatalf("link %d overloaded: %v > %v", li, load[li], l.capBps)
+	for li, c := range f.capBps {
+		if load[li] > c*(1+1e-9) {
+			t.Fatalf("link %d overloaded: %v > %v", li, load[li], c)
 		}
 	}
 }
@@ -422,13 +424,12 @@ func TestFluidScaleInvariance(t *testing.T) {
 // bottleneck round scans the whole link array, and link weights are summed
 // afresh from the groups. It returns the per-flow max-min rate of every
 // group in f's current state, computed with the same floating-point steps
-// as FluidSim.recompute.
-func referenceRates(f *FluidSim) []float64 {
+// as FluidSim.recompute, and its rounds: each bottleneck with its share,
+// and the groups frozen, in order.
+func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []int32) {
 	w := make([]float64, len(f.links))
 	r := make([]float64, len(f.links))
-	for li := range f.links {
-		r[li] = f.links[li].capBps
-	}
+	copy(r, f.capBps)
 	remaining := 0
 	for gi := range f.groups {
 		if g := &f.groups[gi]; g.n > 0 {
@@ -438,7 +439,7 @@ func referenceRates(f *FluidSim) []float64 {
 			}
 		}
 	}
-	rates := make([]float64, len(f.groups))
+	rates = make([]float64, len(f.groups))
 	frozen := make([]bool, len(f.groups))
 	for remaining > 0 {
 		best, bestShare := -1, math.Inf(1)
@@ -464,6 +465,7 @@ func referenceRates(f *FluidSim) []float64 {
 			frozen[gi] = true
 			remaining--
 			rates[gi] = bestShare
+			order = append(order, gi)
 			gw := float64(g.n)
 			for _, li := range g.links {
 				w[li] -= gw
@@ -476,8 +478,36 @@ func referenceRates(f *FluidSim) []float64 {
 				}
 			}
 		}
+		rounds = append(rounds, fluidRound{link: int32(best), end: int32(len(order)), share: bestShare})
 	}
-	return rates
+	return rates, rounds, order
+}
+
+// checkReference fails the test unless every group's rate in f equals the
+// reference allocation's bit for bit, and f's log of its last allocation
+// holds the reference's rounds: the same bottlenecks, shares and frozen
+// groups in the same order. It is called only when no edit is pending.
+func checkReference(t *testing.T, f *FluidSim, when string) {
+	t.Helper()
+	rates, rounds, order := referenceRates(f)
+	for gi := range f.groups {
+		if got := f.groups[gi].rate; math.Float64bits(got) != math.Float64bits(rates[gi]) {
+			t.Fatalf("%s: group %d rate %v, reference %v", when, gi, got, rates[gi])
+		}
+	}
+	if f.nRounds != len(rounds) {
+		t.Fatalf("%s: %d rounds logged, reference ran %d", when, f.nRounds, len(rounds))
+	}
+	for k, r := range rounds {
+		if got := f.rounds[k]; got.link != r.link || got.end != r.end || math.Float64bits(got.share) != math.Float64bits(r.share) {
+			t.Fatalf("%s: round %d logged as %+v, reference %+v", when, k, got, r)
+		}
+	}
+	for i, gi := range order {
+		if f.order[i] != gi {
+			t.Fatalf("%s: frozen group %d is %d, reference %d", when, i, f.order[i], gi)
+		}
+	}
 }
 
 // randomMesh is a seeded connected mesh: a ring plus random chords, with
@@ -503,11 +533,40 @@ func randomMesh(rng *rand.Rand) (int, []TopoLink) {
 	return n, links
 }
 
-// TestFluidMatchesReference drives the engine through arrivals,
-// departures, link failures and restorations, and reroutes on seeded
-// random meshes with multipath routes, and checks after every Run and
-// Recompute that each group's rate is bit-identical to the full-scan
-// reference allocation and that the departure heap stays within its bound.
+// randomWalk is a seeded simple path of 1 to 5 hops over the mesh's links,
+// for routes registered mid-run.
+func randomWalk(rng *rand.Rand, n int, links []TopoLink) []int {
+	adj := make([][]int, n)
+	for _, l := range links {
+		adj[l.A] = append(adj[l.A], l.B)
+		adj[l.B] = append(adj[l.B], l.A)
+	}
+	path := []int{rng.Intn(n)}
+	seen := map[int]bool{path[0]: true}
+	for hops := 1 + rng.Intn(5); hops > 0; hops-- {
+		var next []int
+		for _, v := range adj[path[len(path)-1]] {
+			if !seen[v] {
+				next = append(next, v)
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		v := next[rng.Intn(len(next))]
+		seen[v] = true
+		path = append(path, v)
+	}
+	return path
+}
+
+// TestFluidMatchesReference drives the engine through arrivals (bursts at
+// one instant included), departures, link failures, restorations and
+// resizes, reroutes onto existing routes and onto one registered mid-run,
+// and a Recompute with nothing changed, on seeded random meshes with
+// multipath routes. After every Run and Recompute each group's rate and
+// the allocator's round log must be bit-identical to the full-scan
+// reference allocation, and the departure heap must stay within its bound.
 func TestFluidMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -542,17 +601,21 @@ func TestFluidMatchesReference(t *testing.T) {
 
 		check := func(when string) {
 			t.Helper()
-			want := referenceRates(f)
-			for gi := range f.groups {
-				if got := f.groups[gi].rate; math.Float64bits(got) != math.Float64bits(want[gi]) {
-					t.Fatalf("seed %d, %s: group %d rate %v, reference %v", seed, when, gi, got, want[gi])
-				}
-			}
+			checkReference(t, f, fmt.Sprintf("seed %d, %s", seed, when))
 			if len(f.deps) > f.depsBound() {
 				t.Fatalf("seed %d, %s: %d departure events queued, bound %d", seed, when, len(f.deps), f.depsBound())
 			}
 		}
 		down := links[rng.Intn(len(links))]
+		// Two bursts of arrivals at one instant each: one on a step
+		// boundary, one between steps.
+		for _, at := range []float64{3, 5.3} {
+			for k := 0; k < 8; k++ {
+				ids = append(ids, f.StartAt(rng.Intn(len(alt)), 1e4+2e6*rng.Float64(), at))
+			}
+		}
+		resized := links[rng.Intn(len(links))]
+		walk := randomWalk(rng, n, links)
 		for step := 1; step <= 40; step++ {
 			f.Run(0.25 * float64(step))
 			check("run")
@@ -569,11 +632,193 @@ func TestFluidMatchesReference(t *testing.T) {
 			case 14: // restore the failed link
 				f.SetLinkRate(down.A, down.B, float64(down.RateBps))
 				f.SetLinkRate(down.B, down.A, float64(down.RateBps))
+			case 17: // resize one direction of a link to a third rate
+				f.SetLinkRate(resized.A, resized.B, 0.37*float64(resized.RateBps))
+			case 20: // register a route mid-run and move every fourth flow onto it
+				r := f.AddRoute(walk)
+				for i, id := range ids {
+					if i%4 == 1 {
+						f.Reroute(id, r)
+					}
+				}
+			case 23: // nothing changed since the last allocation
+			case 26: // fail the resized direction, and move flows back
+				f.SetLinkRate(resized.A, resized.B, 0)
+				for i, id := range ids {
+					if i%4 == 1 {
+						f.Reroute(id, i%len(alt))
+					}
+				}
 			default:
 				continue
 			}
 			f.Recompute()
 			check("recompute")
 		}
+	}
+}
+
+// FuzzFluidMatchesReference runs a byte-driven script on a seeded random
+// mesh: bursts of arrivals at one instant, a directed link taken to 0,
+// restored, or resized to a third rate, reroutes onto an existing route or
+// onto one registered mid-run, Recomputes (with or without edits) and Runs.
+// After every Run and Recompute each group's rate and the allocator's round
+// log must equal the full-scan reference allocation's bit for bit.
+func FuzzFluidMatchesReference(f *testing.F) {
+	f.Add(int64(1), []byte{0, 3, 2, 7, 9, 40, 7, 1, 5, 6, 7, 2, 3, 0, 4, 3, 7, 80})
+	f.Add(int64(2), []byte{0, 0, 3, 1, 2, 3, 4, 0, 9, 3, 7, 20, 5, 1, 6, 6, 2, 5, 7, 30, 3, 8, 200, 7, 90})
+	f.Add(int64(3), []byte{0, 10, 3, 8, 1, 5, 0, 10, 2, 9, 4, 7, 5, 1, 1, 6, 7, 15, 2, 5, 6, 7, 255})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		if len(script) > 400 {
+			script = script[:400]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n, links := randomMesh(rng)
+		fs := NewFluid(n, links)
+		var routes []int
+		for len(routes) < n {
+			routes = append(routes, fs.AddRoute(randomWalk(rng, n, links)))
+		}
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		var ids []int
+		edited := false
+		for len(script) > 0 {
+			op := next() % 8
+			switch op {
+			case 0: // a burst of arrivals at one instant
+				at := fs.Now() + float64(next())/64
+				for k := 1 + next()%6; k > 0; k-- {
+					ids = append(ids, fs.StartAt(routes[next()%len(routes)], 1e3+float64(next())*2e3, at))
+				}
+			case 1, 2, 3: // a directed link down, restored, or resized
+				l := links[next()%len(links)]
+				a, b := l.A, l.B
+				if next()%2 == 1 {
+					a, b = b, a
+				}
+				rate := 0.0
+				switch op {
+				case 2:
+					rate = float64(l.RateBps)
+				case 3:
+					rate = float64(l.RateBps) * (0.1 + float64(next())/128)
+				}
+				fs.SetLinkRate(a, b, rate)
+				edited = true
+			case 4: // a flow moves onto an existing route
+				if len(ids) > 0 {
+					fs.Reroute(ids[next()%len(ids)], routes[next()%len(routes)])
+					edited = true
+				}
+			case 5: // a route registered mid-run takes some flows
+				r := fs.AddRoute(randomWalk(rng, n, links))
+				routes = append(routes, r)
+				for k := next() % 4; k > 0 && len(ids) > 0; k-- {
+					fs.Reroute(ids[next()%len(ids)], r)
+					edited = true
+				}
+			case 6: // recompute, possibly with nothing changed
+				fs.Recompute()
+				checkReference(t, fs, "recompute")
+				edited = false
+			case 7: // advance time: departures and due arrivals
+				if edited {
+					fs.Recompute()
+					checkReference(t, fs, "recompute before run")
+					edited = false
+				}
+				fs.Run(fs.Now() + float64(next())/32)
+				checkReference(t, fs, "run")
+			}
+		}
+	})
+}
+
+// TestFluidReplayWorkPinned is the allocator's work ratchet: the bottleneck
+// rounds it runs fresh and those it replays from the previous allocation's
+// log over overloadedFluidScenario. A change that falls back to full
+// rescans, or dirties more links than an event changed, moves the split.
+func TestFluidReplayWorkPinned(t *testing.T) {
+	var fresh, replayed int64
+	defer SetFluidObserver(SetFluidObserver(func(f *FluidSim) { fresh, replayed = f.Rounds() }))
+	overloadedFluidScenario().Run(FluidMode)
+	const wantFresh, wantReplayed = 9353, 143911
+	if fresh != wantFresh || replayed != wantReplayed {
+		t.Errorf("%d fresh and %d replayed rounds, want %d and %d", fresh, replayed, wantFresh, wantReplayed)
+	}
+}
+
+// TestFluidRecomputeDoesNotAllocate pins the fluid engine's steady state at
+// zero allocations: once the routes' threshold heaps and the departure
+// heap have grown to a run's working set, an arrival or a departure and
+// the recompute it triggers allocate nothing. The run replays identical
+// waves of flows, each arriving at one instant and draining before the
+// next, so the measured waves find every buffer grown.
+func TestFluidRecomputeDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	n, links := randomMesh(rng)
+	f := NewFluid(n, links)
+	var routes []int
+	for len(routes) < n {
+		routes = append(routes, f.AddRoute(randomWalk(rng, n, links)))
+	}
+	sizes := make([]float64, 3*n)
+	for i := range sizes {
+		sizes[i] = 1e4 + 9e4*rng.Float64()
+	}
+	const period, waves = 10.0, 12
+	for w := 0; w < waves; w++ {
+		for i, b := range sizes {
+			f.StartAt(routes[i%len(routes)], b, period*float64(w)+1)
+		}
+	}
+	f.Run(4 * period)
+	var events int64
+	allocs := testing.AllocsPerRun(1, func() {
+		events = -f.Processed()
+		f.Run(f.Now() + 4*period)
+		events += f.Processed()
+	})
+	if events != int64(8*len(sizes)) {
+		t.Fatalf("%d events in four waves of %d flows, want every flow to arrive and depart", events, len(sizes))
+	}
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations over %d events, want 0 per event", allocs, events)
+	}
+}
+
+// TestFluidRejectsBadRates: a NaN or infinite capacity never bottlenecks,
+// so a route crossing only that link would keep its previous rate, and a
+// negative one would act as a down link. NewFluid and SetLinkRate refuse
+// them, naming the link and the rate.
+func TestFluidRejectsBadRates(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e6} {
+		want := fmt.Sprintf("0->1 has rate %v bps", rate)
+		mustPanic := func(what string, fn func()) {
+			t.Helper()
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s(%v): no panic", what, rate)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+					t.Errorf("%s(%v): panic %q does not mention %q", what, rate, msg, want)
+				}
+			}()
+			fn()
+		}
+		mustPanic("NewFluid", func() {
+			NewFluid(2, []TopoLink{{A: 0, B: 1, RateBps: units.BitsPerSecond(rate)}})
+		})
+		f := NewFluid(2, []TopoLink{{A: 0, B: 1, RateBps: 1e6}})
+		r := f.AddRoute([]int{0, 1})
+		f.Start(r, 1e6)
+		f.Run(0)
+		mustPanic("SetLinkRate", func() { f.SetLinkRate(0, 1, rate) })
 	}
 }

@@ -579,8 +579,15 @@ func (sc *Scenario) runFluid() *ScenarioResult {
 	x.settle(res, f.ServedBytes)
 	res.finishLinkLoads(f.LinkUtilizations())
 	publishObs(res, f.MaxPending(), 0)
+	if fluidObserve != nil {
+		fluidObserve(f)
+	}
 	return res
 }
+
+// fluidObserve, when non-nil, is handed the engine of every finished fluid
+// run. The allocator's work ratchet reads its round counts through it.
+var fluidObserve func(*FluidSim)
 
 // publishObs records a finished run's figures on the active obs sink:
 // cumulative event/flow/drop counters, the high-water count of pending
