@@ -144,18 +144,20 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestStep1Pinned pins two Step-1 worlds: their feasible-hop counts and a
-// hash of every city pair's microwave distance (bits) and tower cost. Any
-// change to the line-of-sight kernel, the terrain or the great-circle
-// sampling that moves a single hop verdict moves these.
+// TestStep1Pinned pins two Step-1 worlds: their feasible-hop counts, a
+// hash of every city pair's microwave distance (bits) and tower cost, and
+// a hash of the feasible-hop set itself (every tower-tower edge of the hop
+// graph, in insertion order). Any change to the line-of-sight kernel, the
+// terrain or the great-circle sampling that moves a single hop verdict
+// moves these, even one that keeps the hop count and every shortest link.
 func TestStep1Pinned(t *testing.T) {
 	for _, tc := range []struct {
-		s            *Scenario
-		hops, towers int
-		hash         uint64
+		s                 *Scenario
+		hops, towers      int
+		linkHash, hopHash uint64
 	}{
-		{usScenario(t), 21056, 2600, 0x6715ba2295426bb9},
-		{NewScenario(ScenarioConfig{Region: Europe, Scale: ScaleSmall, Seed: 11, MaxCities: 12}), 16136, 1494, 0xefae85a46a56f667},
+		{usScenario(t), 21056, 2600, 0x6715ba2295426bb9, 0x999993f83d1c0bcf},
+		{NewScenario(ScenarioConfig{Region: Europe, Scale: ScaleSmall, Seed: 11, MaxCities: 12}), 16136, 1494, 0xefae85a46a56f667, 0x8dccf480d986be95},
 	} {
 		s := tc.s
 		h := fnv.New64a()
@@ -164,9 +166,18 @@ func TestStep1Pinned(t *testing.T) {
 				fmt.Fprintf(h, "%x %d\n", math.Float64bits(float64(s.Links.MWDist(i, j))), s.Links.TowerCount(i, j))
 			}
 		}
-		if hops, towers := s.Links.FeasibleHops(), s.Registry.Len(); hops != tc.hops || towers != tc.towers || h.Sum64() != tc.hash {
-			t.Errorf("region %d: %d hops over %d towers, link hash %#x; want %d, %d, %#x",
-				s.Config.Region, hops, towers, h.Sum64(), tc.hops, tc.towers, tc.hash)
+		hops := fnv.New64a()
+		g, n := s.Links.Graph(), len(s.Cities)
+		for u := n; u < g.N(); u++ {
+			for _, e := range g.Neighbors(u) {
+				if e.To > u {
+					fmt.Fprintf(hops, "%d %d %x\n", u, e.To, math.Float64bits(float64(e.Weight)))
+				}
+			}
+		}
+		if n, towers := s.Links.FeasibleHops(), s.Registry.Len(); n != tc.hops || towers != tc.towers || h.Sum64() != tc.linkHash || hops.Sum64() != tc.hopHash {
+			t.Errorf("region %d: %d hops over %d towers, link hash %#x, hop-set hash %#x; want %d, %d, %#x, %#x",
+				s.Config.Region, n, towers, h.Sum64(), hops.Sum64(), tc.hops, tc.towers, tc.linkHash, tc.hopHash)
 		}
 	}
 }

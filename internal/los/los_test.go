@@ -173,10 +173,10 @@ func referenceFeasible(e *Evaluator, a, b towers.Tower) bool {
 	return true
 }
 
-// TestFeasibleMatchesReference pins the two-pass kernel (coarse terrain
-// bounds first, exact surface only where they straddle the line) to the
-// direct test over random hops of every length, height and terrain, and
-// ClearanceMargin's sign to it.
+// TestFeasibleMatchesReference pins the kernel (the hop's patch ceiling
+// first, then terrain bounds refined only while they straddle the line)
+// to the direct test over random hops of every length, height and
+// terrain, and ClearanceMargin's sign to it.
 func TestFeasibleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for mi, m := range []*terrain.Model{terrain.Flat(), terrain.ContiguousUS(2), terrain.ContiguousUS(3)} {
@@ -214,4 +214,102 @@ func BenchmarkHopFeasible90km(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.HopFeasible(t1, t2)
 	}
+}
+
+// TestHopBoxContainsSamples holds every sample of random hops inside the
+// hop's box: hops up to and beyond MaxRange, in both hemispheres, above
+// 70° of latitude, from and to the poles, and across ±180° of longitude.
+// It also checks that the box is tight where it can be: a short hop away
+// from the poles and the antimeridian gets a narrow box.
+func TestHopBoxContainsSamples(t *testing.T) {
+	e := NewEvaluator(terrain.Flat(), DefaultParams())
+	rng := rand.New(rand.NewSource(3))
+	narrow := 0
+	for k := 0; k < 20000; k++ {
+		a := geo.Point{Lat: (rng.Float64()*2 - 1) * 90, Lon: (rng.Float64()*2 - 1) * 180}
+		switch k % 10 {
+		case 0:
+			a.Lat = math.Copysign(70+rng.Float64()*20, a.Lat)
+		case 1:
+			a.Lon = math.Copysign(179.5+rng.Float64()*0.5, a.Lon)
+		case 2:
+			a.Lat = math.Copysign(90, a.Lat)
+		case 3:
+			a.Lon = math.Copysign(180, a.Lon)
+		}
+		reach := rng.Float64() * 1.3 * float64(e.Params.MaxRange)
+		if k%7 == 0 {
+			reach = rng.Float64() * 8000e3
+		}
+		b := a.Destination(rng.Float64()*360, units.Meters(reach))
+		if k%13 == 0 {
+			b = geo.Point{Lat: math.Copysign(90, -a.Lat), Lon: b.Lon}
+		}
+		s := e.sightLine(a, b, 0, 0)
+		box := hopBox(a, b, s.total)
+		for i := 0; i <= s.n; i++ {
+			p := s.arc.At(float64(i) / float64(s.n))
+			if p.Lat < box.Lo.Lat || p.Lat > box.Hi.Lat || p.Lon < box.Lo.Lon || p.Lon > box.Hi.Lon {
+				t.Fatalf("hop %v-%v (%.0f m): sample %d at %v outside box %v", a, b, s.total, i, p, box)
+			}
+		}
+		if math.Abs(a.Lat) < 60 && s.total <= e.Params.MaxRange && math.Abs(a.Lon-b.Lon) < 2 {
+			if box.Hi.Lon-box.Lo.Lon > 2.5 || box.Hi.Lat-box.Lo.Lat > 1 {
+				t.Fatalf("hop %v-%v (%.0f m): box %v is not tight", a, b, s.total, box)
+			}
+			narrow++
+		}
+	}
+	if narrow < 1000 {
+		t.Errorf("only %d short mid-latitude hops checked for a tight box", narrow)
+	}
+}
+
+// fuzzModels are the terrains FuzzFeasibleMatchesReference picks from: the
+// two presets at the fuzzed seed, flat ground, and a model with a
+// single-waypoint ridge, no noise and negative clutter; with the region
+// each one's hops start in.
+func fuzzModel(pick uint8, seed int64) (m *terrain.Model, lat0, lon0, dLat, dLon float64) {
+	switch pick % 4 {
+	case 0:
+		return terrain.ContiguousUS(seed), 25, -125, 24, 58
+	case 1:
+		return terrain.Europe(seed), 36, -10, 30, 40
+	case 2:
+		return terrain.Flat(), 30, -110, 10, 10
+	}
+	return terrain.New(seed, []terrain.Ridge{
+		{Crest: []geo.Point{{Lat: 40, Lon: -100}}, Height: 900, Width: 30e3},
+	}, nil, 0, 0, -12), 38, -102, 4, 4
+}
+
+// FuzzFeasibleMatchesReference checks the kernel's verdict against the
+// direct test over fuzzed endpoints, antenna heights, terrains and seeds.
+// A pick with its high bit set starts the hop anywhere on the globe,
+// poles and the antimeridian included.
+func FuzzFeasibleMatchesReference(f *testing.F) {
+	f.Add(0.5, 0.5, 0.3, -0.4, 150.0, 150.0, uint8(0), int64(1))
+	f.Add(0.6, 0.3, -0.2, 0.5, 60.0, 250.0, uint8(0), int64(3))
+	f.Add(0.4, 0.4, 0.1, 0.9, 120.0, 120.0, uint8(1), int64(11))
+	f.Add(0.5, 0.5, 0.4, 0.4, 10.0, 300.0, uint8(2), int64(1))
+	f.Add(0.5, 0.5, 0.2, 0.3, 200.0, 40.0, uint8(3), int64(2))
+	f.Add(0.99, 0.999, 0.3, 0.9, 100.0, 100.0, uint8(0x80), int64(5))
+	f.Fuzz(func(t *testing.T, u, v, dLat, dLon, ha, hb float64, pick uint8, seed int64) {
+		for _, x := range []float64{u, v, dLat, dLon, ha, hb} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return
+			}
+		}
+		frac := func(x float64) float64 { return x - math.Floor(x) }
+		m, lat0, lon0, spanLat, spanLon := fuzzModel(pick, seed)
+		if pick&0x80 != 0 {
+			lat0, lon0, spanLat, spanLon = -90, -180, 180, 360
+		}
+		a := towerAt(lat0+frac(u)*spanLat, lon0+frac(v)*spanLon, math.Mod(math.Abs(ha), 400))
+		b := towerAt(a.Loc.Lat+math.Mod(dLat, 1.2), a.Loc.Lon+math.Mod(dLon, 1.5), math.Mod(math.Abs(hb), 400))
+		e := NewEvaluator(m, DefaultParams())
+		if got, want := e.HopFeasible(a, b), referenceFeasible(e, a, b); got != want {
+			t.Fatalf("hop %v-%v on terrain %d seed %d: feasible %v, reference %v", a.Loc, b.Loc, pick, seed, got, want)
+		}
+	})
 }

@@ -6,7 +6,7 @@ import "cisp/internal/geo"
 // SRTM/NED coverage of the contiguous United States. Range geometries are
 // coarse tracings of the real crests; heights are above the base surface.
 func ContiguousUS(seed int64) *Model {
-	return New(seed, usRidges(), usBase, 90, 0.7, 28)
+	return New(seed, usRidges(), &usBase, 90, 0.7, 28)
 }
 
 func usRidges() []Ridge {
@@ -50,27 +50,21 @@ func usRidges() []Ridge {
 	}
 }
 
-// usBase is the smooth base surface of the contiguous US: near sea level on
-// the coasts, the interior plains rising westward from the Mississippi to the
-// Colorado high plains (~1600 m), and the Great Basin plateau in the west.
-func usBase(p geo.Point) float64 {
-	switch {
-	case p.Lon > -80: // eastern seaboard / piedmont
-		return 100
-	case p.Lon > -95: // interior lowlands
-		return 150 + (-80-p.Lon)/15*150 // 150 → 300 m
-	case p.Lon > -105: // Great Plains ramp
-		return 300 + (-95-p.Lon)/10*1300 // 300 → 1600 m
-	case p.Lon > -119: // intermountain plateau / Great Basin
-		return 1400
-	default: // Pacific coastal states beyond the Sierra/Cascade crest
-		return 150
-	}
-}
+// usBase is the smooth base surface of the contiguous US, along longitude:
+// near sea level on the coasts, the interior plains rising westward from
+// the Mississippi to the Colorado high plains (~1600 m), and the Great
+// Basin plateau in the west.
+var usBase = Base{Pieces: []Piece{
+	{Above: -80, At: 100},                                 // eastern seaboard / piedmont
+	{Above: -95, At: 150, X0: -80, Span: 15, Rise: 150},   // interior lowlands: 150 → 300 m
+	{Above: -105, At: 300, X0: -95, Span: 10, Rise: 1300}, // Great Plains ramp: 300 → 1600 m
+	{Above: -119, At: 1400},                               // intermountain plateau / Great Basin
+	{At: 150},                                             // Pacific coastal states beyond the Sierra/Cascade crest
+}}
 
 // Europe returns the synthetic terrain for the European cISP study (Fig 8).
 func Europe(seed int64) *Model {
-	return New(seed, europeRidges(), europeBase, 80, 0.6, 25)
+	return New(seed, europeRidges(), &europeBase, 80, 0.6, 25)
 }
 
 func europeRidges() []Ridge {
@@ -121,16 +115,11 @@ func europeRidges() []Ridge {
 	}
 }
 
-// europeBase: low coastal plains, a modest central-European upland belt.
-func europeBase(p geo.Point) float64 {
-	switch {
-	case p.Lat > 52: // North European Plain and Scandinavia lowlands
-		return 60
-	case p.Lat > 47: // central uplands
-		return 250
-	case p.Lat > 43: // alpine forelands / Iberia meseta
-		return 400
-	default:
-		return 250
-	}
-}
+// europeBase, along latitude: low coastal plains, a modest
+// central-European upland belt.
+var europeBase = Base{Lat: true, Pieces: []Piece{
+	{Above: 52, At: 60},  // North European Plain and Scandinavia lowlands
+	{Above: 47, At: 250}, // central uplands
+	{Above: 43, At: 400}, // alpine forelands / Iberia meseta
+	{At: 250},
+}}

@@ -141,10 +141,10 @@ func TestProfileShortHop(t *testing.T) {
 }
 
 func TestRidgeFallsOffWithDistance(t *testing.T) {
-	r := compileRidge(Ridge{Crest: []geo.Point{{Lat: 40, Lon: -106}, {Lat: 42, Lon: -106}}, Height: 2000, Width: 100e3})
-	at := r.contribution(geo.Point{Lat: 41, Lon: -106})
-	near := r.contribution(geo.Point{Lat: 41, Lon: -105})
-	far := r.contribution(geo.Point{Lat: 41, Lon: -101})
+	m := New(1, []Ridge{{Crest: []geo.Point{{Lat: 40, Lon: -106}, {Lat: 42, Lon: -106}}, Height: 2000, Width: 100e3}}, nil, 0, 0, 0)
+	at := m.Elevation(geo.Point{Lat: 41, Lon: -106})
+	near := m.Elevation(geo.Point{Lat: 41, Lon: -105})
+	far := m.Elevation(geo.Point{Lat: 41, Lon: -101})
 	if !(at > near && near > far) {
 		t.Fatalf("ridge contribution should decay: at=%f near=%f far=%f", at, near, far)
 	}
@@ -153,13 +153,11 @@ func TestRidgeFallsOffWithDistance(t *testing.T) {
 	}
 }
 
-// referenceElevation is Elevation evaluated the direct way: every crest
-// segment projected afresh at every point, with no segment skipped.
-func referenceElevation(m *Model, ridges []Ridge, p geo.Point) float64 {
-	e := 0.0
-	if m.base != nil {
-		e = m.base(p)
-	}
+// referenceElevation is Elevation evaluated the direct way: the base
+// surface as the function it was written as, and every crest segment
+// projected afresh at every point, with no segment skipped.
+func referenceElevation(m *Model, base func(geo.Point) float64, ridges []Ridge, p geo.Point) float64 {
+	e := base(p)
 	for _, r := range ridges {
 		best := math.Inf(1)
 		for i := 0; i+1 < len(r.Crest); i++ {
@@ -193,18 +191,19 @@ func TestPreparedRidgesMatchReference(t *testing.T) {
 	regions := []struct {
 		name       string
 		m          *Model
+		base       func(geo.Point) float64
 		ridges     []Ridge
 		lat0, lon0 float64
 		dLat, dLon float64
 	}{
-		{"us", ContiguousUS(5), usRidges(), 25, -125, 24, 58},
-		{"europe", Europe(5), europeRidges(), 36, -10, 30, 40},
+		{"us", ContiguousUS(5), referenceUSBase, usRidges(), 25, -125, 24, 58},
+		{"europe", Europe(5), referenceEuropeBase, europeRidges(), 36, -10, 30, 40},
 	}
 	for _, rg := range regions {
 		rng := rand.New(rand.NewSource(1))
 		for k := 0; k < 20000; k++ {
 			p := geo.Point{Lat: rg.lat0 + rng.Float64()*rg.dLat, Lon: rg.lon0 + rng.Float64()*rg.dLon}
-			got, want := rg.m.Elevation(p), referenceElevation(rg.m, rg.ridges, p)
+			got, want := rg.m.Elevation(p), referenceElevation(rg.m, rg.base, rg.ridges, p)
 			if got != want {
 				t.Fatalf("%s %v: elevation %v, reference %v", rg.name, p, got, want)
 			}
