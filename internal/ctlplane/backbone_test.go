@@ -1,12 +1,15 @@
 package ctlplane
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cisp/internal/cities"
 	"cisp/internal/geo"
+	"cisp/internal/netsim"
 )
 
 func fourSites() []cities.City {
@@ -52,24 +55,36 @@ func TestSyntheticBackboneShape(t *testing.T) {
 }
 
 // TestNewRejectsMalformedBackbone: New must refuse a backbone that breaks
-// the structural contract before it builds anything over it.
+// the structural contract, or a rate or demand TE cannot solve over,
+// before it builds anything over it, and the error must name the value.
 func TestNewRejectsMalformedBackbone(t *testing.T) {
 	midpointMw := SyntheticBackbone(fourSites(), 2, 10, 40)
 	midpointMw.Mw[0].B = midpointMw.Nodes - 1 // the last conduit's midpoint
-	cases := []struct {
-		name string
-		b    *Backbone
-	}{
-		{"nil", nil},
-		{"nodes below sites", &Backbone{Sites: fourSites(), Nodes: 3}},
-		{"microwave on a fiber midpoint", midpointMw},
-	}
 	comms := GravityCommodities(fourSites(), 20)
+	type tc struct {
+		name  string
+		b     *Backbone
+		comms []netsim.Commodity
+		want  string // in the error; "" takes any
+	}
+	cases := []tc{
+		{"nil", nil, comms, ""},
+		{"nodes below sites", &Backbone{Sites: fourSites(), Nodes: 3}, comms, ""},
+		{"microwave on a fiber midpoint", midpointMw, comms, ""},
+	}
+	for _, v := range []float64{-5, math.NaN(), math.Inf(1)} {
+		cases = append(cases,
+			tc{fmt.Sprintf("microwave rate %v", v), SyntheticBackbone(fourSites(), 2, v, 40), comms, "has rate"},
+			tc{fmt.Sprintf("fiber rate %v", v), SyntheticBackbone(fourSites(), 2, 10, v), comms, "has rate"},
+			tc{fmt.Sprintf("demand %v", v), SyntheticBackbone(fourSites(), 2, 10, 40), GravityCommodities(fourSites(), v), "has demand"})
+	}
 	for _, tc := range cases {
-		d, err := New(Config{Backbone: tc.b, Comms: comms})
+		d, err := New(Config{Backbone: tc.b, Comms: tc.comms})
 		if err == nil {
 			d.Close()
-			t.Errorf("%s: New accepted a malformed backbone", tc.name)
+			t.Errorf("%s: New accepted it", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New error %q, want one naming %q", tc.name, err, tc.want)
 		}
 	}
 }

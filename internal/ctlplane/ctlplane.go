@@ -31,7 +31,6 @@ import (
 	"cisp/internal/obs"
 	"cisp/internal/resilience"
 	"cisp/internal/te"
-	"cisp/internal/units"
 )
 
 // Config assembles a Daemon. Backbone and Comms are required. The daemon
@@ -133,7 +132,6 @@ func New(cfg Config) (*Daemon, error) {
 		d.capFrac[i] = 1
 	}
 	d.down = make([]bool, len(d.clear))
-	d.eff = make([]netsim.TopoLink, len(d.clear))
 	d.epoch = 1
 	d.rules = netsim.NewSplitRules(d.nodes, d.clear, d.comms)
 	d.enc = newEncoder(d.comms)
@@ -145,7 +143,7 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("ctlplane: snapshot MLU: %w", err)
 	}
 	d.mlu = mlu
-	if err := d.publish(KindInitial, d.copyBase()); err != nil {
+	if err := d.publish(KindInitial, d.base); err != nil {
 		return nil, err
 	}
 	d.loopWG.Add(1)
@@ -237,24 +235,14 @@ func (d *Daemon) loop() {
 	d.ctrl, d.prot = nil, nil
 }
 
-// effective composes the current link state: clear-sky rates scaled by the
-// microwave fade grading, zeroed where hard-failed — the one place fade
-// and failure meet, positionally aligned with the clear-sky list the
-// controller was built over. It fills the daemon's one list and returns
-// it, so callers only read it, and only until the next call
-// (UpdateCapacities and MLUGraph.MLU keep nothing of it).
+// effective is the current link state: netsim.Graded over the clear-sky
+// list the controller was built over, the fade fractions and the
+// down-set. It refills the daemon's one list, so callers read it only
+// until the next call (UpdateCapacities and MLUGraph.MLU keep nothing of
+// it).
 func (d *Daemon) effective() []netsim.TopoLink {
-	out := d.eff
-	copy(out, d.clear)
-	for i := 0; i < d.nMw; i++ {
-		out[i].RateBps = units.BitsPerSecond(float64(out[i].RateBps) * d.capFrac[i])
-	}
-	for li := range out {
-		if d.down[li] {
-			out[li].RateBps = 0
-		}
-	}
-	return out
+	d.eff = netsim.Graded(d.eff, d.clear, d.capFrac, d.down)
+	return d.eff
 }
 
 func (d *Daemon) handleEvents(events []Event) (*Snapshot, error) {
@@ -295,7 +283,7 @@ func (d *Daemon) reoptimize(kind string) error {
 	if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 		return fmt.Errorf("ctlplane: reoptimizing: %w", err)
 	}
-	d.base, d.method = copySplits(d.ctrl.Solution().Splits), d.ctrl.Solution().Method
+	d.base, d.method = d.ctrl.Solution().Splits, d.ctrl.Solution().Method
 	return d.publish(kind, d.prot.PatchedFrom(d.base, d.down))
 }
 
@@ -319,7 +307,7 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 	if err != nil {
 		return fmt.Errorf("ctlplane: clear-sky TE solve: %w", err)
 	}
-	primaries := copySplits(ctrl.Solution().Splits)
+	primaries := ctrl.Solution().Splits
 	prot, err := resilience.NewProtection(d.nodes, d.clear, d.comms, primaries, resilience.Config{})
 	if err != nil {
 		return fmt.Errorf("ctlplane: backup precomputation: %w", err)
@@ -341,7 +329,7 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 		if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 			return fmt.Errorf("ctlplane: replaying link state: %w", err)
 		}
-		d.base, d.method = copySplits(d.ctrl.Solution().Splits), d.ctrl.Solution().Method
+		d.base, d.method = d.ctrl.Solution().Splits, d.ctrl.Solution().Method
 	}
 	flows := make([]int, 0, len(prot.Backups))
 	for flow := range prot.Backups {
@@ -389,14 +377,4 @@ func (d *Daemon) publish(kind string, splits map[int][]netsim.SplitPath) error {
 		d.cfg.OnPublish(snap)
 	}
 	return nil
-}
-
-func (d *Daemon) copyBase() map[int][]netsim.SplitPath { return copySplits(d.base) }
-
-func copySplits(m map[int][]netsim.SplitPath) map[int][]netsim.SplitPath {
-	out := make(map[int][]netsim.SplitPath, len(m))
-	for k, v := range m {
-		out[k] = append([]netsim.SplitPath(nil), v...)
-	}
-	return out
 }

@@ -8,6 +8,17 @@ import (
 	"cisp/internal/netsim"
 )
 
+// cloneSplits copies a split set down to its SplitPath slices, so a case
+// can edit it in place without touching the controller's Solution, which
+// the daemon keeps uncopied as its base.
+func cloneSplits(m map[int][]netsim.SplitPath) map[int][]netsim.SplitPath {
+	out := make(map[int][]netsim.SplitPath, len(m))
+	for k, v := range m {
+		out[k] = append([]netsim.SplitPath(nil), v...)
+	}
+	return out
+}
+
 // TestPublishRefusesInvalidSplits changes one commodity of a valid split
 // set to each invalid form in turn. Every publish must fail, twice over
 // (the refused entry must not be kept as validated), leaving the version
@@ -20,7 +31,7 @@ func TestPublishRefusesInvalidSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Close() // the test drives publish itself; the loop must not run
-	if err := d.publish(KindReopt, d.copyBase()); err != nil {
+	if err := d.publish(KindReopt, d.base); err != nil {
 		t.Fatalf("valid publish: %v", err)
 	}
 	served := d.Snapshot()
@@ -57,7 +68,7 @@ func TestPublishRefusesInvalidSplits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for try := 0; try < 2; try++ {
-			splits := d.copyBase()
+			splits := cloneSplits(d.base)
 			tc.edit(splits)
 			err := d.publish(KindReopt, splits)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -69,7 +80,7 @@ func TestPublishRefusesInvalidSplits(t *testing.T) {
 			}
 		}
 	}
-	if err := d.publish(KindReopt, d.copyBase()); err != nil {
+	if err := d.publish(KindReopt, d.base); err != nil {
 		t.Fatalf("valid publish after refusals: %v", err)
 	}
 	s := d.Snapshot()

@@ -185,12 +185,7 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 	}
 	sched := simFailureSchedule(res.FailedLinks, len(links))
 	downAll := sched.DownAt(allDownTime)
-	degraded := append([]netsim.TopoLink(nil), links...)
-	for li, d := range downAll {
-		if d {
-			degraded[li].RateBps = 0
-		}
-	}
+	degraded := netsim.Graded(nil, links, nil, downAll)
 
 	fprintf(w, "sim study: mw links %v fail on a staggered schedule (all down around t=%.0fs)\n",
 		res.FailedLinks, allDownTime)

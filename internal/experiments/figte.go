@@ -143,9 +143,7 @@ func FigTE(opt Options, totalFlows int) *FigTEResult {
 	demandHot := traffic.Hotspot(tt.DesignTM, 5, 8, opt.Seed)
 	// Workload 2 — rain: the design-mix demand under a graded storm.
 	demandRain := tt.DesignTM
-	conds := StormConditions(tt)
-	rainMw := weather.GradedRates(tt.Mw, conds)
-	rainLinks := liveLinks(append(append([]netsim.TopoLink(nil), rainMw...), tt.Fiber...))
+	stormLinks := netsim.Graded(nil, clearLinks, weather.Fractions(StormConditions(tt)), nil)
 
 	type workload struct {
 		name   string
@@ -165,7 +163,7 @@ func FigTE(opt Options, totalFlows int) *FigTEResult {
 		{
 			name:   "rain",
 			demand: demandRain,
-			links:  rainLinks,
+			links:  netsim.Live(stormLinks),
 			solve: func(comms []netsim.Commodity) (*te.Solution, error) {
 				// Clear-sky controller, storm-interval warm reoptimization:
 				// the production loop a weather feed would drive.
@@ -173,7 +171,7 @@ func FigTE(opt Options, totalFlows int) *FigTEResult {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := ctrl.UpdateCapacities(append(weather.GradedRates(tt.Mw, conds), tt.Fiber...)); err != nil {
+				if _, err := ctrl.UpdateCapacities(stormLinks); err != nil {
 					return nil, err
 				}
 				return ctrl.Solution(), nil
@@ -210,18 +208,6 @@ func FigTE(opt Options, totalFlows int) *FigTEResult {
 		}
 	}
 	return res
-}
-
-// liveLinks drops zero-rate (failed) links: simulation engines have no use
-// for a 0 bps link, and shortest-path routing must not ride one.
-func liveLinks(links []netsim.TopoLink) []netsim.TopoLink {
-	var out []netsim.TopoLink
-	for _, l := range links {
-		if l.RateBps > 0 {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 func runTEScenario(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,

@@ -195,9 +195,9 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 			if len(stranded) > 0 {
 				// te's candidate search at K 1 is the minimum-delay path
 				// over the up links: it skips the zero-rate edges
-				// gradedLinks leaves for down links. NewProtection searched
-				// these very links, so the graph builds.
-				pools, err := te.Candidates(p.nodes, gradedLinks(p.links, down), stranded, te.Config{K: 1})
+				// netsim.Graded leaves for down links. NewProtection
+				// searched these very links, so the graph builds.
+				pools, err := te.Candidates(p.nodes, netsim.Graded(nil, p.links, nil, down), stranded, te.Config{K: 1})
 				if err != nil {
 					panic(fmt.Sprintf("resilience: residual path search: %v", err))
 				}

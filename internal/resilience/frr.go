@@ -355,6 +355,7 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 		swap map[int][]netsim.SplitPath // non-nil: reopt solution to swap in
 	}
 	var decisions []decision
+	var graded []netsim.TopoLink
 	batchSweep := newDownSweep(sched)
 	for bi := 0; bi < len(plan.Failures); {
 		t := plan.Failures[bi].Time
@@ -362,11 +363,11 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 		}
 		decisions = append(decisions, decision{t: t + detectDelay})
 		if mode == FRRReopt {
-			graded := gradedLinks(p.links, batchSweep.advance(t))
+			graded = netsim.Graded(graded, p.links, nil, batchSweep.advance(t))
 			if _, err := ctrl.UpdateCapacities(graded); err != nil {
 				return nil, fmt.Errorf("resilience: reoptimizing at t=%.3f: %w", t, err)
 			}
-			decisions = append(decisions, decision{t: t + reoptDelay, swap: copySplits(ctrl.Solution().Splits)})
+			decisions = append(decisions, decision{t: t + reoptDelay, swap: ctrl.Solution().Splits})
 		}
 	}
 	sort.SliceStable(decisions, func(a, b int) bool { return decisions[a].t < decisions[b].t })
@@ -418,25 +419,6 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 	// the background controller's solves for FRRReopt.
 	snk.Gauge("cisp_resilience_plan_lp_solves", "mode", mode.String()).Set(float64(plan.LPSolves))
 	return plan, nil
-}
-
-// gradedLinks zeroes the rate of down links, positionally.
-func gradedLinks(links []netsim.TopoLink, down []bool) []netsim.TopoLink {
-	out := append([]netsim.TopoLink(nil), links...)
-	for li := range out {
-		if down[li] {
-			out[li].RateBps = 0
-		}
-	}
-	return out
-}
-
-func copySplits(m map[int][]netsim.SplitPath) map[int][]netsim.SplitPath {
-	out := make(map[int][]netsim.SplitPath, len(m))
-	for k, v := range m {
-		out[k] = append([]netsim.SplitPath(nil), v...)
-	}
-	return out
 }
 
 // splitsKey canonicalizes a split set for change detection: path order is

@@ -28,7 +28,8 @@ type graph struct {
 // graph. Parallel directed edges are rejected: candidate paths are node
 // sequences (that is what netsim installs), so a multigraph would be
 // ambiguous — parallel capacity must be expressed through distinct nodes
-// (see experiments.DesignedTETopology's fiber midpoints).
+// (see experiments.DesignedTETopology's fiber midpoints). A NaN, infinite
+// or negative rate is rejected, as UpdateCapacities rejects one.
 func buildGraph(n int, links []netsim.TopoLink) (*graph, error) {
 	g := &graph{n: n, adj: make([][]int32, n)}
 	seen := make(map[[2]int]bool, 2*len(links))
@@ -44,7 +45,10 @@ func buildGraph(n int, links []netsim.TopoLink) (*graph, error) {
 		g.edges = append(g.edges, edge{from: a, to: b, capBps: capBps, delay: delay})
 		return nil
 	}
-	for _, l := range links {
+	for i, l := range links {
+		if r := float64(l.RateBps); !solvable(r) {
+			return nil, fmt.Errorf("te: link %d (%d-%d) has rate %v", i, l.A, l.B, r)
+		}
 		if err := add(l.A, l.B, float64(l.RateBps), float64(l.PropDelay)); err != nil {
 			return nil, err
 		}

@@ -2,9 +2,11 @@ package te_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"cisp/internal/ctlplane/ctltest"
@@ -90,7 +92,7 @@ func TestFailedUpdateKeepsState(t *testing.T) {
 	}
 	sameSolution(t, "after the failed update", ctrl, ref)
 
-	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+	for _, rate := range badValues {
 		bad := faded(links, 1, 0.5)
 		bad[2].RateBps = units.BitsPerSecond(rate)
 		if _, err := ctrl.UpdateCapacities(bad); err == nil {
@@ -112,6 +114,38 @@ func TestFailedUpdateKeepsState(t *testing.T) {
 			t.Fatalf("update %d re-solved %v, the reference %v", k, got, want)
 		}
 		sameSolution(t, "after a later update", ctrl, ref)
+	}
+}
+
+// badValues are the rates and demands te refuses: a link cannot carry
+// them and a commodity cannot offer them.
+var badValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+
+// TestConstructionRejectsBadValues: the rates UpdateCapacities rejects are
+// rejected when a controller, a candidate search or an MLU graph is built
+// over them, and NewController rejects the same values as demands; the
+// error names the link or the commodity.
+func TestConstructionRejectsBadValues(t *testing.T) {
+	bb := ctltest.Backbone()
+	comms := ctltest.Commodities()
+	for _, v := range badValues {
+		links := bb.Links()
+		links[2].RateBps = units.BitsPerSecond(v)
+		if _, err := te.NewController(bb.Nodes, links, comms, te.Config{}); err == nil || !strings.Contains(err.Error(), "link 2 ") {
+			t.Errorf("NewController over rate %v: error %v, want one naming link 2", v, err)
+		}
+		if _, err := te.Candidates(bb.Nodes, links, comms, te.Config{}); err == nil {
+			t.Errorf("Candidates accepted rate %v", v)
+		}
+		if _, err := te.NewMLUGraph(bb.Nodes, links); err == nil {
+			t.Errorf("NewMLUGraph accepted rate %v", v)
+		}
+		bad := slices.Clone(comms)
+		bad[1].Demand = units.BitsPerSecond(v)
+		want := fmt.Sprintf("commodity %d ", bad[1].Flow)
+		if _, err := te.NewController(bb.Nodes, bb.Links(), bad, te.Config{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewController over demand %v: error %v, want one naming %q", v, err, want)
+		}
 	}
 }
 

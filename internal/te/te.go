@@ -124,9 +124,15 @@ type Controller struct {
 }
 
 // NewController builds the TE graph, enumerates candidate paths for every
-// commodity in parallel, and solves the initial splits.
+// commodity in parallel, and solves the initial splits. It rejects a NaN,
+// infinite or negative link rate or commodity demand.
 func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
+	for _, cm := range comms {
+		if d := float64(cm.Demand); !solvable(d) {
+			return nil, fmt.Errorf("te: commodity %d has demand %v", cm.Flow, d)
+		}
+	}
 	g, err := buildGraph(n, links)
 	if err != nil {
 		return nil, err
@@ -144,8 +150,10 @@ func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg
 	return c, nil
 }
 
-// Solution returns the current routing decision. The returned value is
-// shared; treat it as read-only.
+// Solution returns the current routing decision. A later update replaces
+// the controller's Solution and never changes one already returned, so
+// callers keep it, and its Splits, without copying; they must not modify
+// it, since nothing else copies it either.
 func (c *Controller) Solution() *Solution { return c.sol }
 
 // LPSolves returns the number of simplex solves this controller has run,
@@ -183,7 +191,7 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 				return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, e.from, e.to)
 			}
 		}
-		if r := float64(l.RateBps); math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+		if r := float64(l.RateBps); !solvable(r) {
 			return nil, fmt.Errorf("te: capacity update link %d has rate %v", i, r)
 		}
 	}
@@ -528,6 +536,10 @@ func maxUtil(g *graph, load []float64) float64 {
 	}
 	return mlu
 }
+
+// solvable reports whether a rate or demand is one te can solve over:
+// finite and ≥ 0. Zero is legal: a down link or an idle commodity.
+func solvable(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 }
 
 func allIndices(n int) []int {
 	out := make([]int, n)

@@ -44,16 +44,8 @@ func MeasureFCT(nNodes int, mwLinks []netsim.TopoLink, conds []LinkCondition,
 	schemes []netsim.Scheme, cfg FCTConfig) []FCTResult {
 	cfg.setDefaults()
 
-	// Grade the microwave layer once; the per-scheme runs share it. Links
-	// graded to zero rate (failed or deep-faded) are omitted entirely —
-	// packet simulation has no use for a 0 bps link.
-	var links []netsim.TopoLink
-	for _, l := range GradedRates(mwLinks, conds) {
-		if l.RateBps > 0 {
-			links = append(links, l)
-		}
-	}
-	links = append(links, fiberLinks...)
+	// Grade the microwave layer once; the per-scheme runs share it.
+	links := append(netsim.Live(netsim.Graded(nil, mwLinks, Fractions(conds), nil)), fiberLinks...)
 
 	var out []FCTResult
 	for _, scheme := range schemes {

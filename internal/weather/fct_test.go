@@ -32,7 +32,7 @@ func TestMeasureFCTCompletesAndDegrades(t *testing.T) {
 	// Deep fade: the microwave link survives at the QPSK floor (1/6 rate),
 	// so the same transfer takes ~6x the serialization time.
 	degraded := MeasureFCT(3, mw,
-		[]LinkCondition{{WorstHopDB: DefaultFadeMargin, CapFrac: CapacityFraction(DefaultFadeMargin, DefaultFadeMargin)}},
+		[]LinkCondition{{CapFrac: CapacityFraction(DefaultFadeMargin, DefaultFadeMargin)}},
 		fiber, comms, schemes, cfg)
 	if degraded[0].Completed != 1 {
 		t.Fatalf("degraded run did not complete: %+v", degraded[0])
@@ -60,7 +60,7 @@ func TestMeasureFCTDeterministic(t *testing.T) {
 	mw, fiber, comms := fctFixture()
 	schemes := []netsim.Scheme{netsim.ShortestPath, netsim.MinMaxUtilization, netsim.ThroughputOptimal}
 	cfg := FCTConfig{FlowBytes: 100_000, SimTime: 30}
-	conds := []LinkCondition{{WorstHopDB: 12, CapFrac: CapacityFraction(12, DefaultFadeMargin)}}
+	conds := []LinkCondition{{CapFrac: CapacityFraction(12, DefaultFadeMargin)}}
 	// Flows in both directions share the links, so completions interleave;
 	// node 3 is isolated, so the last commodity is unroutable.
 	comms = append(comms,

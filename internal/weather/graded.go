@@ -17,9 +17,8 @@ const attenStep units.Meters = 2000
 // radios adapt their modulation independently, and the link runs at the
 // rate of its worst hop.
 type LinkCondition struct {
-	WorstHopDB units.DB // highest per-hop path attenuation
-	CapFrac    float64  // adaptive-modulation capacity fraction (0 = outage)
-	Failed     bool     // worst hop exceeded the fade margin (binary model)
+	CapFrac float64 // adaptive-modulation capacity fraction (0 = outage)
+	Failed  bool    // worst hop exceeded the fade margin (binary model)
 }
 
 // LinkGeometry caches the physical tower-hop endpoints of every built link
@@ -61,9 +60,10 @@ func (lg *LinkGeometry) NumLinks() int { return len(lg.hops) }
 
 // Conditions evaluates every link's graded state under the precipitation
 // field at the default carrier (geo.DefaultFrequencyGHz) and fade margin
-// (DefaultFadeMargin): worst-hop attenuation, adaptive-modulation capacity
-// fraction, and the paper's binary failure verdict. The out slice is
-// reused when it has the right length (pass nil to allocate).
+// (DefaultFadeMargin): the adaptive-modulation capacity fraction and the
+// paper's binary failure verdict, both set by the link's worst-attenuated
+// hop. The out slice is reused when it has the right length (pass nil to
+// allocate).
 func (lg *LinkGeometry) Conditions(f *Field, out []LinkCondition) []LinkCondition {
 	if len(out) != len(lg.hops) {
 		out = make([]LinkCondition, len(lg.hops))
@@ -76,33 +76,20 @@ func (lg *LinkGeometry) Conditions(f *Field, out []LinkCondition) []LinkConditio
 			}
 		}
 		out[li] = LinkCondition{
-			WorstHopDB: worst,
-			CapFrac:    CapacityFraction(worst, DefaultFadeMargin),
-			Failed:     worst > DefaultFadeMargin,
+			CapFrac: CapacityFraction(worst, DefaultFadeMargin),
+			Failed:  worst > DefaultFadeMargin,
 		}
 	}
 	return out
 }
 
-// GradedRates returns a copy of mwLinks with each link's rate scaled by its
-// graded adaptive-modulation capacity fraction (0 for links whose worst hop
-// exceeded the fade margin). Unlike the MeasureFCT grading, failed links
-// are kept in place at zero rate: positions are preserved link-for-link, so
-// a te.Controller built at clear sky over mwLinks followed by the fiber
-// links re-solves an interval with
-// ctrl.UpdateCapacities(append(GradedRates(mwLinks, conds), fiber...)).
-// conds[i] grades mwLinks[i]; a nil conds returns clear-sky rates.
-func GradedRates(mwLinks []netsim.TopoLink, conds []LinkCondition) []netsim.TopoLink {
-	out := append([]netsim.TopoLink(nil), mwLinks...)
-	for li := range out {
-		if li >= len(conds) {
-			break
-		}
-		switch {
-		case conds[li].Failed:
-			out[li].RateBps = 0
-		default:
-			out[li].RateBps = units.BitsPerSecond(float64(out[li].RateBps) * conds[li].CapFrac)
+// Fractions returns each link's capacity fraction, the frac argument of
+// netsim.Graded: its CapFrac, or 0 where Failed.
+func Fractions(conds []LinkCondition) []float64 {
+	out := make([]float64, len(conds))
+	for i, c := range conds {
+		if !c.Failed {
+			out[i] = c.CapFrac
 		}
 	}
 	return out

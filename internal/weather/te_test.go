@@ -2,46 +2,35 @@ package weather
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cisp/internal/netsim"
 	"cisp/internal/te"
 )
 
-// TestGradedRates: positions preserved, CapFrac scaling applied, failures
-// zeroed, nil conds = clear sky.
-func TestGradedRates(t *testing.T) {
-	mw := []netsim.TopoLink{
-		{A: 0, B: 1, RateBps: 10e9},
-		{A: 1, B: 2, RateBps: 10e9},
-		{A: 2, B: 3, RateBps: 10e9},
-	}
+// TestFractions: CapFrac where the link is up, 0 where it failed whatever
+// its CapFrac, one fraction per condition, nil conds none.
+func TestFractions(t *testing.T) {
 	conds := []LinkCondition{
 		{CapFrac: 1},
 		{CapFrac: 0.25},
 		{Failed: true, CapFrac: 0.9}, // Failed wins over any CapFrac
 	}
-	g := GradedRates(mw, conds)
-	if len(g) != 3 {
-		t.Fatalf("len = %d, want 3 (positions preserved)", len(g))
+	if got, want := Fractions(conds), []float64{1, 0.25, 0}; !slices.Equal(got, want) {
+		t.Fatalf("Fractions = %v, want %v", got, want)
 	}
-	if g[0].RateBps != 10e9 || g[1].RateBps != 2.5e9 || g[2].RateBps != 0 {
-		t.Fatalf("rates = %v %v %v, want 10e9 2.5e9 0", g[0].RateBps, g[1].RateBps, g[2].RateBps)
-	}
-	if clear := GradedRates(mw, nil); clear[1].RateBps != 10e9 {
-		t.Fatal("nil conds must leave clear-sky rates")
-	}
-	if mw[1].RateBps != 10e9 {
-		t.Fatal("GradedRates mutated its input")
+	if got := Fractions(nil); len(got) != 0 {
+		t.Fatalf("Fractions(nil) = %v, want no fractions", got)
 	}
 }
 
 // TestReoptimizeTEStormCycle drives a TE controller through a storm
-// interval and back, feeding it GradedRates the way FigTE's rain row does:
-// a diamond whose fast microwave arm fades while a parallel fiber-ish
-// detour rides through. Only the commodity crossing the faded arm is
-// re-solved; its traffic shifts, then shifts back when the interval
-// clears.
+// interval and back, grading links with netsim.Graded over Fractions the
+// way FigTE's rain row does: a diamond whose fast microwave arm fades
+// while a parallel fiber-ish detour rides through. Only the commodity
+// crossing the faded arm is re-solved; its traffic shifts, then shifts
+// back when the interval clears.
 func TestReoptimizeTEStormCycle(t *testing.T) {
 	mw := []netsim.TopoLink{
 		{A: 0, B: 1, RateBps: 10e6, PropDelay: 0.002},
@@ -57,7 +46,8 @@ func TestReoptimizeTEStormCycle(t *testing.T) {
 		{Flow: 1, Src: 0, Dst: 3, Demand: 8e6},
 		{Flow: 2, Src: 4, Dst: 5, Demand: 2e6},
 	}
-	ctrl, err := te.NewController(6, append(append([]netsim.TopoLink(nil), mw...), fiber...), comms, te.Config{})
+	links := append(append([]netsim.TopoLink(nil), mw...), fiber...)
+	ctrl, err := te.NewController(6, links, comms, te.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +56,11 @@ func TestReoptimizeTEStormCycle(t *testing.T) {
 
 	// Stormy interval: the 0-1 hop fades below half rate, 1-3 fails.
 	stormy := []LinkCondition{
-		{WorstHopDB: 10, CapFrac: 0.5},
+		{CapFrac: 0.5},
 		{Failed: true},
 		{CapFrac: 1},
 	}
-	affected, err := ctrl.UpdateCapacities(append(GradedRates(mw, stormy), fiber...))
+	affected, err := ctrl.UpdateCapacities(netsim.Graded(nil, links, Fractions(stormy), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +77,7 @@ func TestReoptimizeTEStormCycle(t *testing.T) {
 	}
 
 	// Interval clears: everything back to the clear-sky decision.
-	affected, err = ctrl.UpdateCapacities(append(GradedRates(mw, nil), fiber...))
+	affected, err = ctrl.UpdateCapacities(netsim.Graded(nil, links, Fractions(nil), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
