@@ -44,7 +44,7 @@ func main() {
 		os.Exit(1)
 	}
 	primaries := ctrl.Solution().Splits
-	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries, resilience.Config{})
+	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

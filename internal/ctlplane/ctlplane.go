@@ -78,8 +78,6 @@ type Daemon struct {
 	down    []bool    // per-hybrid-link hard-failure state
 	ctrl    *te.Controller
 	prot    *resilience.Protection
-	base    map[int][]netsim.SplitPath // latest reopt solution (or primaries)
-	method  string                     // the TE method that computed base
 	version uint64
 	epoch   uint64
 
@@ -143,7 +141,7 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("ctlplane: snapshot MLU: %w", err)
 	}
 	d.mlu = mlu
-	if err := d.publish(KindInitial, d.base); err != nil {
+	if err := d.publish(KindInitial, d.ctrl.Solution().Splits); err != nil {
 		return nil, err
 	}
 	d.loopWG.Add(1)
@@ -178,9 +176,33 @@ func (d *Daemon) Apply(events []Event) (*Snapshot, error) {
 // Reload rebuilds the control plane under new TE tuning — a fresh
 // controller and backup set at clear sky, replayed to the current
 // graded/failed link state — and publishes a reload snapshot with the
-// epoch incremented. Serving continues uninterrupted throughout.
+// epoch incremented. Serving continues uninterrupted throughout. Tuning
+// outside the reload bounds is refused before anything rebuilds.
 func (d *Daemon) Reload(teCfg te.Config) (*Snapshot, error) {
+	if err := checkReload(teCfg); err != nil {
+		return nil, err
+	}
 	return d.send(request{reload: &teCfg})
+}
+
+// The reload bounds. A controller's build grows with K times the paths
+// inside the stretch and runs on the event loop, so a reload may not ask
+// for more than these; zero keeps te's default.
+const (
+	maxReloadK       = 16
+	maxReloadStretch = 3
+)
+
+// checkReload rejects TE tuning outside the reload bounds, naming the
+// field: K in [0, maxReloadK], Stretch 0 or in [1, maxReloadStretch].
+func checkReload(c te.Config) error {
+	if c.K < 0 || c.K > maxReloadK {
+		return fmt.Errorf("ctlplane: reload te.K %d outside [0, %d]", c.K, maxReloadK)
+	}
+	if c.Stretch != 0 && !(c.Stretch >= 1 && c.Stretch <= maxReloadStretch) {
+		return fmt.Errorf("ctlplane: reload te.Stretch %v outside [1, %d] (0 keeps the default)", c.Stretch, maxReloadStretch)
+	}
+	return nil
 }
 
 func (d *Daemon) send(req request) (*Snapshot, error) {
@@ -262,8 +284,7 @@ func (d *Daemon) handleEvents(events []Event) (*Snapshot, error) {
 			// LP-solve delta across this path is exported and must stay
 			// zero.
 			before := d.ctrl.LPSolves()
-			patched := d.prot.PatchedFrom(d.base, d.down)
-			if err := d.publish(KindFRR, patched); err != nil {
+			if err := d.publish(KindFRR, d.patched()); err != nil {
 				return nil, err
 			}
 			snk.Gauge("cisp_ctlplane_frr_lp_solves").Add(float64(d.ctrl.LPSolves() - before))
@@ -283,8 +304,14 @@ func (d *Daemon) reoptimize(kind string) error {
 	if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 		return fmt.Errorf("ctlplane: reoptimizing: %w", err)
 	}
-	d.base, d.method = d.ctrl.Solution().Splits, d.ctrl.Solution().Method
-	return d.publish(kind, d.prot.PatchedFrom(d.base, d.down))
+	return d.publish(kind, d.patched())
+}
+
+// patched is the controller's solution under fast reroute for the current
+// down-set. A failed update leaves the controller's solution as it was,
+// so the solution is always the latest successful one.
+func (d *Daemon) patched() map[int][]netsim.SplitPath {
+	return d.prot.PatchedFrom(d.ctrl.Solution().Splits, d.down)
 }
 
 func (d *Daemon) handleReload(teCfg te.Config) (*Snapshot, error) {
@@ -292,7 +319,7 @@ func (d *Daemon) handleReload(teCfg te.Config) (*Snapshot, error) {
 		return nil, err
 	}
 	d.epoch++
-	if err := d.publish(KindReload, d.prot.PatchedFrom(d.base, d.down)); err != nil {
+	if err := d.publish(KindReload, d.patched()); err != nil {
 		return nil, err
 	}
 	return d.Snapshot(), nil
@@ -307,13 +334,11 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 	if err != nil {
 		return fmt.Errorf("ctlplane: clear-sky TE solve: %w", err)
 	}
-	primaries := ctrl.Solution().Splits
-	prot, err := resilience.NewProtection(d.nodes, d.clear, d.comms, primaries, resilience.Config{})
+	prot, err := resilience.NewProtection(d.nodes, d.clear, d.comms, ctrl.Solution().Splits)
 	if err != nil {
 		return fmt.Errorf("ctlplane: backup precomputation: %w", err)
 	}
 	d.ctrl, d.prot = ctrl, prot
-	d.base, d.method = primaries, ctrl.Solution().Method
 	degraded := false
 	for i := range d.capFrac {
 		if d.capFrac[i] != 1 {
@@ -329,7 +354,6 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 		if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 			return fmt.Errorf("ctlplane: replaying link state: %w", err)
 		}
-		d.base, d.method = d.ctrl.Solution().Splits, d.ctrl.Solution().Method
 	}
 	flows := make([]int, 0, len(prot.Backups))
 	for flow := range prot.Backups {
@@ -364,7 +388,7 @@ func (d *Daemon) publish(kind string, splits map[int][]netsim.SplitPath) error {
 	}
 	d.version++
 	snap, err := d.enc.snapshot(d.version, d.epoch, kind, d.cfg.Clock().Unix(),
-		d.method, float64(mlu), d.down, entries)
+		d.ctrl.Solution().Method, float64(mlu), d.down, entries)
 	if err != nil {
 		return err
 	}

@@ -30,8 +30,8 @@ func TestPublishRefusesInvalidSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Close() // the test drives publish itself; the loop must not run
-	if err := d.publish(KindReopt, d.base); err != nil {
+	defer d.Close() // the test drives publish itself; no request reaches the loop
+	if err := d.publish(KindReopt, d.ctrl.Solution().Splits); err != nil {
 		t.Fatalf("valid publish: %v", err)
 	}
 	served := d.Snapshot()
@@ -68,7 +68,7 @@ func TestPublishRefusesInvalidSplits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for try := 0; try < 2; try++ {
-			splits := cloneSplits(d.base)
+			splits := cloneSplits(d.ctrl.Solution().Splits)
 			tc.edit(splits)
 			err := d.publish(KindReopt, splits)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -80,7 +80,7 @@ func TestPublishRefusesInvalidSplits(t *testing.T) {
 			}
 		}
 	}
-	if err := d.publish(KindReopt, d.base); err != nil {
+	if err := d.publish(KindReopt, d.ctrl.Solution().Splits); err != nil {
 		t.Fatalf("valid publish after refusals: %v", err)
 	}
 	s := d.Snapshot()

@@ -204,6 +204,49 @@ func TestReloadBumpsEpoch(t *testing.T) {
 	h.AssertInvariants()
 }
 
+// TestReloadRejectsOutOfRangeTuning: a K outside [0, 16] or a nonzero
+// Stretch outside [1, 3] is refused before anything rebuilds — 400 over
+// HTTP naming the field, the same error from Daemon.Reload — while the
+// bounds themselves reload.
+func TestReloadRejectsOutOfRangeTuning(t *testing.T) {
+	h := Start(t, Options{})
+	for _, tc := range []struct {
+		body, field string
+		cfg         te.Config
+	}{
+		{`{"te":{"K":64,"Stretch":3}}`, "te.K", te.Config{K: 64, Stretch: 3}},
+		{`{"te":{"K":17}}`, "te.K", te.Config{K: 17}},
+		{`{"te":{"K":-1}}`, "te.K", te.Config{K: -1}},
+		{`{"te":{"Stretch":0.5}}`, "te.Stretch", te.Config{Stretch: 0.5}},
+		{`{"te":{"Stretch":-1}}`, "te.Stretch", te.Config{Stretch: -1}},
+		{`{"te":{"K":4,"Stretch":3.5}}`, "te.Stretch", te.Config{K: 4, Stretch: 3.5}},
+	} {
+		status, body := h.post("/v1/reload", tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(body, tc.field) {
+			t.Errorf("reload %s = %d %q, want 400 naming %s", tc.body, status, body, tc.field)
+		}
+		if _, err := h.D.Reload(tc.cfg); err == nil || err.Error() != strings.TrimSpace(body) {
+			t.Errorf("Daemon.Reload(%+v) = %v, want the HTTP error %q", tc.cfg, err, body)
+		}
+	}
+	if _, err := h.D.Reload(te.Config{Stretch: math.NaN()}); err == nil || !strings.Contains(err.Error(), "te.Stretch") {
+		t.Errorf("Daemon.Reload with a NaN stretch = %v, want an error naming te.Stretch", err)
+	}
+	if snap, _ := h.GetSnapshot(); snap.Epoch != 1 {
+		t.Fatalf("refused reloads moved the epoch to %d", snap.Epoch)
+	}
+	if status, body := h.post("/v1/reload", `{"te":{"K":16,"Stretch":3}}`); status != http.StatusOK {
+		t.Fatalf("reload at the upper bounds = %d: %s", status, body)
+	}
+	if _, err := h.D.Reload(te.Config{Stretch: 1}); err != nil {
+		t.Fatalf("reload at stretch 1: %v", err)
+	}
+	if snap, _ := h.GetSnapshot(); snap.Epoch != 3 {
+		t.Fatalf("two accepted reloads left the epoch at %d, want 3", snap.Epoch)
+	}
+	h.AssertInvariants()
+}
+
 func TestInjectRejects(t *testing.T) {
 	h := Start(t, Options{})
 	cases := []struct{ name, body string }{

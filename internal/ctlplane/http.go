@@ -74,6 +74,10 @@ func (d *Daemon) NewMux(s *obs.Sink) *http.ServeMux {
 			http.Error(w, fmt.Sprintf("ctlplane: decoding reload spec: %v", err), http.StatusBadRequest)
 			return
 		}
+		if err := checkReload(spec.TE); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		snap, err := d.Reload(spec.TE)
 		if err != nil {
 			if d.Draining() {

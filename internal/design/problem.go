@@ -83,17 +83,6 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// totalTraffic returns Σ_{s<t} h_st.
-func (p *Problem) totalTraffic() float64 {
-	sum := 0.0
-	for s := 0; s < p.N; s++ {
-		for t := s + 1; t < p.N; t++ {
-			sum += p.Traffic[s][t]
-		}
-	}
-	return sum
-}
-
 // fiberClosure returns the metric closure of FiberLat, so downstream code
 // can treat fiber distances as shortest fiber paths even if the caller
 // supplied raw per-pair conduit lengths. The closure is a per-source

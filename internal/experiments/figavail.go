@@ -112,7 +112,7 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 		return nil
 	}
 	primaries := ctrl.Solution().Splits
-	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries, resilience.Config{})
+	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries)
 	if err != nil {
 		fprintf(w, "figavail: protection: %v\n", err)
 		return nil

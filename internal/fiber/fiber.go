@@ -162,9 +162,6 @@ func maxComp(comp []int) int {
 	return m
 }
 
-// Cities returns the city set the network was built over.
-func (nw *Network) Cities() []cities.City { return nw.cities }
-
 // Graph exposes the conduit graph (for weather rerouting and tests).
 func (nw *Network) Graph() *graph.Graph[units.Meters] { return nw.g }
 

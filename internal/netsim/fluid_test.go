@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -337,7 +338,7 @@ func overloadedFluidScenario() *Scenario {
 	wide := ComputeRoutes(n, links, comms, ThroughputOptimal)
 	splits := map[int][]SplitPath{}
 	for i, c := range comms {
-		if i%2 == 0 && PathKey(short[c.Flow]) != PathKey(wide[c.Flow]) {
+		if i%2 == 0 && !slices.Equal(short[c.Flow], wide[c.Flow]) {
 			splits[c.Flow] = []SplitPath{{Path: short[c.Flow], Frac: 0.7}, {Path: wide[c.Flow], Frac: 0.3}}
 		}
 	}
@@ -586,7 +587,7 @@ func TestFluidMatchesReference(t *testing.T) {
 		for _, c := range comms {
 			rs := f.AddRoute(short[c.Flow])
 			rw := rs
-			if PathKey(wide[c.Flow]) != PathKey(short[c.Flow]) {
+			if !slices.Equal(wide[c.Flow], short[c.Flow]) {
 				rw = f.AddRoute(wide[c.Flow])
 			}
 			alt = append(alt, rw)

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cisp/internal/units"
@@ -50,7 +51,7 @@ func overloadedPacketScenario() *Scenario {
 	wide := ComputeRoutes(n, links, comms, ThroughputOptimal)
 	splits := map[int][]SplitPath{}
 	for i, c := range comms {
-		if i%2 == 0 && PathKey(short[c.Flow]) != PathKey(wide[c.Flow]) {
+		if i%2 == 0 && !slices.Equal(short[c.Flow], wide[c.Flow]) {
 			splits[c.Flow] = []SplitPath{{Path: short[c.Flow], Frac: 0.6}, {Path: wide[c.Flow], Frac: 0.4}}
 		}
 	}

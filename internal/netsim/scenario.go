@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cisp/internal/obs"
@@ -499,17 +500,6 @@ func reversed(paths [][]int) [][]int {
 	return out
 }
 
-// PathKey canonicalizes a node path as a comparable string — the shared
-// key for route deduplication here and split change-detection in the
-// resilience layer.
-func PathKey(path []int) string {
-	var b []byte
-	for _, v := range path {
-		b = fmt.Appendf(b, "%d,", v)
-	}
-	return string(b)
-}
-
 // runFluid materializes the replay as fluid flows. Route IDs set the
 // max-min iteration order, so routes are registered as they come into
 // use: each commodity's paths at setup, in commodity order and duplicates
@@ -518,15 +508,14 @@ func (sc *Scenario) runFluid() *ScenarioResult {
 	x := sc.expand()
 	f := NewFluid(sc.Nodes, sc.Links)
 	res := &ScenarioResult{Mode: FluidMode, Flows: x.flows}
-	routeOf := make([]map[string]int, len(x.comms)) // per commodity: path key -> route ID
+	reg := make([]registered, len(x.comms))
 	for ci := range x.comms {
 		rc := &x.comms[ci]
 		routes := make([]int, len(rc.paths))
-		routeOf[ci] = make(map[string]int, len(rc.paths))
 		for pi, path := range rc.paths {
 			routes[pi] = f.AddRoute(path)
-			routeOf[ci][PathKey(path)] = routes[pi]
 		}
+		reg[ci] = registered{paths: rc.paths[:len(rc.paths):len(rc.paths)], routes: routes}
 		for k := 0; k < rc.n; k++ {
 			f.StartAt(routes[pick(rc.assign, k)], float64(rc.bytes), x.flows[rc.first+k].Start)
 		}
@@ -553,13 +542,7 @@ func (sc *Scenario) runFluid() *ScenarioResult {
 				rc := &x.comms[a.comm]
 				routes := make([]int, len(a.paths))
 				for pi, path := range a.paths {
-					key := PathKey(path)
-					rid, ok := routeOf[a.comm][key]
-					if !ok {
-						rid = f.AddRoute(path)
-						routeOf[a.comm][key] = rid
-					}
-					routes[pi] = rid
+					routes[pi] = reg[a.comm].route(f, path)
 				}
 				for k := 0; k < rc.n; k++ {
 					f.Reroute(rc.first+k, routes[pick(a.assign, k)])
@@ -583,6 +566,26 @@ func (sc *Scenario) runFluid() *ScenarioResult {
 		fluidObserve(f)
 	}
 	return res
+}
+
+// registered is one commodity's fluid routes with their paths, in
+// registration order, duplicates included.
+type registered struct {
+	paths  [][]int
+	routes []int
+}
+
+// route returns the last registered route over path, registering a new
+// one when none matches.
+func (r *registered) route(f *FluidSim, path []int) int {
+	for i := len(r.paths) - 1; i >= 0; i-- {
+		if slices.Equal(r.paths[i], path) {
+			return r.routes[i]
+		}
+	}
+	r.paths = append(r.paths, path)
+	r.routes = append(r.routes, f.AddRoute(path))
+	return r.routes[len(r.routes)-1]
 }
 
 // fluidObserve, when non-nil, is handed the engine of every finished fluid

@@ -163,11 +163,3 @@ func (q *QueueSampler) Stop() { q.stopped = true }
 
 // Samples returns the raw samples.
 func (q *QueueSampler) Samples() []int { return q.samples }
-
-// Percentile returns the p-th percentile (0-100) of sampled queue lengths.
-func (q *QueueSampler) Percentile(p float64) float64 {
-	if len(q.samples) == 0 {
-		return 0
-	}
-	return PercentileInts(q.samples, p)
-}

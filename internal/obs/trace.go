@@ -141,14 +141,6 @@ func (sp *Span) End() {
 	onEvent(ev)
 }
 
-// ID returns the span's deterministic ID (0 on nil).
-func (sp *Span) ID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.id
-}
-
 // spanID hashes (seed, path, index) with FNV-64a.
 func spanID(seed int64, path string, index int) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211

@@ -76,37 +76,16 @@ func (p *Protection) deadFrac(sps []split, down []bool) float64 {
 func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 	st := Stats{Mode: mode}
 
-	// Decisions: every event batch triggers its own FRR patch detectDelay
-	// later and (FRRReopt) its own rescue evaluation reoptDelay later —
-	// the exact timing Plan compiles, so the analytic walk and the
-	// simulated replay describe the same response.
+	// Boundaries: every topology change and every one of Plan's decisions
+	// inside the horizon. Between consecutive boundaries both the down-set
+	// and the in-force routing are constant.
 	events := sched.Events()
-	type decision struct {
-		t      float64
-		rescue bool
-	}
-	var decisions []decision
-	for ei := 0; ei < len(events); {
-		bt := events[ei].Time
-		for ; ei < len(events) && events[ei].Time == bt; ei++ {
-		}
-		if mode != NoProtection {
-			decisions = append(decisions, decision{t: bt + detectDelay})
-		}
-		if mode == FRRReopt {
-			decisions = append(decisions, decision{t: bt + reoptDelay, rescue: true})
-		}
-	}
-	sort.SliceStable(decisions, func(a, b int) bool { return decisions[a].t < decisions[b].t })
-
-	// Boundaries: every topology change and every decision. Between
-	// consecutive boundaries both the down-set and the in-force routing
-	// are constant.
+	decs := decisions(events, mode)
 	bset := map[float64]bool{0: true, sched.Horizon: true}
 	for _, ev := range events {
 		bset[ev.Time] = true
 	}
-	for _, d := range decisions {
+	for _, d := range decs {
 		if d.t <= sched.Horizon {
 			bset[d.t] = true
 		}
@@ -123,21 +102,12 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 		path  []int
 		delay float64
 	}
-	installed := make(map[int]string, len(p.primaries))
-	inForce := make(map[int][]split, len(p.primaries))
-	for flow, sp := range p.primaries {
-		installed[flow] = splitsKey(sp)
-		inForce[flow] = p.toSplits(sp)
+	installed := p.primaryKeys()
+	inForce := make(map[int][]split, len(p.flows))
+	for _, c := range p.flows {
+		inForce[c.Flow] = p.toSplits(p.primaries[c.Flow])
 	}
 	rescues := map[int]rescue{}
-
-	flows := make([]int, 0, len(p.primaries))
-	for flow := range p.primaries {
-		if p.commBy[flow] != nil {
-			flows = append(flows, flow)
-		}
-	}
-	sort.Ints(flows)
 
 	demandTime, liveTime := 0.0, 0.0
 	stretchW, stretchSum := 0.0, 0.0
@@ -155,24 +125,21 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 		}
 
 		// Apply the decisions landing at this boundary (their times are
-		// boundaries by construction).
+		// boundaries by construction): a patch re-patches from the
+		// primaries, a reopt evaluates rescues.
 		patch, rescueEval := false, false
-		for ; decIdx < len(decisions) && decisions[decIdx].t <= t; decIdx++ {
-			if decisions[decIdx].rescue {
+		for ; decIdx < len(decs) && decs[decIdx].t <= t; decIdx++ {
+			if decs[decIdx].reopt {
 				rescueEval = true
 			} else {
 				patch = true
 			}
 		}
 		if patch {
-			for _, flow := range flows {
-				desired := p.patchOne(flow, p.primaries[flow], down)
-				if key := splitsKey(desired); key != installed[flow] {
-					installed[flow] = key
-					inForce[flow] = p.toSplits(desired)
-					st.Reroutes++
-				}
-			}
+			p.repatch(installed, p.primaries, down, func(flow int, sps []netsim.SplitPath) {
+				inForce[flow] = p.toSplits(sps)
+				st.Reroutes++
+			})
 		}
 		// Rescues die with the links they ride or when the patched split
 		// recovers on its own.
@@ -183,14 +150,10 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 		}
 		if rescueEval {
 			var stranded []netsim.Commodity
-			for _, flow := range flows {
-				if _, have := rescues[flow]; have {
-					continue
+			for _, c := range p.flows {
+				if _, have := rescues[c.Flow]; !have && p.deadFrac(inForce[c.Flow], down) > 0 {
+					stranded = append(stranded, *c)
 				}
-				if p.deadFrac(inForce[flow], down) == 0 {
-					continue
-				}
-				stranded = append(stranded, *p.commBy[flow])
 			}
 			if len(stranded) > 0 {
 				// te's candidate search at K 1 is the minimum-delay path
@@ -214,17 +177,17 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 		if dt <= 0 {
 			continue
 		}
-		for _, flow := range flows {
-			demand := float64(p.commBy[flow].Demand)
+		for _, c := range p.flows {
+			demand := float64(c.Demand)
 			if demand <= 0 {
 				demand = 1 // count zero-demand commodities uniformly
 			}
 			demandTime += demand * dt
-			for _, sp := range inForce[flow] {
+			for _, sp := range inForce[c.Flow] {
 				delay := sp.delay
 				live := p.pathUp(sp.path, down)
 				if !live {
-					if r, ok := rescues[flow]; ok {
+					if r, ok := rescues[c.Flow]; ok {
 						live, delay = true, r.delay
 					}
 				}
@@ -233,7 +196,7 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 				}
 				liveTime += demand * sp.frac * dt
 				if anyDown {
-					if s0, ok := p.shortest[flow]; ok && s0 > 0 {
+					if s0, ok := p.shortest[c.Flow]; ok && s0 > 0 {
 						str := delay / s0
 						w := demand * sp.frac * dt
 						stretchW += w

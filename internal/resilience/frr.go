@@ -2,7 +2,10 @@ package resilience
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"cisp/internal/netsim"
 	"cisp/internal/obs"
@@ -12,7 +15,9 @@ import (
 // Protection timing and pool size (§8).
 const (
 	// backupK bounds the backup search to the first backupK paths of the
-	// Yen candidate pool the TE control plane enumerates.
+	// Yen candidate pool the TE control plane enumerates, within te's
+	// default stretch of each commodity's shortest-path delay: fast
+	// reroute never leaves the latency envelope the design promised.
 	backupK = 8
 	// detectDelay is the failure-detection plus local-repair activation
 	// latency, seconds: backup paths install this long after a failure
@@ -22,16 +27,6 @@ const (
 	// before its solution swaps in, seconds. Only FRRReopt uses it.
 	reoptDelay = 1.0
 )
-
-// Config tunes the protection layer. The zero value selects defaults.
-type Config struct {
-	// Stretch caps the backup search: backups are chosen from the first
-	// backupK (8) candidate paths per commodity within Stretch × its
-	// shortest-path delay — fast reroute never leaves the latency
-	// envelope the design promised. Zero takes the te.Config default
-	// stretch, 1.5.
-	Stretch float64
-}
 
 // Mode selects a protection strategy.
 type Mode int
@@ -82,8 +77,7 @@ type Protection struct {
 
 	nodes     int
 	links     []netsim.TopoLink
-	comms     []netsim.Commodity
-	commBy    map[int]*netsim.Commodity // by flow ID
+	flows     []*netsim.Commodity // the commodities with primaries, in flow-ID order
 	primaries map[int][]netsim.SplitPath
 	shortest  map[int]float64 // clear-sky shortest-path delay per flow
 	linkIdx   map[[2]int]int  // undirected node pair -> index into links
@@ -92,19 +86,18 @@ type Protection struct {
 // NewProtection builds the fast-reroute state for the commodities over the
 // clear-sky topology. primaries is the installed routing decision — a TE
 // solution's Splits, or single paths wrapped as one-element splits; flows
-// without an entry are unprotected. For every commodity it enumerates the
-// TE candidate pool (same K/Stretch semantics as the control plane) and
-// picks the candidate sharing the fewest undirected links with the
-// commodity's primaries, ties broken toward lower delay — maximal link
-// disjointness subject to the latency cap.
+// without an entry are unprotected, and an entry for a flow outside comms
+// is an error. For every commodity it enumerates the TE candidate pool
+// (te's default stretch, backupK paths) and picks the candidate sharing
+// the fewest undirected links with the commodity's primaries, ties broken
+// toward lower delay — maximal link disjointness subject to the latency
+// cap.
 func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
-	primaries map[int][]netsim.SplitPath, cfg Config) (*Protection, error) {
+	primaries map[int][]netsim.SplitPath) (*Protection, error) {
 	p := &Protection{
 		Backups:   make(map[int]Backup),
 		nodes:     nodes,
 		links:     links,
-		comms:     comms,
-		commBy:    make(map[int]*netsim.Commodity, len(comms)),
 		primaries: primaries,
 		shortest:  make(map[int]float64, len(comms)),
 		linkIdx:   make(map[[2]int]int, len(links)),
@@ -112,10 +105,17 @@ func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 	for li, l := range links {
 		p.linkIdx[pairKey(l.A, l.B)] = li
 	}
+	commBy := make(map[int]*netsim.Commodity, len(comms))
 	for i := range comms {
-		p.commBy[comms[i].Flow] = &comms[i]
+		commBy[comms[i].Flow] = &comms[i]
 	}
-	cands, err := te.Candidates(nodes, links, comms, te.Config{K: backupK, Stretch: cfg.Stretch})
+	for _, flow := range slices.Sorted(maps.Keys(primaries)) {
+		if commBy[flow] == nil {
+			return nil, fmt.Errorf("resilience: primary for flow %d, which is not a commodity", flow)
+		}
+		p.flows = append(p.flows, commBy[flow])
+	}
+	cands, err := te.Candidates(nodes, links, comms, te.Config{K: backupK})
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 			continue
 		}
 		primLinks := map[int]bool{}
-		primKeys := map[string]bool{}
+		var primPaths [][]int
 		for _, sp := range prim {
 			if sp.Frac <= 0 {
 				continue
@@ -142,11 +142,11 @@ func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 			for _, li := range lis {
 				primLinks[li] = true
 			}
-			primKeys[netsim.PathKey(sp.Path)] = true
+			primPaths = append(primPaths, sp.Path)
 		}
 		best, bestShared := -1, 0
 		for pi, cand := range pool {
-			if primKeys[netsim.PathKey(cand.Nodes)] {
+			if slices.ContainsFunc(primPaths, func(q []int) bool { return slices.Equal(q, cand.Nodes) }) {
 				continue // a primary is no backup for itself
 			}
 			shared := 0
@@ -242,34 +242,38 @@ func (p *Protection) pathUp(path []int, down []bool) bool {
 	return true
 }
 
-// patchOne applies fast reroute to one commodity's split under a down-set:
-// fractions on failed paths move to the backup when it exists and is up,
-// merging with a surviving path if the backup coincides with one. Fractions
-// with nowhere to go stay on their dead path (they stall; availability
-// accounting charges them). Returns base itself when nothing crosses a
-// down link.
-func (p *Protection) patchOne(flow int, base []netsim.SplitPath, down []bool) []netsim.SplitPath {
+// patchOne applies fast reroute to one commodity's split in base under a
+// down-set, falling back to its primaries where base dropped it as
+// unroutable (the last physical paths the network held): fractions on
+// failed paths move to the backup when it exists and is up, merging with a
+// surviving path if the backup coincides with one. Fractions with nowhere
+// to go stay on their dead path (they stall; availability accounting
+// charges them). Returns the split itself when nothing crosses a down link.
+func (p *Protection) patchOne(flow int, base map[int][]netsim.SplitPath, down []bool) []netsim.SplitPath {
+	bs := base[flow]
+	if len(bs) == 0 {
+		bs = p.primaries[flow]
+	}
 	deadFrac := 0.0
-	for _, sp := range base {
+	for _, sp := range bs {
 		if !p.pathUp(sp.Path, down) {
 			deadFrac += sp.Frac
 		}
 	}
 	if deadFrac == 0 {
-		return base
+		return bs
 	}
 	bk, ok := p.Backups[flow]
 	if !ok || !p.pathUp(bk.Path, down) {
-		return base // nothing to rescue with
+		return bs // nothing to rescue with
 	}
-	out := make([]netsim.SplitPath, 0, len(base)+1)
-	bkKey := netsim.PathKey(bk.Path)
+	out := make([]netsim.SplitPath, 0, len(bs)+1)
 	merged := false
-	for _, sp := range base {
+	for _, sp := range bs {
 		if !p.pathUp(sp.Path, down) {
 			continue
 		}
-		if netsim.PathKey(sp.Path) == bkKey {
+		if slices.Equal(sp.Path, bk.Path) {
 			sp.Frac += deadFrac
 			merged = true
 		}
@@ -291,19 +295,70 @@ func (p *Protection) Patched(down []bool) map[int][]netsim.SplitPath {
 // PatchedFrom applies fast reroute against an arbitrary installed base —
 // the latest reoptimized solution of a live control plane rather than the
 // clear-sky primaries. Flows the base dropped as unroutable fall back to
-// their primaries (the last physical paths the network held), matching the
-// Plan compiler's convention. The down-set indexes the clear-sky link list
-// the protection was built over. Pure table lookups: no LP solves.
+// their primaries, matching the Plan compiler's convention. The down-set
+// indexes the clear-sky link list the protection was built over. Pure
+// table lookups: no LP solves.
 func (p *Protection) PatchedFrom(base map[int][]netsim.SplitPath, down []bool) map[int][]netsim.SplitPath {
 	out := make(map[int][]netsim.SplitPath, len(p.primaries))
-	for flow, prim := range p.primaries {
-		bs := base[flow]
-		if len(bs) == 0 {
-			bs = prim
-		}
-		out[flow] = p.patchOne(flow, bs, down)
+	for flow := range p.primaries {
+		out[flow] = p.patchOne(flow, base, down)
 	}
 	return out
+}
+
+// decision is one timed response to an event batch: the fast-reroute
+// patch detectDelay after it or, under FRRReopt, the background
+// reoptimization of the batch's link state reoptDelay after it.
+type decision struct {
+	t, batch float64
+	reopt    bool
+}
+
+// decisions turns time-sorted events into the ordered decision list Plan
+// and Availability both walk. Same-instant decisions keep batch order,
+// each batch's patch before its reopt.
+func decisions(events []netsim.FailureEvent, mode Mode) []decision {
+	if mode == NoProtection {
+		return nil
+	}
+	var ds []decision
+	for i := 0; i < len(events); {
+		t := events[i].Time
+		for ; i < len(events) && events[i].Time == t; i++ {
+		}
+		ds = append(ds, decision{t: t + detectDelay})
+		if mode == FRRReopt {
+			ds = append(ds, decision{t: t + reoptDelay, batch: t, reopt: true})
+		}
+	}
+	sort.SliceStable(ds, func(a, b int) bool { return ds[a].t < ds[b].t })
+	return ds
+}
+
+// repatch is the one fast-reroute step of Plan and Availability. It
+// re-patches every protected flow from base under a down-set, in flow
+// order, and calls changed with each flow whose patched split differs
+// from the one in force. installed holds the in-force splits' keys by
+// position in p.flows (primaryKeys to start) and is kept current.
+func (p *Protection) repatch(installed []string, base map[int][]netsim.SplitPath, down []bool,
+	changed func(flow int, sps []netsim.SplitPath)) {
+	for i, c := range p.flows {
+		sps := p.patchOne(c.Flow, base, down)
+		if key := splitsKey(sps); key != installed[i] {
+			installed[i] = key
+			changed(c.Flow, sps)
+		}
+	}
+}
+
+// primaryKeys returns each protected flow's primary splitsKey, the
+// in-force state before any decision.
+func (p *Protection) primaryKeys() []string {
+	keys := make([]string, len(p.flows))
+	for i, c := range p.flows {
+		keys[i] = splitsKey(p.primaries[c.Flow])
+	}
+	return keys
 }
 
 // Plan is a compiled failure response, ready to install on a
@@ -347,69 +402,31 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 		solvesBefore = ctrl.LPSolves()
 	}
 
-	// Batch the schedule's events by time, then build the decision list:
-	// a fast-reroute patch detectDelay after every batch and, for FRRReopt,
-	// the background solution swap reoptDelay after it.
-	type decision struct {
-		t    float64
-		swap map[int][]netsim.SplitPath // non-nil: reopt solution to swap in
-	}
-	var decisions []decision
+	// Walk the decisions chronologically. A reopt swaps in the
+	// controller's solution for its batch's link state (the controller
+	// reoptimizes batch by batch); then every instant re-patches from the
+	// latest base, which starts as the primaries, and emits an update for
+	// each flow whose in-force split changed.
+	base, installed := p.primaries, p.primaryKeys()
 	var graded []netsim.TopoLink
-	batchSweep := newDownSweep(sched)
-	for bi := 0; bi < len(plan.Failures); {
-		t := plan.Failures[bi].Time
-		for ; bi < len(plan.Failures) && plan.Failures[bi].Time == t; bi++ {
-		}
-		decisions = append(decisions, decision{t: t + detectDelay})
-		if mode == FRRReopt {
-			graded = netsim.Graded(graded, p.links, nil, batchSweep.advance(t))
-			if _, err := ctrl.UpdateCapacities(graded); err != nil {
-				return nil, fmt.Errorf("resilience: reoptimizing at t=%.3f: %w", t, err)
-			}
-			decisions = append(decisions, decision{t: t + reoptDelay, swap: ctrl.Solution().Splits})
-		}
-	}
-	sort.SliceStable(decisions, func(a, b int) bool { return decisions[a].t < decisions[b].t })
-
-	// Walk the decisions chronologically, emitting an update whenever a
-	// commodity's in-force split changes. base is the latest swapped-in
-	// solution (initially the primaries); installed tracks what the network
-	// is actually forwarding on.
-	base := p.primaries
-	installed := make(map[int]string, len(p.primaries))
-	for flow, sp := range p.primaries {
-		installed[flow] = splitsKey(sp)
-	}
-	flows := make([]int, 0, len(p.primaries))
-	for flow := range p.primaries {
-		flows = append(flows, flow)
-	}
-	sort.Ints(flows)
-	decSweep := newDownSweep(sched)
-	for di := 0; di < len(decisions); {
-		t := decisions[di].t
-		for ; di < len(decisions) && decisions[di].t == t; di++ {
-			if decisions[di].swap != nil {
-				base = decisions[di].swap
+	batchSweep, decSweep := newDownSweep(sched), newDownSweep(sched)
+	decs := decisions(plan.Failures, mode)
+	for di := 0; di < len(decs); {
+		t := decs[di].t
+		for ; di < len(decs) && decs[di].t == t; di++ {
+			if d := decs[di]; d.reopt {
+				graded = netsim.Graded(graded, p.links, nil, batchSweep.advance(d.batch))
+				if _, err := ctrl.UpdateCapacities(graded); err != nil {
+					return nil, fmt.Errorf("resilience: reoptimizing at t=%.3f: %w", d.batch, err)
+				}
+				base = ctrl.Solution().Splits
 			}
 		}
-		down := decSweep.advance(t)
-		for _, flow := range flows {
-			bs := base[flow]
-			if len(bs) == 0 {
-				bs = p.primaries[flow] // reopt dropped it as unroutable; keep the last physical paths
-			}
-			desired := p.patchOne(flow, bs, down)
-			key := splitsKey(desired)
-			if key == installed[flow] {
-				continue
-			}
-			installed[flow] = key
-			plan.Updates = append(plan.Updates, netsim.PathUpdate{Time: t, Flow: flow, Paths: desired})
-			plan.Reroutes++
-		}
+		p.repatch(installed, base, decSweep.advance(t), func(flow int, sps []netsim.SplitPath) {
+			plan.Updates = append(plan.Updates, netsim.PathUpdate{Time: t, Flow: flow, Paths: sps})
+		})
 	}
+	plan.Reroutes = len(plan.Updates)
 	if mode == FRRReopt {
 		plan.LPSolves = ctrl.LPSolves() - solvesBefore
 	}
@@ -424,15 +441,10 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 // splitsKey canonicalizes a split set for change detection: path order is
 // normalized and fractions rounded well below any meaningful difference.
 func splitsKey(sps []netsim.SplitPath) string {
-	keys := make([]string, 0, len(sps))
-	for _, sp := range sps {
-		keys = append(keys, fmt.Sprintf("%s=%.9f", netsim.PathKey(sp.Path), sp.Frac))
+	keys := make([]string, len(sps))
+	for i, sp := range sps {
+		keys[i] = fmt.Sprintf("%v=%.9f", sp.Path, sp.Frac)
 	}
 	sort.Strings(keys)
-	var b []byte
-	for _, k := range keys {
-		b = append(b, k...)
-		b = append(b, ';')
-	}
-	return string(b)
+	return strings.Join(keys, ";")
 }

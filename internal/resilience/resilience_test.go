@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -176,7 +178,7 @@ func protPrimaries() map[int][]netsim.SplitPath {
 // shared links, then lowest delay) of the whole candidate pool.
 func TestBackupDisjointAndWithinStretch(t *testing.T) {
 	comms := protComms()
-	p, err := NewProtection(5, protLinks(), comms, protPrimaries(), Config{Stretch: 1.5})
+	p, err := NewProtection(5, protLinks(), comms, protPrimaries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +206,8 @@ func TestBackupDisjointAndWithinStretch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primKey := netsim.PathKey(protPrimaries()[1][0].Path)
 	for _, cand := range pool[0] {
-		if netsim.PathKey(cand.Nodes) == primKey {
+		if slices.Equal(cand.Nodes, protPrimaries()[1][0].Path) {
 			continue
 		}
 		shared := 0
@@ -234,6 +235,15 @@ func TestBackupDisjointAndWithinStretch(t *testing.T) {
 	}
 }
 
+// patchLinks is protLinks with the 0-2-3 arm shortened to 2.4 ms, inside
+// 1.5 × the 2 ms shortest delay: with the other two arms as primaries, it
+// is the one disjoint backup.
+func patchLinks() []netsim.TopoLink {
+	links := protLinks()
+	links[2].PropDelay, links[3].PropDelay = 0.0012, 0.0012
+	return links
+}
+
 // TestPatchMovesOnlyDeadFractions: patching must leave live fractions in
 // place, move dead ones to the backup, and return to primaries on repair.
 func TestPatchMovesOnlyDeadFractions(t *testing.T) {
@@ -241,9 +251,12 @@ func TestPatchMovesOnlyDeadFractions(t *testing.T) {
 		{Path: []int{0, 1, 3}, Frac: 0.6},
 		{Path: []int{0, 4, 3}, Frac: 0.4},
 	}}
-	p, err := NewProtection(5, protLinks(), protComms(), primaries, Config{Stretch: 2.5})
+	p, err := NewProtection(5, patchLinks(), protComms(), primaries)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bk := p.Backups[1]; !slices.Equal(bk.Path, []int{0, 2, 3}) {
+		t.Fatalf("backup %v, want the disjoint 0-2-3 arm", bk.Path)
 	}
 	down := make([]bool, 6)
 	down[0] = true // 0-1 dies: the 0.6 fraction must move
@@ -266,12 +279,24 @@ func TestPatchMovesOnlyDeadFractions(t *testing.T) {
 	}
 }
 
+// TestNewProtectionRejectsUnknownFlow: a primary for a flow that is not
+// one of the commodities is an error, not a flow Plan reroutes and
+// Availability skips.
+func TestNewProtectionRejectsUnknownFlow(t *testing.T) {
+	primaries := protPrimaries()
+	primaries[9] = []netsim.SplitPath{{Path: []int{0, 1, 3}, Frac: 1}}
+	_, err := NewProtection(5, protLinks(), protComms(), primaries)
+	if err == nil || !strings.Contains(err.Error(), "flow 9") {
+		t.Fatalf("NewProtection with a primary for unknown flow 9: err = %v", err)
+	}
+}
+
 // TestPlanFRRZeroLPSolves pins the headline event-path property: compiling
 // an FRR response to a multi-failure schedule performs zero simplex solves
 // anywhere in the process, and the updates activate backups and revert on
 // repair.
 func TestPlanFRRZeroLPSolves(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(), Config{Stretch: 1.5})
+	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +318,10 @@ func TestPlanFRRZeroLPSolves(t *testing.T) {
 	if len(plan.Updates) != 2 {
 		t.Fatalf("updates = %+v, want activate+revert", plan.Updates)
 	}
-	if got := plan.Updates[0]; got.Time != 10.05 || netsim.PathKey(got.Paths[0].Path) != netsim.PathKey([]int{0, 4, 3}) {
+	if got := plan.Updates[0]; got.Time != 10.05 || !slices.Equal(got.Paths[0].Path, []int{0, 4, 3}) {
 		t.Fatalf("activation update %+v, want backup 0-4-3 at t=10.05", got)
 	}
-	if got := plan.Updates[1]; got.Time != 40.05 || netsim.PathKey(got.Paths[0].Path) != netsim.PathKey([]int{0, 1, 3}) {
+	if got := plan.Updates[1]; got.Time != 40.05 || !slices.Equal(got.Paths[0].Path, []int{0, 1, 3}) {
 		t.Fatalf("revert update %+v, want primary back at t=40.05", got)
 	}
 }
@@ -305,7 +330,7 @@ func TestPlanFRRZeroLPSolves(t *testing.T) {
 // controller's simplex solves, so another controller solving on another
 // goroutine while the plan compiles leaves the count at its quiet value.
 func TestPlanLPSolvesIgnoreConcurrentTE(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(), Config{Stretch: 1.5})
+	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +412,7 @@ func TestPlanLPSolvesIgnoreConcurrentTE(t *testing.T) {
 // exercises every branch: reopt ≥ frr ≥ none, with strict gaps where the
 // fixture guarantees them, and stretch > 1 for rescued traffic.
 func TestAvailabilityOrdering(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(),
-		Config{Stretch: 1.5})
+	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,8 +475,7 @@ func TestAvailabilityOrdering(t *testing.T) {
 // packet mode, so the stable cross-engine quantity is total bits over
 // makespan).
 func TestPlanAgreesAcrossEngines(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries(),
-		Config{Stretch: 1.5})
+	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
 	if err != nil {
 		t.Fatal(err)
 	}

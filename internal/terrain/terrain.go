@@ -45,9 +45,6 @@ type Sample struct {
 	Clutter float64 // additional clutter height (trees, buildings), meters
 }
 
-// Surface returns the obstruction height at the sample: ground plus clutter.
-func (s Sample) Surface() float64 { return s.Ground + s.Clutter }
-
 // Ridge is a mountain range: a crest polyline with a Gaussian cross-section.
 type Ridge struct {
 	Crest  []geo.Point // waypoints along the range's spine

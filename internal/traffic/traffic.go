@@ -353,39 +353,6 @@ func Hotspot(m Matrix, nPairs int, factor float64, seed int64) Matrix {
 	return out
 }
 
-// Diurnal scales m by a sinusoidal day profile: each site carries a phase
-// φ_i ∈ [0, 1) (drawn uniformly, deterministic in seed — a stand-in for its
-// timezone), and the pair (i, j) is scaled by
-//
-//	1 + amplitude · (sin 2π(hour/24 − φ_i) + sin 2π(hour/24 − φ_j)) / 2
-//
-// clamped at zero, so demand between two sites peaks when both are near
-// their local busy hour. The 24-hour mean of every entry is the base value,
-// which keeps diurnal sweeps comparable to their static matrix.
-func Diurnal(m Matrix, hour, amplitude float64, seed int64) Matrix {
-	out := m.Clone()
-	if amplitude == 0 {
-		return out
-	}
-	rng := rand.New(rand.NewSource(seed))
-	phase := make([]float64, len(m))
-	for i := range phase {
-		phase[i] = rng.Float64()
-	}
-	for i := 0; i < len(m); i++ {
-		for j := i + 1; j < len(m); j++ {
-			si := math.Sin(2 * math.Pi * (hour/24 - phase[i]))
-			sj := math.Sin(2 * math.Pi * (hour/24 - phase[j]))
-			f := 1 + amplitude*(si+sj)/2
-			if f < 0 {
-				f = 0
-			}
-			out.Set(i, j, m[i][j]*f)
-		}
-	}
-	return out
-}
-
 // PerturbPopulations applies §5's population perturbation: each city's
 // population is re-weighted by an independent factor drawn uniformly from
 // [1-γ, 1+γ]. Deterministic in seed.

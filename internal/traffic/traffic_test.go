@@ -337,59 +337,6 @@ func TestHotspot(t *testing.T) {
 	}
 }
 
-func TestDiurnal(t *testing.T) {
-	m := New(3)
-	m.Set(0, 1, 2)
-	m.Set(1, 2, 4)
-
-	if d := Diurnal(m, 9, 0, 1); d.Total() != m.Total() {
-		t.Fatalf("zero amplitude changed the matrix: %v vs %v", d.Total(), m.Total())
-	}
-
-	d := Diurnal(m, 9, 0.5, 1)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic in seed.
-	d2 := Diurnal(m, 9, 0.5, 1)
-	for i := range d {
-		for j := range d[i] {
-			if d[i][j] != d2[i][j] {
-				t.Fatalf("Diurnal not deterministic at (%d,%d)", i, j)
-			}
-		}
-	}
-	// The 24-hour mean of every entry is its base value (sin integrates to
-	// zero over a period when amplitude <= 1 keeps the clamp inactive).
-	sum := New(3)
-	const steps = 240
-	for k := 0; k < steps; k++ {
-		dk := Diurnal(m, 24*float64(k)/steps, 0.5, 1)
-		for i := range sum {
-			for j := range sum[i] {
-				sum[i][j] += dk[i][j] / steps
-			}
-		}
-	}
-	for i := range sum {
-		for j := range sum[i] {
-			if diff := math.Abs(sum[i][j] - m[i][j]); diff > 1e-9*float64(steps) && diff > 1e-6 {
-				t.Fatalf("24h mean at (%d,%d) = %v, want %v", i, j, sum[i][j], m[i][j])
-			}
-		}
-	}
-	// Amplitude actually moves demand at some hour.
-	moved := false
-	for h := 0; h < 24; h++ {
-		if Diurnal(m, float64(h), 0.5, 1)[0][1] != m[0][1] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("diurnal profile flat across the day")
-	}
-}
-
 func TestGravityMatchesPopulationProduct(t *testing.T) {
 	cs := []cities.City{
 		{Name: "a", Population: 100, Loc: geo.Point{Lat: 40, Lon: -100}},

@@ -242,7 +242,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		rep.HasFailures = true
 		protSp := p.Span.Child("protect")
 		protStop := snk.StartTimer("cisp_workload_stage_seconds", "stage", "protect")
-		protH, err := resilience.NewProtection(b.Nodes, hybrid, fluidComms, solH.Splits, resilience.Config{})
+		protH, err := resilience.NewProtection(b.Nodes, hybrid, fluidComms, solH.Splits)
 		if err != nil {
 			return nil, fmt.Errorf("workload: hybrid protection: %w", err)
 		}
@@ -258,7 +258,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		// link list: microwave fades vanish, the conduit cut keeps biting.
 		nMw := len(b.Mw)
 		fiberSched := c.Schedule.Remap(len(b.Fiber), func(li int) int { return li - nMw })
-		protF, err := resilience.NewProtection(b.Nodes, b.Fiber, fluidComms, solF.Splits, resilience.Config{})
+		protF, err := resilience.NewProtection(b.Nodes, b.Fiber, fluidComms, solF.Splits)
 		if err != nil {
 			return nil, fmt.Errorf("workload: fiber protection: %w", err)
 		}
