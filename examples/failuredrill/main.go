@@ -72,7 +72,7 @@ func main() {
 
 	// The cut: the busiest fiber conduit under the installed primaries,
 	// severed mid-storm and spliced 30 minutes later.
-	cut := busiestFiberLink(tt, comms, primaries)
+	cut := busiestFiberLink(len(tt.Mw), prot.SplitLoad(comms, primaries))
 	hw := &resilience.Schedule{Horizon: 3600, NumLinks: len(links), Outages: []resilience.Outage{
 		{Link: cut, Start: 1200, End: 3000},
 	}}
@@ -93,12 +93,7 @@ func main() {
 	}
 
 	// Compressed replay: the same failures land inside a 60 s fluid run.
-	replay := &resilience.Schedule{Horizon: 60, NumLinks: len(links)}
-	for _, o := range drill.Outages {
-		replay.Outages = append(replay.Outages, resilience.Outage{
-			Link: o.Link, Start: o.Start / 60, End: o.End / 60,
-		})
-	}
+	replay := drill.Compress(60)
 	fmt.Println("\n== Fluid-engine replay (drill compressed 60:1 into a 60 s run) ==")
 	fmt.Printf("%-6s %8s %10s %12s %8s %9s\n", "scheme", "flows", "completed", "FCT p99(ms)", "MLU", "LPsolves")
 	for _, mode := range []resilience.Mode{resilience.NoProtection, resilience.FRR, resilience.FRRReopt} {
@@ -133,13 +128,12 @@ func main() {
 	fmt.Println("run `cispbench -fig avail` for the full year-scale study with reoptimization.")
 }
 
-// busiestFiberLink returns the fiber link index carrying the most primary
-// load (falls back to the first fiber link if the primaries avoid fiber).
-func busiestFiberLink(tt *experiments.TETopology, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) int {
-	links := tt.Links()
-	load := resilience.SplitLoad(links, comms, splits)
-	best := len(tt.Mw)
-	for li := len(tt.Mw); li < len(links); li++ {
+// busiestFiberLink returns the index of the fiber link, past the first
+// nMw microwave links, carrying the most load (the first fiber link if no
+// fiber link carries any).
+func busiestFiberLink(nMw int, load []float64) int {
+	best := nMw
+	for li := nMw; li < len(load); li++ {
 		if load[li] > load[best] {
 			best = li
 		}

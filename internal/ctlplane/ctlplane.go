@@ -44,13 +44,6 @@ type Config struct {
 	// injects obs.WallClock, tests an obs.ManualClock.
 	Clock obs.Clock
 
-	// ReoptAfterFRR, when true (the default via New), follows every hard
-	// failure/repair's fast-reroute snapshot with a warm full
-	// reoptimization snapshot — the FRRReopt production loop. Set
-	// DisableReopt to run pure FRR (the zero-LP-solve regime the harness
-	// pins).
-	DisableReopt bool
-
 	// OnPublish, when non-nil, observes every published snapshot,
 	// synchronously and in version order, from the event loop. Used by the
 	// ctltest harness to record byte-exact snapshot sequences and by
@@ -131,7 +124,11 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.down = make([]bool, len(d.clear))
 	d.epoch = 1
-	d.rules = netsim.NewSplitRules(d.nodes, d.clear, d.comms)
+	rules, err := netsim.NewSplitRules(d.nodes, d.clear, d.comms)
+	if err != nil {
+		return nil, fmt.Errorf("ctlplane: split rules: %w", err)
+	}
+	d.rules = rules
 	d.enc = newEncoder(d.comms)
 	if err := d.rebuild(te.Config{}); err != nil {
 		return nil, err
@@ -288,10 +285,8 @@ func (d *Daemon) handleEvents(events []Event) (*Snapshot, error) {
 				return nil, err
 			}
 			snk.Gauge("cisp_ctlplane_frr_lp_solves").Add(float64(d.ctrl.LPSolves() - before))
-			if !d.cfg.DisableReopt {
-				if err := d.reoptimize(KindReopt); err != nil {
-					return nil, err
-				}
+			if err := d.reoptimize(KindReopt); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"cisp/internal/geo"
 	"cisp/internal/netsim"
 	"cisp/internal/obs"
+	"cisp/internal/te"
 )
 
 // Backbone returns the harness's standard substrate: four population
@@ -54,9 +55,8 @@ func Commodities() []netsim.Commodity {
 // backbone and commodities; the daemon always boots under default
 // TE/protection tuning.
 type Options struct {
-	Backbone     *ctlplane.Backbone
-	Comms        []netsim.Commodity
-	DisableReopt bool
+	Backbone *ctlplane.Backbone
+	Comms    []netsim.Commodity
 }
 
 // Harness is one booted daemon plus everything a test needs to drive and
@@ -71,15 +71,17 @@ type Harness struct {
 
 	client *http.Client
 
-	mu  sync.Mutex
-	seq []*ctlplane.Snapshot
+	mu     sync.Mutex
+	seq    []*ctlplane.Snapshot
+	solves []int64 // te.LPSolves() as each snapshot in seq published
 }
 
 // Start boots a daemon with its HTTP surface on a loopback listener and a
 // virtual clock at the Unix epoch, installs a fresh metrics sink as the
 // process sink for the test's duration, and registers cleanup that drains
 // the server. Every published snapshot — including the initial one — is
-// recorded in publication order.
+// recorded in publication order, with the process-wide LP solve count at
+// its publication.
 func Start(t testing.TB, opts Options) *Harness {
 	t.Helper()
 	if opts.Backbone == nil {
@@ -98,13 +100,13 @@ func Start(t testing.TB, opts Options) *Harness {
 	t.Cleanup(func() { obs.SetActive(prev) })
 
 	d, err := ctlplane.New(ctlplane.Config{
-		Backbone:     opts.Backbone,
-		Comms:        opts.Comms,
-		Clock:        h.Clock.Clock(),
-		DisableReopt: opts.DisableReopt,
+		Backbone: opts.Backbone,
+		Comms:    opts.Comms,
+		Clock:    h.Clock.Clock(),
 		OnPublish: func(s *ctlplane.Snapshot) {
 			h.mu.Lock()
 			h.seq = append(h.seq, s)
+			h.solves = append(h.solves, te.LPSolves())
 			h.mu.Unlock()
 		},
 	})
@@ -128,6 +130,14 @@ func (h *Harness) Sequence() []*ctlplane.Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]*ctlplane.Snapshot(nil), h.seq...)
+}
+
+// SequenceSolves returns te.LPSolves() as read when each snapshot of
+// Sequence published, aligned with it.
+func (h *Harness) SequenceSolves() []int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]int64(nil), h.solves...)
 }
 
 // SequenceBytes returns the canonical JSON encodings of the publication

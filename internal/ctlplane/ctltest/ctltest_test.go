@@ -122,10 +122,11 @@ func TestFailurePublishesFRRThenReopt(t *testing.T) {
 // TestFRRZeroLPSolves pins the design's core latency claim: activating or
 // deactivating fast reroute never runs the LP solver — the patch is pure
 // table lookups — across an episode of failures and repairs, neither on
-// the daemon's controller nor anywhere else in the process.
+// the daemon's controller nor anywhere else in the process. Each event's
+// reoptimization runs after its frr snapshot publishes, so every frr
+// snapshot reads the process-wide solve count of the snapshot before it.
 func TestFRRZeroLPSolves(t *testing.T) {
-	h := Start(t, Options{DisableReopt: true})
-	before := te.LPSolves()
+	h := Start(t, Options{})
 	for _, ev := range []ctlplane.Event{
 		{Type: ctlplane.EventFail, Link: 1},
 		{Type: ctlplane.EventFail, Link: 3},
@@ -137,16 +138,20 @@ func TestFRRZeroLPSolves(t *testing.T) {
 	if n := h.FRRLPSolves(); n != 0 {
 		t.Fatalf("FRR path ran %v LP solves, want 0", n)
 	}
-	if n := te.LPSolves() - before; n != 0 {
-		t.Fatalf("FRR path ran %d LP solves process-wide, want 0", n)
+	seq, solves := h.Sequence(), h.SequenceSolves()
+	if len(seq) != 9 {
+		t.Fatalf("%d publications, want 9 (initial + 4 × frr, reopt)", len(seq))
 	}
-	seq := h.Sequence()
-	if len(seq) != 5 {
-		t.Fatalf("%d publications, want 5 (initial + 4 frr)", len(seq))
-	}
-	for _, s := range seq[1:] {
-		if s.Kind != ctlplane.KindFRR {
-			t.Fatalf("snapshot v%d kind %q, want frr (reopt disabled)", s.Version, s.Kind)
+	for i, s := range seq[1:] {
+		want := ctlplane.KindFRR
+		if i%2 == 1 {
+			want = ctlplane.KindReopt
+		}
+		if s.Kind != want {
+			t.Fatalf("snapshot v%d kind %q, want %q", s.Version, s.Kind, want)
+		}
+		if s.Kind == ctlplane.KindFRR && solves[i+1] != solves[i] {
+			t.Fatalf("frr snapshot v%d ran %d LP solves process-wide, want 0", s.Version, solves[i+1]-solves[i])
 		}
 	}
 	h.AssertInvariants()

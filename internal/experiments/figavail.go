@@ -164,7 +164,7 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 	// ------------------------------------------------------------------
 	// Sim study: the three most-loaded microwave links fail mid-replay.
 	// ------------------------------------------------------------------
-	load := resilience.SplitLoad(links, comms, primaries)[:len(tt.Mw)]
+	load := prot.SplitLoad(comms, primaries)[:len(tt.Mw)]
 	for k := 0; k < 3 && k < len(load); k++ {
 		best := -1
 		for li, v := range load {

@@ -243,30 +243,3 @@ func DenseSourceShortest[W ~float64](w [][]W, src int) []W {
 	}
 	return dist
 }
-
-// Connected reports whether dst is reachable from src. Reachability needs
-// neither edge weights nor path reconstruction, so this is a plain
-// breadth-first search that exits as soon as dst is seen — no heap, no
-// prev array, no full-graph settle.
-func (g *Graph[W]) Connected(src, dst int) bool {
-	if src == dst {
-		return true
-	}
-	seen := make([]bool, len(g.adj))
-	seen[src] = true
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[u] {
-			if e.To == dst {
-				return true
-			}
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return false
-}

@@ -52,12 +52,6 @@ func TestUnreachable(t *testing.T) {
 	if path != nil || !math.IsInf(d, 1) {
 		t.Fatalf("got path %v dist %v, want unreachable", path, d)
 	}
-	if g.Connected(0, 3) {
-		t.Error("Connected(0,3) = true across components")
-	}
-	if !g.Connected(0, 1) {
-		t.Error("Connected(0,1) = false within component")
-	}
 }
 
 func TestDenseSourceShortestMatchesDijkstra(t *testing.T) {
@@ -95,28 +89,6 @@ func TestDenseSourceShortestMatchesDijkstra(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestConnectedAgainstDijkstra(t *testing.T) {
-	// The BFS reachability fast path must agree with full Dijkstra on
-	// random graphs, including isolated nodes and src == dst.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(25)
-		g := randomGraph(rng, n)
-		g.AddNode() // isolated: unreachable from everyone else
-		for q := 0; q < 30; q++ {
-			src, dst := rng.Intn(g.N()), rng.Intn(g.N())
-			dist, _ := g.Dijkstra(src)
-			if got, want := g.Connected(src, dst), !math.IsInf(dist[dst], 1); got != want {
-				t.Fatalf("trial %d: Connected(%d,%d) = %v, Dijkstra says %v", trial, src, dst, got, want)
-			}
-		}
-	}
-	g := New[float64](2)
-	if !g.Connected(1, 1) {
-		t.Fatal("Connected(v,v) = false on isolated node")
 	}
 }
 

@@ -39,11 +39,10 @@ import (
 // in the same order, as a scan of every link in index order, and all heap
 // orderings carry explicit tie-breaks.
 type FluidSim struct {
-	nNodes     int
-	processed  int64 // events executed (live departures + arrivals)
-	maxPending int   // arrivals+departures heap high-water mark
-	links      []fluidLink
-	linkIdx    map[[2]int]int32
+	processed  int64       // events executed (live departures + arrivals)
+	maxPending int         // arrivals+departures heap high-water mark
+	links      []fluidLink // by directed ID in index
+	index      *LinkIndex
 	groups     []fluidGroup
 	now        float64
 
@@ -171,17 +170,16 @@ func arrivalLess(a, b arrivalItem) bool {
 // fluid links per TopoLink; queue capacities are meaningless at the fluid
 // level and ignored).
 //
-// Panics on a duplicate link or on a rate that is NaN, infinite or
-// negative.
+// Panics on a topology NewLinkIndex refuses or on a rate that is NaN,
+// infinite or negative.
 func NewFluid(nNodes int, links []TopoLink) *FluidSim {
-	f := &FluidSim{nNodes: nNodes, linkIdx: make(map[[2]int]int32, 2*len(links)), epoch: 1}
+	index, err := NewLinkIndex(nNodes, links)
+	if err != nil {
+		panic(err.Error())
+	}
+	f := &FluidSim{index: index, epoch: 1}
 	add := func(a, b int, capBps float64) {
-		key := [2]int{a, b}
-		if _, dup := f.linkIdx[key]; dup {
-			panic(fmt.Sprintf("netsim: duplicate fluid link %d->%d", a, b))
-		}
 		checkFluidRate(a, b, capBps)
-		f.linkIdx[key] = int32(len(f.links))
 		f.links = append(f.links, fluidLink{from: a, to: b, origCap: capBps})
 		f.capBps = append(f.capBps, capBps)
 	}
@@ -220,7 +218,7 @@ func (f *FluidSim) AddRoute(path []int) int {
 	gid := int32(len(f.groups))
 	g := fluidGroup{links: make([]int32, len(path)-1)}
 	for i := 0; i+1 < len(path); i++ {
-		li, ok := f.linkIdx[[2]int{path[i], path[i+1]}]
+		li, ok := f.index.Lookup(path[i], path[i+1])
 		if !ok {
 			panic(fmt.Sprintf("netsim: no fluid link %d->%d on route", path[i], path[i+1]))
 		}
@@ -354,7 +352,7 @@ func (f *FluidSim) LinkUtilizations() []LinkLoad {
 // Recompute — batch a set of SetLinkRate/Reroute calls and recompute once.
 // Panics on an unknown link or a NaN, infinite or negative rate.
 func (f *FluidSim) SetLinkRate(from, to int, capBps float64) {
-	li, ok := f.linkIdx[[2]int{from, to}]
+	li, ok := f.index.Lookup(from, to)
 	if !ok {
 		panic(fmt.Sprintf("netsim: no fluid link %d->%d", from, to))
 	}

@@ -46,12 +46,6 @@ type flowState struct {
 	deliver func(*Packet)
 }
 
-// Node is a store-and-forward router / host.
-type Node struct {
-	ID  int
-	net *Network
-}
-
 // Link is a unidirectional fixed-rate link with a FIFO queue.
 type Link struct {
 	From, To int
@@ -165,36 +159,29 @@ func (l *Link) Utilization(now float64) float64 {
 // non-negative integers; IDs are dense in every caller).
 type Network struct {
 	Sim   *Simulator
-	nodes []*Node
-	links map[[2]int]*Link // construction-time lookup only
+	index LinkIndex // resolves hops at SetFlowPath, never per packet
+	links []*Link   // by directed ID in index: insertion order
 	flows []flowState
 	pool  []*Packet
 }
 
 // NewNetwork creates a network with n nodes attached to sim.
 func NewNetwork(sim *Simulator, n int) *Network {
-	nw := &Network{
-		Sim:   sim,
-		links: make(map[[2]int]*Link),
-	}
-	for i := 0; i < n; i++ {
-		nw.nodes = append(nw.nodes, &Node{ID: i, net: nw})
-	}
-	return nw
+	return &Network{Sim: sim, index: LinkIndex{out: make([][]int32, n)}}
 }
 
 // N returns the number of nodes.
-func (nw *Network) N() int { return len(nw.nodes) }
+func (nw *Network) N() int { return nw.index.N() }
 
-// AddLink adds a unidirectional link and returns it. Panics if it exists.
+// AddLink adds a unidirectional link and returns it. Panics if it exists
+// or an endpoint is not a node.
 func (nw *Network) AddLink(from, to int, rateBps, propDelay float64, queueCap int) *Link {
-	key := [2]int{from, to}
-	if _, dup := nw.links[key]; dup {
-		panic(fmt.Sprintf("netsim: duplicate link %d->%d", from, to))
+	if err := nw.index.add(from, to); err != nil {
+		panic(err.Error())
 	}
 	l := &Link{From: from, To: to, RateBps: rateBps, PropDelay: propDelay, QueueCap: queueCap, net: nw}
 	l.onTxDone, l.onArrive = l.txDone, l.arrive
-	nw.links[key] = l
+	nw.links = append(nw.links, l)
 	return l
 }
 
@@ -204,10 +191,15 @@ func (nw *Network) AddDuplex(a, b int, rateBps, propDelay float64, queueCap int)
 }
 
 // Link returns the directed link from→to, or nil.
-func (nw *Network) Link(from, to int) *Link { return nw.links[[2]int{from, to}] }
+func (nw *Network) Link(from, to int) *Link {
+	if id, ok := nw.index.Lookup(from, to); ok {
+		return nw.links[id]
+	}
+	return nil
+}
 
-// Links returns all directed links (iteration order unspecified).
-func (nw *Network) Links() map[[2]int]*Link { return nw.links }
+// Links returns all directed links in the order they were added.
+func (nw *Network) Links() []*Link { return nw.links }
 
 // flow returns (growing the table if needed) the state for a flow ID.
 func (nw *Network) flow(id int) *flowState {

@@ -17,6 +17,71 @@ type TopoLink struct {
 	QueueCap  int
 }
 
+// LinkIndex resolves node pairs to directed link IDs: the one place the
+// engines, te and resilience map a node path onto a link list. IDs count
+// up in insertion order, so over a duplex list (NewLinkIndex) link i's
+// A→B direction is 2i and its B→A direction 2i+1. An endpoint outside
+// [0, n) and a repeated directed pair are refused, so a node path names
+// its links unambiguously. Lookups scan the source node's out-list; no
+// hashing.
+type LinkIndex struct {
+	out [][]int32 // per node, outgoing directed IDs in insertion order
+	to  []int32   // per directed ID, its head node
+}
+
+// NewLinkIndex indexes both directions of every link of a duplex list over
+// nodes [0, n).
+func NewLinkIndex(n int, links []TopoLink) (*LinkIndex, error) {
+	x := &LinkIndex{out: make([][]int32, n), to: make([]int32, 0, 2*len(links))}
+	for _, l := range links {
+		if err := x.add(l.A, l.B); err != nil {
+			return nil, err
+		}
+		if err := x.add(l.B, l.A); err != nil {
+			return nil, err
+		}
+	}
+	return x, nil
+}
+
+// add indexes the directed link from→to under the next ID.
+func (x *LinkIndex) add(from, to int) error {
+	if n := len(x.out); from < 0 || from >= n || to < 0 || to >= n {
+		return fmt.Errorf("netsim: link %d->%d outside node range [0,%d)", from, to, n)
+	}
+	if _, ok := x.Lookup(from, to); ok {
+		return fmt.Errorf("netsim: repeated directed link %d->%d (parallel capacity needs a transit node)", from, to)
+	}
+	x.out[from] = append(x.out[from], int32(len(x.to)))
+	x.to = append(x.to, int32(to))
+	return nil
+}
+
+// N returns the number of nodes.
+func (x *LinkIndex) N() int { return len(x.out) }
+
+// Lookup returns the ID of the directed link from→to, and false when there
+// is none or either node is out of range.
+//
+//cisp:hotpath
+func (x *LinkIndex) Lookup(from, to int) (int32, bool) {
+	if from < 0 || from >= len(x.out) {
+		return 0, false
+	}
+	for _, id := range x.out[from] {
+		if int(x.to[id]) == to {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// Out returns the IDs of from's outgoing links in insertion order. The
+// slice is the index's own; callers must not modify it.
+//
+//cisp:hotpath
+func (x *LinkIndex) Out(from int) []int32 { return x.out[from] }
+
 // Commodity is one routed demand.
 type Commodity struct {
 	Flow     int
@@ -115,7 +180,10 @@ const SplitSumTol = 1e-5
 // contract Scenario.Run assumes of its Splits field. Commodities are
 // checked in flow order, and the first failure is returned.
 func ValidateSplits(n int, links []TopoLink, comms []Commodity, splits map[int][]SplitPath) error {
-	r := NewSplitRules(n, links, comms)
+	r, err := NewSplitRules(n, links, comms)
+	if err != nil {
+		return err
+	}
 	flows := make([]int, 0, len(splits))
 	for flow := range splits {
 		flows = append(flows, flow)
@@ -133,22 +201,22 @@ func ValidateSplits(n int, links []TopoLink, comms []Commodity, splits map[int][
 // list, for a caller that checks one commodity's split set at a time
 // against inputs that do not change.
 type SplitRules struct {
-	n      int
-	have   map[[2]int]bool
+	index  *LinkIndex
 	byFlow map[int]Commodity
 }
 
 // NewSplitRules indexes the topology's links and the commodities by flow.
-func NewSplitRules(n int, links []TopoLink, comms []Commodity) *SplitRules {
-	r := &SplitRules{n: n, have: make(map[[2]int]bool, 2*len(links)), byFlow: make(map[int]Commodity, len(comms))}
-	for _, l := range links {
-		r.have[[2]int{l.A, l.B}] = true
-		r.have[[2]int{l.B, l.A}] = true
+// It refuses a topology LinkIndex refuses.
+func NewSplitRules(n int, links []TopoLink, comms []Commodity) (*SplitRules, error) {
+	index, err := NewLinkIndex(n, links)
+	if err != nil {
+		return nil, err
 	}
+	r := &SplitRules{index: index, byFlow: make(map[int]Commodity, len(comms))}
 	for _, c := range comms {
 		r.byFlow[c.Flow] = c
 	}
-	return r
+	return r, nil
 }
 
 // Check applies ValidateSplits' rules to one commodity's split set.
@@ -174,10 +242,10 @@ func (r *SplitRules) Check(flow int, sps []SplitPath) error {
 		}
 		for i := 0; i+1 < len(sp.Path); i++ {
 			a, b := sp.Path[i], sp.Path[i+1]
-			if a < 0 || a >= r.n || b < 0 || b >= r.n {
-				return fmt.Errorf("netsim: commodity %d path hop %d→%d outside node range [0,%d)", flow, a, b, r.n)
+			if n := r.index.N(); a < 0 || a >= n || b < 0 || b >= n {
+				return fmt.Errorf("netsim: commodity %d path hop %d→%d outside node range [0,%d)", flow, a, b, n)
 			}
-			if !r.have[[2]int{a, b}] {
+			if _, ok := r.index.Lookup(a, b); !ok {
 				return fmt.Errorf("netsim: commodity %d path hop %d→%d is not a topology link", flow, a, b)
 			}
 		}

@@ -479,7 +479,6 @@ func (sc *Scenario) runPacket() *ScenarioResult {
 	loads := make([]LinkLoad, 0, len(nw.Links()))
 	drops := int64(0)
 	for _, l := range nw.Links() {
-		//lint:allow maporder -- finishLinkLoads sorts loads by (From, To) before recording; drops is an order-free integer sum
 		loads = append(loads, LinkLoad{From: l.From, To: l.To, Utilization: units.Utilization(l.Utilization(res.End))})
 		drops += l.Drops
 	}

@@ -160,7 +160,7 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 				// over the up links: it skips the zero-rate edges
 				// netsim.Graded leaves for down links. NewProtection
 				// searched these very links, so the graph builds.
-				pools, err := te.Candidates(p.nodes, netsim.Graded(nil, p.links, nil, down), stranded, te.Config{K: 1})
+				pools, err := te.Candidates(p.index.N(), netsim.Graded(nil, p.links, nil, down), stranded, te.Config{K: 1})
 				if err != nil {
 					panic(fmt.Sprintf("resilience: residual path search: %v", err))
 				}
@@ -226,7 +226,7 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 func (p *Protection) pathDelay(path []int) float64 {
 	d := 0.0
 	for i := 0; i+1 < len(path); i++ {
-		if li, ok := p.linkIdx[pairKey(path[i], path[i+1])]; ok {
+		if li, ok := p.link(path[i], path[i+1]); ok {
 			d += float64(p.links[li].PropDelay)
 		}
 	}

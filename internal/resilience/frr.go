@@ -75,12 +75,11 @@ type Protection struct {
 	// entry (nothing disjoint to fall back on).
 	Backups map[int]Backup
 
-	nodes     int
 	links     []netsim.TopoLink
 	flows     []*netsim.Commodity // the commodities with primaries, in flow-ID order
 	primaries map[int][]netsim.SplitPath
-	shortest  map[int]float64 // clear-sky shortest-path delay per flow
-	linkIdx   map[[2]int]int  // undirected node pair -> index into links
+	shortest  map[int]float64   // clear-sky shortest-path delay per flow
+	index     *netsim.LinkIndex // directed link ID / 2 = index into links
 }
 
 // NewProtection builds the fast-reroute state for the commodities over the
@@ -91,19 +90,19 @@ type Protection struct {
 // (te's default stretch, backupK paths) and picks the candidate sharing
 // the fewest undirected links with the commodity's primaries, ties broken
 // toward lower delay — maximal link disjointness subject to the latency
-// cap.
+// cap. A topology netsim.LinkIndex refuses is an error.
 func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 	primaries map[int][]netsim.SplitPath) (*Protection, error) {
+	index, err := netsim.NewLinkIndex(nodes, links)
+	if err != nil {
+		return nil, fmt.Errorf("resilience: %w", err)
+	}
 	p := &Protection{
 		Backups:   make(map[int]Backup),
-		nodes:     nodes,
 		links:     links,
 		primaries: primaries,
 		shortest:  make(map[int]float64, len(comms)),
-		linkIdx:   make(map[[2]int]int, len(links)),
-	}
-	for li, l := range links {
-		p.linkIdx[pairKey(l.A, l.B)] = li
+		index:     index,
 	}
 	commBy := make(map[int]*netsim.Commodity, len(comms))
 	for i := range comms {
@@ -188,29 +187,26 @@ func (p *Protection) ShortestDelay(flow int) (float64, bool) {
 	return d, ok
 }
 
-func pairKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
+// link returns the position in the topology's link list of the link
+// joining a and b, in either direction.
+func (p *Protection) link(a, b int) (int, bool) {
+	id, ok := p.index.Lookup(a, b)
+	return int(id / 2), ok
 }
 
 // SplitLoad returns each topology link's offered load under the splits —
 // demand × fraction summed over every split path crossing the link, both
-// directions folded onto the undirected link. The shared accounting for
+// directions folded onto the undirected link, commodity by commodity in
+// comms order, split by split, hop by hop. The shared accounting for
 // "which links carry the plan's traffic" (drill selection in
 // experiments.FigAvail, the failuredrill example); path hops that are not
 // topology links are ignored.
-func SplitLoad(links []netsim.TopoLink, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) []float64 {
-	idx := make(map[[2]int]int, len(links))
-	for li, l := range links {
-		idx[pairKey(l.A, l.B)] = li
-	}
-	load := make([]float64, len(links))
+func (p *Protection) SplitLoad(comms []netsim.Commodity, splits map[int][]netsim.SplitPath) []float64 {
+	load := make([]float64, len(p.links))
 	for _, c := range comms {
 		for _, sp := range splits[c.Flow] {
 			for i := 0; i+1 < len(sp.Path); i++ {
-				if li, ok := idx[pairKey(sp.Path[i], sp.Path[i+1])]; ok {
+				if li, ok := p.link(sp.Path[i], sp.Path[i+1]); ok {
 					load[li] += float64(c.Demand) * sp.Frac
 				}
 			}
@@ -223,7 +219,7 @@ func SplitLoad(links []netsim.TopoLink, comms []netsim.Commodity, splits map[int
 func (p *Protection) pathLinks(path []int) ([]int, error) {
 	out := make([]int, 0, len(path)-1)
 	for i := 0; i+1 < len(path); i++ {
-		li, ok := p.linkIdx[pairKey(path[i], path[i+1])]
+		li, ok := p.link(path[i], path[i+1])
 		if !ok {
 			return nil, fmt.Errorf("hop %d-%d not in topology", path[i], path[i+1])
 		}
@@ -235,7 +231,7 @@ func (p *Protection) pathLinks(path []int) ([]int, error) {
 // pathUp reports whether every link of the path is up.
 func (p *Protection) pathUp(path []int, down []bool) bool {
 	for i := 0; i+1 < len(path); i++ {
-		if li, ok := p.linkIdx[pairKey(path[i], path[i+1])]; ok && down[li] {
+		if li, ok := p.link(path[i], path[i+1]); ok && down[li] {
 			return false
 		}
 	}

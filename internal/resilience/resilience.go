@@ -169,6 +169,22 @@ func (d *downSweep) advance(t float64) []bool {
 	return d.down
 }
 
+// Compress linearly rescales the schedule onto a shorter (or longer)
+// horizon — a drill-time schedule replayed inside a simulation run —
+// keeping outage order and overlap structure. A schedule without a
+// positive horizon is returned as it is.
+func (s *Schedule) Compress(horizon float64) *Schedule {
+	if s.Horizon <= 0 {
+		return s
+	}
+	f := horizon / s.Horizon
+	out := &Schedule{Horizon: horizon, NumLinks: s.NumLinks}
+	for _, o := range s.Outages {
+		out.Outages = append(out.Outages, Outage{Link: o.Link, Start: o.Start * f, End: o.End * f})
+	}
+	return out
+}
+
 // DownSeconds returns each link's total scheduled downtime.
 func (s *Schedule) DownSeconds() []float64 {
 	out := make([]float64, s.NumLinks)

@@ -17,44 +17,34 @@ type edge struct {
 	delay    float64 // propagation delay, seconds
 }
 
-// graph is the directed TE topology: two edges per duplex TopoLink.
+// graph is the directed TE topology: two edges per duplex TopoLink, edge
+// IDs in the link index's numbering (link i's A→B edge is 2i, its B→A edge
+// 2i+1). The index is the graph's adjacency.
 type graph struct {
 	n     int
 	edges []edge
-	adj   [][]int32 // per node, outgoing edge IDs in insertion order
+	index *netsim.LinkIndex
 }
 
 // buildGraph converts the duplex simulation topology into the directed TE
-// graph. Parallel directed edges are rejected: candidate paths are node
-// sequences (that is what netsim installs), so a multigraph would be
-// ambiguous — parallel capacity must be expressed through distinct nodes
-// (see experiments.DesignedTETopology's fiber midpoints). A NaN, infinite
-// or negative rate is rejected, as UpdateCapacities rejects one.
+// graph. A topology netsim.LinkIndex refuses is rejected: candidate paths
+// are node sequences (that is what netsim installs), so parallel directed
+// edges would be ambiguous, and parallel capacity must be expressed
+// through distinct nodes (see experiments.DesignedTETopology's fiber
+// midpoints). A NaN, infinite or negative rate is rejected, as
+// UpdateCapacities rejects one.
 func buildGraph(n int, links []netsim.TopoLink) (*graph, error) {
-	g := &graph{n: n, adj: make([][]int32, n)}
-	seen := make(map[[2]int]bool, 2*len(links))
-	add := func(a, b int, capBps, delay float64) error {
-		if a < 0 || a >= n || b < 0 || b >= n {
-			return fmt.Errorf("te: link %d->%d outside node range [0,%d)", a, b, n)
-		}
-		if seen[[2]int{a, b}] {
-			return fmt.Errorf("te: parallel directed link %d->%d (use a transit node for parallel capacity)", a, b)
-		}
-		seen[[2]int{a, b}] = true
-		g.adj[a] = append(g.adj[a], int32(len(g.edges)))
-		g.edges = append(g.edges, edge{from: a, to: b, capBps: capBps, delay: delay})
-		return nil
+	index, err := netsim.NewLinkIndex(n, links)
+	if err != nil {
+		return nil, fmt.Errorf("te: %w", err)
 	}
+	g := &graph{n: n, edges: make([]edge, 0, 2*len(links)), index: index}
 	for i, l := range links {
-		if r := float64(l.RateBps); !solvable(r) {
+		r, d := float64(l.RateBps), float64(l.PropDelay)
+		if !solvable(r) {
 			return nil, fmt.Errorf("te: link %d (%d-%d) has rate %v", i, l.A, l.B, r)
 		}
-		if err := add(l.A, l.B, float64(l.RateBps), float64(l.PropDelay)); err != nil {
-			return nil, err
-		}
-		if err := add(l.B, l.A, float64(l.RateBps), float64(l.PropDelay)); err != nil {
-			return nil, err
-		}
+		g.edges = append(g.edges, edge{from: l.A, to: l.B, capBps: r, delay: d}, edge{from: l.B, to: l.A, capBps: r, delay: d})
 	}
 	return g, nil
 }
@@ -150,7 +140,7 @@ func (s *dijkstraScratch) run(g *graph, src, dst int, rootD, maxDelay float64) (
 			break
 		}
 		s.done[u] = true
-		for _, ei := range g.adj[u] {
+		for _, ei := range g.index.Out(u) {
 			e := &g.edges[ei]
 			if s.edgeBan[ei] || s.nodeBan[e.to] || e.capBps <= 0 {
 				continue
@@ -177,23 +167,11 @@ func (s *dijkstraScratch) run(g *graph, src, dst int, rootD, maxDelay float64) (
 	return path, s.dist[dst]
 }
 
-func sameEdges(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // hasPath reports whether some path in ps is root followed by spur.
 func hasPath(ps []Path, root, spur []int32) bool {
 	for _, p := range ps {
 		if len(p.edges) == len(root)+len(spur) &&
-			sameEdges(p.edges[:len(root)], root) && sameEdges(p.edges[len(root):], spur) {
+			slices.Equal(p.edges[:len(root)], root) && slices.Equal(p.edges[len(root):], spur) {
 			return true
 		}
 	}
@@ -222,7 +200,7 @@ func yen(g *graph, scratch *dijkstraScratch, src, dst, k int, stretch float64) [
 			// prefix, and every root node before the spur, then search for
 			// a deviation.
 			for _, p := range A {
-				if len(p.edges) > i && sameEdges(p.edges[:i], root) {
+				if len(p.edges) > i && slices.Equal(p.edges[:i], root) {
 					scratch.edgeBan[p.edges[i]] = true
 				}
 			}
@@ -231,7 +209,7 @@ func yen(g *graph, scratch *dijkstraScratch, src, dst, k int, stretch float64) [
 			}
 			spurE, _ := scratch.run(g, spur, dst, rootD, maxDelay)
 			for _, p := range A {
-				if len(p.edges) > i && sameEdges(p.edges[:i], root) {
+				if len(p.edges) > i && slices.Equal(p.edges[:i], root) {
 					scratch.edgeBan[p.edges[i]] = false
 				}
 			}

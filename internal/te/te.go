@@ -22,6 +22,7 @@ package te
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cisp/internal/netsim"
@@ -181,15 +182,8 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 	// mutation on a rejected update would desync the controller's graph
 	// from its installed splits.
 	for i, l := range links {
-		for dir := 0; dir < 2; dir++ {
-			e := &c.g.edges[2*i+dir]
-			from, to := l.A, l.B
-			if dir == 1 {
-				from, to = l.B, l.A
-			}
-			if e.from != from || e.to != to {
-				return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, e.from, e.to)
-			}
+		if e := c.g.edges[2*i]; e.from != l.A || e.to != l.B {
+			return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, e.from, e.to)
 		}
 		if r := float64(l.RateBps); !solvable(r) {
 			return nil, fmt.Errorf("te: capacity update link %d has rate %v", i, r)
@@ -316,7 +310,7 @@ func (c *Controller) reroute(idxs []int) error {
 			for _, p := range yen(c.g, scratch, cm.src, cm.dst, c.cfg.K, c.cfg.Stretch) {
 				dup := false
 				for _, q := range cm.cands {
-					if sameEdges(p.edges, q.edges) {
+					if slices.Equal(p.edges, q.edges) {
 						dup = true
 						break
 					}
@@ -561,13 +555,12 @@ func MLUOf(n int, links []netsim.TopoLink, comms []netsim.Commodity, splits map[
 	return m.MLU(links, comms, splits)
 }
 
-// MLUGraph is MLUOf prepared for one topology: the directed graph and its
-// hop index, built once for a caller that re-evaluates split sets as link
-// rates change. MLU writes the rates into the graph, so an MLUGraph is
-// not safe for concurrent use.
+// MLUGraph is MLUOf prepared for one topology: the directed graph, built
+// once for a caller that re-evaluates split sets as link rates change.
+// MLU writes the rates into the graph, so an MLUGraph is not safe for
+// concurrent use.
 type MLUGraph struct {
-	g   *graph
-	hop map[[2]int]int32
+	g *graph
 }
 
 // NewMLUGraph builds the graph MLU evaluates over.
@@ -576,11 +569,7 @@ func NewMLUGraph(n int, links []netsim.TopoLink) (*MLUGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	hop := make(map[[2]int]int32, len(g.edges))
-	for ei, e := range g.edges {
-		hop[[2]int{e.from, e.to}] = int32(ei)
-	}
-	return &MLUGraph{g: g, hop: hop}, nil
+	return &MLUGraph{g: g}, nil
 }
 
 // MLU is MLUOf over the prepared topology at links' rates. links must list
@@ -602,7 +591,7 @@ func (m *MLUGraph) MLU(links []netsim.TopoLink, comms []netsim.Commodity, splits
 	for _, cm := range comms {
 		for _, sp := range splits[cm.Flow] {
 			for i := 0; i+1 < len(sp.Path); i++ {
-				ei, ok := m.hop[[2]int{sp.Path[i], sp.Path[i+1]}]
+				ei, ok := g.index.Lookup(sp.Path[i], sp.Path[i+1])
 				if !ok {
 					return 0, fmt.Errorf("te: split path hop %d->%d not in topology", sp.Path[i], sp.Path[i+1])
 				}

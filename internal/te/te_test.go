@@ -494,7 +494,7 @@ func TestCandidatesMatchesControllerPool(t *testing.T) {
 		t.Fatalf("pool size %d, controller has %d", len(cands[0]), len(want))
 	}
 	for i := range want {
-		if !sameEdges(cands[0][i].edges, want[i].edges) {
+		if !slices.Equal(cands[0][i].edges, want[i].edges) {
 			t.Fatalf("candidate %d differs: %v vs %v", i, cands[0][i].Nodes, want[i].Nodes)
 		}
 	}

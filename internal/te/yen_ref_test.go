@@ -3,6 +3,7 @@ package te
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cisp/internal/netsim"
@@ -48,7 +49,7 @@ func (s *scanScratch) run(g *graph, src, dst int) ([]int32, float64) {
 			break
 		}
 		s.done[u] = true
-		for _, ei := range g.adj[u] {
+		for _, ei := range g.index.Out(u) {
 			e := &g.edges[ei]
 			if s.edgeBan[ei] || s.nodeBan[e.to] || e.capBps <= 0 {
 				continue
@@ -92,7 +93,7 @@ func yenScan(g *graph, src, dst, k int, stretch float64) []Path {
 		for i := 0; i < len(prev.edges); i++ {
 			spur := prev.Nodes[i]
 			for _, p := range A {
-				if len(p.edges) > i && sameEdges(p.edges[:i], prev.edges[:i]) {
+				if len(p.edges) > i && slices.Equal(p.edges[:i], prev.edges[:i]) {
 					scratch.edgeBan[p.edges[i]] = true
 				}
 			}
@@ -101,7 +102,7 @@ func yenScan(g *graph, src, dst, k int, stretch float64) []Path {
 			}
 			spurE, spurD := scratch.run(g, spur, dst)
 			for _, p := range A {
-				if len(p.edges) > i && sameEdges(p.edges[:i], prev.edges[:i]) {
+				if len(p.edges) > i && slices.Equal(p.edges[:i], prev.edges[:i]) {
 					scratch.edgeBan[p.edges[i]] = false
 				}
 			}
@@ -123,7 +124,7 @@ func yenScan(g *graph, src, dst, k int, stretch float64) []Path {
 			full = append(full, spurE...)
 			dup := false
 			for _, p := range append(A, B...) {
-				if sameEdges(p.edges, full) {
+				if slices.Equal(p.edges, full) {
 					dup = true
 					break
 				}
@@ -200,7 +201,7 @@ func runYenCase(t *testing.T, c yenCase) {
 						c, src, dst, k, stretch, len(got), len(want))
 				}
 				for i := range want {
-					if !sameEdges(got[i].edges, want[i].edges) ||
+					if !slices.Equal(got[i].edges, want[i].edges) ||
 						math.Float64bits(got[i].Delay) != math.Float64bits(want[i].Delay) {
 						t.Fatalf("case %+v %d→%d K %d stretch %v: path %d = %v (%v s), scan %v (%v s)",
 							c, src, dst, k, stretch, i, got[i].Nodes, got[i].Delay, want[i].Nodes, want[i].Delay)

@@ -246,7 +246,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: hybrid protection: %w", err)
 		}
-		planH, err := protH.Plan(compressSchedule(c.Schedule, p.Horizon), resilience.FRRReopt, ctrlH)
+		planH, err := protH.Plan(c.Schedule.Compress(p.Horizon), resilience.FRRReopt, ctrlH)
 		if err != nil {
 			return nil, fmt.Errorf("workload: hybrid FRR plan: %w", err)
 		}
@@ -262,7 +262,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: fiber protection: %w", err)
 		}
-		planF, err := protF.Plan(compressSchedule(fiberSched, p.Horizon), resilience.FRRReopt, ctrlF)
+		planF, err := protF.Plan(fiberSched.Compress(p.Horizon), resilience.FRRReopt, ctrlF)
 		if err != nil {
 			return nil, fmt.Errorf("workload: fiber FRR plan: %w", err)
 		}
@@ -320,20 +320,6 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// compressSchedule linearly rescales a drill-time schedule into the
-// replay horizon, preserving outage order and overlap structure.
-func compressSchedule(s *resilience.Schedule, horizon float64) *resilience.Schedule {
-	if s.Horizon <= 0 {
-		return s
-	}
-	f := horizon / s.Horizon
-	out := &resilience.Schedule{Horizon: horizon, NumLinks: s.NumLinks}
-	for _, o := range s.Outages {
-		out.Outages = append(out.Outages, resilience.Outage{Link: o.Link, Start: o.Start * f, End: o.End * f})
-	}
-	return out
 }
 
 // appRTTs returns the demand-weighted mean propagation RTT per
