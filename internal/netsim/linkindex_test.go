@@ -106,7 +106,7 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 // reverse of an earlier link, or a self-loop, whose two directions
 // repeat) and an endpoint outside [0, n) are refused wherever a link list
 // is indexed. The constructors that return an error return one naming the
-// rule, and the engines panic.
+// rule, and the engines and ComputeRoutes panic.
 func TestLinkIndexRefusedByEveryConsumer(t *testing.T) {
 	const n = 4 // node 3 is isolated
 	base := []netsim.TopoLink{
@@ -154,6 +154,7 @@ func TestLinkIndexRefusedByEveryConsumer(t *testing.T) {
 		check("resilience.NewProtection", err)
 		check("ValidateSplits", netsim.ValidateSplits(n, links, comms, nil))
 		mustPanic("NewFluid", func() { netsim.NewFluid(n, links) })
+		mustPanic("ComputeRoutes", func() { netsim.ComputeRoutes(n, links, comms, netsim.ShortestPath) })
 		mustPanic("Network.AddLink", func() {
 			var sim netsim.Simulator
 			nw := netsim.NewNetwork(&sim, n)

@@ -3,10 +3,12 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cisp/internal/traffic"
 	"cisp/internal/units"
+	"cisp/internal/xheap"
 )
 
 // TopoLink describes one duplex link of a simulation topology.
@@ -81,6 +83,169 @@ func (x *LinkIndex) Lookup(from, to int) (int32, bool) {
 //
 //cisp:hotpath
 func (x *LinkIndex) Out(from int) []int32 { return x.out[from] }
+
+// Nodes returns the node path that leaves src along the directed IDs.
+func (x *LinkIndex) Nodes(src int, ids []int32) []int {
+	nodes := append(make([]int, 0, len(ids)+1), src)
+	for _, id := range ids {
+		nodes = append(nodes, int(x.to[id]))
+	}
+	return nodes
+}
+
+// DelaySearch is the one least-delay search on a simulation topology (te's
+// Yen spurs, shortest-path routing, the workload RTTs, the availability
+// rescues): a heap Dijkstra over a duplex list and its LinkIndex, reused
+// across runs. It never rides a link whose rate is ≤ 0, nor a banned link
+// or node. Delays are nonnegative, so nodes settle in order of (distance,
+// index), exactly as a scan for the least distance, lowest index on ties,
+// picks them; relaxation is strict, so every path is the scan's.
+type DelaySearch struct {
+	index   *LinkIndex
+	links   []TopoLink
+	src     int // the last run's source
+	dist    []float64
+	prevE   []int32
+	done    []bool
+	edgeBan []bool
+	nodeBan []bool
+	heap    []distNode // one entry per improving relaxation, plus the source
+	path    []int32    // the last Path's result
+}
+
+// distNode is a search frontier entry. A node's entries carry strictly
+// decreasing distances, so no two keys tie and the heap pops in one order.
+type distNode struct {
+	d float64
+	v int32
+}
+
+func distLess(a, b distNode) bool {
+	if a.d != b.d {
+		return a.d < b.d
+	}
+	return a.v < b.v
+}
+
+// NewDelaySearch prepares a search over links, the duplex list index was
+// built from. It reads the links' rates and delays at every run, so a
+// caller that changes a rate in place between runs searches the new
+// topology.
+func NewDelaySearch(index *LinkIndex, links []TopoLink) *DelaySearch {
+	n := index.N()
+	return &DelaySearch{
+		index:   index,
+		links:   links,
+		dist:    make([]float64, n),
+		prevE:   make([]int32, n),
+		done:    make([]bool, n),
+		edgeBan: make([]bool, 2*len(links)),
+		nodeBan: make([]bool, n),
+		heap:    make([]distNode, 0, 2*len(links)+1),
+		path:    make([]int32, n),
+	}
+}
+
+// BanLink bars directed link id from later runs; false lifts the ban.
+func (s *DelaySearch) BanLink(id int32, banned bool) { s.edgeBan[id] = banned }
+
+// BanNode bars node v from later runs; false lifts the ban.
+func (s *DelaySearch) BanNode(v int, banned bool) { s.nodeBan[v] = banned }
+
+// Run returns the least-delay path src→dst as directed IDs and its delay,
+// or nil when dst is unreachable or a path to it would be longer than
+// maxDelay after a root prefix of delay rootD. It stops once rootD + d >
+// maxDelay for the settled distance d: dst is no nearer than d, and float
+// addition is monotone. The path aliases the search until its next use.
+func (s *DelaySearch) Run(src, dst int, rootD, maxDelay float64) ([]int32, float64) {
+	if !s.grow(src, dst, rootD, maxDelay) || math.IsInf(s.dist[dst], 1) {
+		return nil, 0
+	}
+	return s.Path(dst), s.dist[dst]
+}
+
+// EachSource runs the search to exhaustion, with no delay cap, once per
+// distinct source among comms, sources ascending. While a source's tree is
+// current it calls visit with the position in comms of each commodity from
+// that source; Dist and Path then answer for every node.
+func (s *DelaySearch) EachSource(comms []Commodity, visit func(i int)) {
+	bySrc := make([][]int, s.index.N())
+	for i, c := range comms {
+		bySrc[c.Src] = append(bySrc[c.Src], i)
+	}
+	for src, is := range bySrc {
+		if len(is) > 0 {
+			s.grow(src, -1, 0, math.Inf(1))
+		}
+		for _, i := range is {
+			visit(i)
+		}
+	}
+}
+
+// Dist returns v's least delay from the current tree's source, +Inf when
+// v is unreachable.
+func (s *DelaySearch) Dist(v int) float64 { return s.dist[v] }
+
+// Path returns the least-delay path from the last run's source to v as
+// directed IDs, or nil when v is unreachable: for any node inside
+// EachSource, for the destination after Run. The path aliases the search
+// until its next use.
+func (s *DelaySearch) Path(v int) []int32 {
+	if math.IsInf(s.dist[v], 1) {
+		return nil
+	}
+	// Link i of a duplex list has directions 2i and 2i+1, so the head of
+	// id^1 is id's tail.
+	path := s.path[:0]
+	for u := v; u != s.src; u = int(s.index.to[s.prevE[u]^1]) {
+		path = append(path, s.prevE[u])
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// grow settles nodes from src until dst settles (dst < 0: until none is
+// left) and reports false when the delay cap stops it first.
+func (s *DelaySearch) grow(src, dst int, rootD, maxDelay float64) bool {
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+		s.prevE[i] = -1
+		s.done[i] = false
+	}
+	s.src = src
+	s.dist[src] = 0
+	h := s.heap[:0]
+	if !s.nodeBan[src] {
+		h = append(h, distNode{0, int32(src)})
+	}
+	for len(h) > 0 {
+		top := xheap.Pop(&h, distLess)
+		u := int(top.v)
+		if s.done[u] {
+			continue // superseded by a shorter entry for u, settled earlier
+		}
+		if rootD+top.d > maxDelay {
+			return false
+		}
+		if u == dst {
+			break
+		}
+		s.done[u] = true
+		for _, id := range s.index.Out(u) {
+			to, l := int(s.index.to[id]), &s.links[id>>1]
+			if s.edgeBan[id] || s.nodeBan[to] || l.RateBps <= 0 {
+				continue
+			}
+			if nd := top.d + float64(l.PropDelay); nd < s.dist[to] {
+				s.dist[to] = nd
+				s.prevE[to] = id
+				xheap.Push(&h, distNode{nd, int32(to)}, distLess)
+			}
+		}
+	}
+	return true
+}
 
 // Commodity is one routed demand.
 type Commodity struct {
@@ -271,117 +436,74 @@ func InstallRoutes(nw *Network, links []TopoLink, comms []Commodity, scheme Sche
 // ComputeRoutes is the pure routing core behind InstallRoutes: it computes
 // a path per commodity under the scheme without touching a Network, so the
 // packet and fluid engines can share identical paths. The returned map is
-// keyed by flow ID; unroutable commodities are omitted.
+// keyed by flow ID; unroutable commodities are omitted. Panics on a
+// topology NewLinkIndex refuses, as both engines do.
 func ComputeRoutes(n int, links []TopoLink, comms []Commodity, scheme Scheme) map[int][]int {
-	adj := make([][]halfLink, n)
-	for _, l := range links {
-		fw, bw := new(float64), new(float64)
-		adj[l.A] = append(adj[l.A], halfLink{to: l.B, delay: float64(l.PropDelay), cap: float64(l.RateBps), load: fw})
-		adj[l.B] = append(adj[l.B], halfLink{to: l.A, delay: float64(l.PropDelay), cap: float64(l.RateBps), load: bw})
+	index, err := NewLinkIndex(n, links)
+	if err != nil {
+		panic(err.Error())
 	}
 	if scheme == ShortestPath {
-		return shortestRoutes(adj, comms)
+		return shortestRoutes(index, links, comms)
 	}
 
-	order := make([]Commodity, len(comms))
-	copy(order, comms)
+	order := slices.Clone(comms)
 	sort.Slice(order, func(i, j int) bool { return order[i].Demand > order[j].Demand })
 
+	load := make([]float64, 2*len(links)) // routed demand per directed ID
 	paths := make(map[int][]int, len(comms))
 	for _, c := range order {
 		var path []int
 		switch scheme {
 		case MinMaxUtilization:
-			path = minimaxPath(adj, c.Src, c.Dst, func(h halfLink) float64 {
-				return (*h.load + float64(c.Demand)) / h.cap
+			path = minimaxPath(index, links, c.Src, c.Dst, func(id int32) float64 {
+				return (load[id] + float64(c.Demand)) / float64(links[id>>1].RateBps)
 			})
 		case ThroughputOptimal:
-			path = minimaxPath(adj, c.Src, c.Dst, func(h halfLink) float64 {
+			path = minimaxPath(index, links, c.Src, c.Dst, func(id int32) float64 {
 				// Maximise residual capacity == minimise its negation.
-				return -(h.cap - *h.load - float64(c.Demand))
+				return -(float64(links[id>>1].RateBps) - load[id] - float64(c.Demand))
 			})
 		}
 		if path == nil {
 			continue
 		}
 		paths[c.Flow] = path
-		// Account the demand on each traversed half-link.
+		// Account the demand on each traversed direction.
 		for i := 0; i+1 < len(path); i++ {
-			for k := range adj[path[i]] {
-				if adj[path[i]][k].to == path[i+1] {
-					*adj[path[i]][k].load += float64(c.Demand)
-					break
-				}
-			}
+			id, _ := index.Lookup(path[i], path[i+1])
+			load[id] += float64(c.Demand)
 		}
 	}
 	return paths
-}
-
-// halfLink is one direction of a topology link with a shared load counter.
-type halfLink struct {
-	to    int
-	delay float64
-	cap   float64
-	load  *float64
 }
 
 // shortestRoutes gives every commodity its minimum propagation-delay
-// path. It grows one delay tree per source and unwinds each destination
-// from it: relaxation is strict and delays are non-negative, so a node's
+// path: one DelaySearch tree per source, each destination unwound from
+// it. Relaxation is strict and delays are non-negative, so a node's
 // predecessor never changes once it settles, and the tree holds exactly
 // the path a search stopped at that destination would return.
-func shortestRoutes(adj [][]halfLink, comms []Commodity) map[int][]int {
-	trees := make([][]int, len(adj)) // per source, grown on first use
-	paths := make(map[int][]int, len(comms))
-	for _, c := range comms {
-		if trees[c.Src] == nil {
-			trees[c.Src] = delayTree(adj, c.Src)
+func shortestRoutes(index *LinkIndex, links []TopoLink, comms []Commodity) map[int][]int {
+	s := NewDelaySearch(index, links)
+	found := make([][]int, len(comms))
+	s.EachSource(comms, func(i int) {
+		if ids := s.Path(comms[i].Dst); ids != nil {
+			found[i] = index.Nodes(comms[i].Src, ids)
 		}
-		if path := unwind(trees[c.Src], c.Src, c.Dst); path != nil {
-			paths[c.Flow] = path
+	})
+	paths := make(map[int][]int, len(comms))
+	for i, c := range comms {
+		if found[i] != nil {
+			paths[c.Flow] = found[i]
 		}
 	}
 	return paths
 }
 
-// delayTree runs Dijkstra on propagation delay from src to exhaustion and
-// returns each node's predecessor (-1 for src and unreached nodes). Ties
-// settle the lowest node index first.
-func delayTree(adj [][]halfLink, src int) []int {
-	n := len(adj)
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 {
-			return prev
-		}
-		done[u] = true
-		for _, h := range adj[u] {
-			if nd := dist[u] + h.delay; nd < dist[h.to] {
-				dist[h.to] = nd
-				prev[h.to] = u
-			}
-		}
-	}
-}
-
-// minimaxPath finds the path minimising the maximum of cost(halfLink) over
-// its links, breaking ties by total propagation delay.
-func minimaxPath(adj [][]halfLink, src, dst int, cost func(halfLink) float64) []int {
-	n := len(adj)
+// minimaxPath finds the path minimising the maximum of cost over its
+// directed links, breaking ties by total propagation delay.
+func minimaxPath(index *LinkIndex, links []TopoLink, src, dst int, cost func(id int32) float64) []int {
+	n := index.N()
 	bottleneck := make([]float64, n)
 	delay := make([]float64, n)
 	prev := make([]int, n)
@@ -408,35 +530,24 @@ func minimaxPath(adj [][]halfLink, src, dst int, cost func(halfLink) float64) []
 			break
 		}
 		done[u] = true
-		for _, h := range adj[u] {
-			nb := math.Max(bottleneck[u], cost(h))
-			ndel := delay[u] + h.delay
-			if nb < bottleneck[h.to] || (nb == bottleneck[h.to] && ndel < delay[h.to]) {
-				bottleneck[h.to] = nb
-				delay[h.to] = ndel
-				prev[h.to] = u
+		for _, id := range index.Out(u) {
+			to := int(index.to[id])
+			nb := math.Max(bottleneck[u], cost(id))
+			ndel := delay[u] + float64(links[id>>1].PropDelay)
+			if nb < bottleneck[to] || (nb == bottleneck[to] && ndel < delay[to]) {
+				bottleneck[to] = nb
+				delay[to] = ndel
+				prev[to] = u
 			}
 		}
 	}
 	if math.IsInf(bottleneck[dst], 1) {
 		return nil
 	}
-	return unwind(prev, src, dst)
-}
-
-func unwind(prev []int, src, dst int) []int {
-	var rev []int
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
+	path := []int{dst}
+	for v := dst; v != src; v = prev[v] {
+		path = append(path, prev[v])
 	}
-	if rev[len(rev)-1] != src {
-		return nil
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	slices.Reverse(path)
+	return path
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cisp/internal/traffic"
@@ -121,7 +122,9 @@ func TestUnreachableCommodityOmitted(t *testing.T) {
 
 // tiedMesh draws a seeded n-node mesh with small-integer delays (0–3 s,
 // so path sums are exact and equal-delay ties are common) and leaves the
-// last node isolated, so some commodities are unroutable.
+// last node isolated, so some commodities are unroutable. A node pair
+// drawn again merges into its first link at the lesser delay, so the mesh
+// is simple.
 func tiedMesh(n int, seed int64) []TopoLink {
 	rng := rand.New(rand.NewSource(seed))
 	var links []TopoLink
@@ -131,7 +134,12 @@ func tiedMesh(n int, seed int64) []TopoLink {
 			if b == a {
 				continue
 			}
-			links = append(links, TopoLink{A: a, B: b, RateBps: 1e6, PropDelay: units.Seconds(rng.Intn(4))})
+			d := units.Seconds(rng.Intn(4))
+			if i := slices.IndexFunc(links, func(l TopoLink) bool { return l.A == b && l.B == a || l.A == a && l.B == b }); i >= 0 {
+				links[i].PropDelay = min(links[i].PropDelay, d)
+				continue
+			}
+			links = append(links, TopoLink{A: a, B: b, RateBps: 1e6, PropDelay: d})
 		}
 	}
 	return links

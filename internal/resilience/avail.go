@@ -1,12 +1,10 @@
 package resilience
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"cisp/internal/netsim"
-	"cisp/internal/te"
 )
 
 // Stats is the analytic outcome of running a protection mode against a
@@ -108,6 +106,7 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 		inForce[c.Flow] = p.toSplits(p.primaries[c.Flow])
 	}
 	rescues := map[int]rescue{}
+	search := netsim.NewDelaySearch(p.index, p.links)
 
 	demandTime, liveTime := 0.0, 0.0
 	stretchW, stretchSum := 0.0, 0.0
@@ -149,26 +148,18 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 			}
 		}
 		if rescueEval {
-			var stranded []netsim.Commodity
-			for _, c := range p.flows {
-				if _, have := rescues[c.Flow]; !have && p.deadFrac(inForce[c.Flow], down) > 0 {
-					stranded = append(stranded, *c)
-				}
+			// A rescue is the least-delay path over the up links.
+			for li, d := range down {
+				search.BanLink(int32(2*li), d)
+				search.BanLink(int32(2*li+1), d)
 			}
-			if len(stranded) > 0 {
-				// te's candidate search at K 1 is the minimum-delay path
-				// over the up links: it skips the zero-rate edges
-				// netsim.Graded leaves for down links. NewProtection
-				// searched these very links, so the graph builds.
-				pools, err := te.Candidates(p.index.N(), netsim.Graded(nil, p.links, nil, down), stranded, te.Config{K: 1})
-				if err != nil {
-					panic(fmt.Sprintf("resilience: residual path search: %v", err))
+			for _, c := range p.flows {
+				if _, have := rescues[c.Flow]; have || p.deadFrac(inForce[c.Flow], down) == 0 {
+					continue
 				}
-				for i, pool := range pools {
-					if len(pool) > 0 {
-						rescues[stranded[i].Flow] = rescue{path: pool[0].Nodes, delay: pool[0].Delay}
-						st.Reroutes++
-					}
+				if ids, delay := search.Run(c.Src, c.Dst, 0, math.Inf(1)); ids != nil {
+					rescues[c.Flow] = rescue{path: p.index.Nodes(c.Src, ids), delay: delay}
+					st.Reroutes++
 				}
 			}
 		}

@@ -101,7 +101,7 @@ func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64, s *lpScr
 	// Size the rows: one conservation term per path, then a capacity row
 	// per edge some candidate touches (one term per crossing path, plus φ),
 	// then the floor row's φ.
-	s.rows = resize(s.rows, len(g.edges))
+	s.rows = resize(s.rows, 2*len(g.links))
 	s.used = s.used[:0]
 	for _, c := range cs {
 		for _, cand := range c.cands {
@@ -144,14 +144,14 @@ func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64, s *lpScr
 		for pi, cand := range c.cands {
 			for _, ei := range cand.edges {
 				r := &s.rows[ei]
-				terms[r.start+r.n] = lp.Term{Var: varAt[i] + pi, Coeff: c.demand / g.edges[ei].capBps}
+				terms[r.start+r.n] = lp.Term{Var: varAt[i] + pi, Coeff: c.demand / g.capBps(ei)}
 				r.n++
 			}
 		}
 	}
 	for _, ei := range s.used {
 		r := &s.rows[ei]
-		cap := g.edges[ei].capBps
+		cap := g.capBps(ei)
 		row := terms[r.start : r.start+r.n+1]
 		row[r.n] = lp.Term{Var: phi, Coeff: -1}
 		p.Cons = append(p.Cons, lp.Constraint{Terms: row, Sense: lp.LE, RHS: u0 - base[ei]/cap})

@@ -7,23 +7,16 @@ import (
 
 	"cisp/internal/netsim"
 	"cisp/internal/parallel"
-	"cisp/internal/xheap"
 )
 
-// edge is one directed link of the TE graph.
-type edge struct {
-	from, to int
-	capBps   float64 // 0 = link down (excluded from path search)
-	delay    float64 // propagation delay, seconds
-}
-
-// graph is the directed TE topology: two edges per duplex TopoLink, edge
-// IDs in the link index's numbering (link i's A→B edge is 2i, its B→A edge
-// 2i+1). The index is the graph's adjacency.
+// graph is the directed TE topology: a duplex link list and its
+// netsim.LinkIndex, which numbers link i's A→B edge 2i and its B→A edge
+// 2i+1. Both edges of a link share its rate, the capacity the LP and
+// UpdateCapacities work on (0 = link down, excluded from path search),
+// and its propagation delay.
 type graph struct {
-	n     int
-	edges []edge
 	index *netsim.LinkIndex
+	links []netsim.TopoLink // the graph's own copy: rates change in place
 }
 
 // buildGraph converts the duplex simulation topology into the directed TE
@@ -38,16 +31,19 @@ func buildGraph(n int, links []netsim.TopoLink) (*graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("te: %w", err)
 	}
-	g := &graph{n: n, edges: make([]edge, 0, 2*len(links)), index: index}
 	for i, l := range links {
-		r, d := float64(l.RateBps), float64(l.PropDelay)
-		if !solvable(r) {
+		if r := float64(l.RateBps); !solvable(r) {
 			return nil, fmt.Errorf("te: link %d (%d-%d) has rate %v", i, l.A, l.B, r)
 		}
-		g.edges = append(g.edges, edge{from: l.A, to: l.B, capBps: r, delay: d}, edge{from: l.B, to: l.A, capBps: r, delay: d})
 	}
-	return g, nil
+	return &graph{index: index, links: slices.Clone(links)}, nil
 }
+
+// capBps returns edge e's capacity, bits per second.
+func (g *graph) capBps(e int32) float64 { return float64(g.links[e/2].RateBps) }
+
+// delay returns edge e's propagation delay, seconds.
+func (g *graph) delay(e int32) float64 { return float64(g.links[e/2].PropDelay) }
 
 // Path is one candidate forwarding path of a commodity.
 type Path struct {
@@ -57,114 +53,11 @@ type Path struct {
 }
 
 func (g *graph) pathFromEdges(src int, eids []int32) Path {
-	p := Path{Nodes: make([]int, 0, len(eids)+1), edges: eids}
-	p.Nodes = append(p.Nodes, src)
+	p := Path{Nodes: g.index.Nodes(src, eids), edges: eids}
 	for _, e := range eids {
-		p.Delay += g.edges[e].delay
-		p.Nodes = append(p.Nodes, g.edges[e].to)
+		p.Delay += g.delay(e)
 	}
 	return p
-}
-
-// dijkstraScratch is one worker's minimum-delay search state for yen,
-// sized once per graph and reused across searches. Banned edges and nodes
-// and edges with zero capacity are skipped.
-type dijkstraScratch struct {
-	dist    []float64
-	prevE   []int32
-	done    []bool
-	edgeBan []bool
-	nodeBan []bool
-	heap    []distNode // one entry per improving relaxation, plus the source
-	path    []int32    // the last search's path
-}
-
-// distNode is a search frontier entry. A node's entries carry strictly
-// decreasing distances, so no two keys tie and the heap pops in one order.
-type distNode struct {
-	d float64
-	v int32
-}
-
-func distLess(a, b distNode) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.v < b.v
-}
-
-func newScratch(g *graph) *dijkstraScratch {
-	return &dijkstraScratch{
-		dist:    make([]float64, g.n),
-		prevE:   make([]int32, g.n),
-		done:    make([]bool, g.n),
-		edgeBan: make([]bool, len(g.edges)),
-		nodeBan: make([]bool, g.n),
-		heap:    make([]distNode, 0, len(g.edges)+1),
-		path:    make([]int32, g.n),
-	}
-}
-
-// run returns the minimum-delay path src→dst as edge IDs and its delay, or
-// nil when dst is unreachable or when a path reaching dst would be longer
-// than maxDelay after a root prefix of delay rootD. The path aliases the
-// scratch and is valid until the next run.
-//
-// Delays are nonnegative, so nodes settle in order of (distance, index):
-// exactly the node a scan for the least distance, lowest index on ties,
-// would pick at each step. Every prevE, and so every path, is the scan's.
-// The search stops once rootD + d > maxDelay for the settled distance d:
-// dst is no nearer than d, and float addition is monotone, so its path
-// would break the cap too.
-func (s *dijkstraScratch) run(g *graph, src, dst int, rootD, maxDelay float64) ([]int32, float64) {
-	for i := range s.dist {
-		s.dist[i] = math.Inf(1)
-		s.prevE[i] = -1
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	h := s.heap[:0]
-	if !s.nodeBan[src] {
-		h = append(h, distNode{0, int32(src)})
-	}
-	for len(h) > 0 {
-		top := xheap.Pop(&h, distLess)
-		u := int(top.v)
-		if s.done[u] {
-			continue // superseded by a shorter entry for u, settled earlier
-		}
-		if rootD+top.d > maxDelay {
-			return nil, 0
-		}
-		if u == dst {
-			break
-		}
-		s.done[u] = true
-		for _, ei := range g.index.Out(u) {
-			e := &g.edges[ei]
-			if s.edgeBan[ei] || s.nodeBan[e.to] || e.capBps <= 0 {
-				continue
-			}
-			if nd := top.d + e.delay; nd < s.dist[e.to] {
-				s.dist[e.to] = nd
-				s.prevE[e.to] = ei
-				xheap.Push(&h, distNode{nd, int32(e.to)}, distLess)
-			}
-		}
-	}
-	if math.IsInf(s.dist[dst], 1) {
-		return nil, 0
-	}
-	hops := 0
-	for v := dst; v != src; v = g.edges[s.prevE[v]].from {
-		hops++
-	}
-	path := s.path[:hops]
-	for v, i := dst, hops-1; v != src; i-- {
-		path[i] = s.prevE[v]
-		v = g.edges[path[i]].from
-	}
-	return path, s.dist[dst]
 }
 
 // hasPath reports whether some path in ps is root followed by spur.
@@ -183,8 +76,8 @@ func hasPath(ps []Path, root, spur []int32) bool {
 // path's delay — the latency-diversity cap that keeps every TE split inside
 // the paper's stretch budget. Each spur search stops as soon as it can
 // only find a deviation beyond that cap.
-func yen(g *graph, scratch *dijkstraScratch, src, dst, k int, stretch float64) []Path {
-	bestE, bestD := scratch.run(g, src, dst, 0, math.Inf(1))
+func yen(g *graph, s *netsim.DelaySearch, src, dst, k int, stretch float64) []Path {
+	bestE, bestD := s.Run(src, dst, 0, math.Inf(1))
 	if bestE == nil {
 		return nil
 	}
@@ -201,22 +94,22 @@ func yen(g *graph, scratch *dijkstraScratch, src, dst, k int, stretch float64) [
 			// a deviation.
 			for _, p := range A {
 				if len(p.edges) > i && slices.Equal(p.edges[:i], root) {
-					scratch.edgeBan[p.edges[i]] = true
+					s.BanLink(p.edges[i], true)
 				}
 			}
 			for _, v := range prev.Nodes[:i] {
-				scratch.nodeBan[v] = true
+				s.BanNode(v, true)
 			}
-			spurE, _ := scratch.run(g, spur, dst, rootD, maxDelay)
+			spurE, _ := s.Run(spur, dst, rootD, maxDelay)
 			for _, p := range A {
 				if len(p.edges) > i && slices.Equal(p.edges[:i], root) {
-					scratch.edgeBan[p.edges[i]] = false
+					s.BanLink(p.edges[i], false)
 				}
 			}
 			for _, v := range prev.Nodes[:i] {
-				scratch.nodeBan[v] = false
+				s.BanNode(v, false)
 			}
-			rootD += g.edges[prev.edges[i]].delay
+			rootD += g.delay(prev.edges[i])
 			if spurE == nil || hasPath(A, root, spurE) || hasPath(B, root, spurE) {
 				continue
 			}
@@ -258,16 +151,16 @@ func pathLess(a, b *Path) bool {
 }
 
 // enumerate finds each commodity's candidate paths, fanned out over the
-// shared worker pool: one Yen run per commodity, one scratch per chunk.
-// Results are positionally stable, and yen restores every ban it sets and
+// shared worker pool: one Yen run per commodity, one search per chunk.
+// Results are positionally stable, and yen lifts every ban it sets and a
 // run resets the rest, so neither the fan-out nor the chunking can change
 // a path.
 func enumerate(g *graph, comms []netsim.Commodity, cfg Config) [][]Path {
 	out := make([][]Path, len(comms))
 	parallel.For(len(comms), 1, func(lo, hi int) {
-		scratch := newScratch(g)
+		s := netsim.NewDelaySearch(g.index, g.links)
 		for i := lo; i < hi; i++ {
-			out[i] = yen(g, scratch, comms[i].Src, comms[i].Dst, cfg.K, cfg.Stretch)
+			out[i] = yen(g, s, comms[i].Src, comms[i].Dst, cfg.K, cfg.Stretch)
 		}
 	})
 	return out
@@ -276,10 +169,12 @@ func enumerate(g *graph, comms []netsim.Commodity, cfg Config) [][]Path {
 // Candidates enumerates every commodity's latency-bounded candidate paths
 // over the duplex topology — the controller's internal enumeration (Yen's
 // algorithm, at most cfg.K paths within cfg.Stretch × the shortest delay),
-// exported so layers above the control plane (internal/resilience's
-// disjoint-backup search) work from the exact same path pool a Controller
-// with the same Config would split over. Results are positionally aligned
-// with comms; a commodity with no path on the topology gets an empty slice.
+// exported so fast reroute's disjoint-backup search
+// (resilience.NewProtection, at K 8) works from the exact same path pool a
+// Controller with the same Config would split over. A caller that wants
+// only the least-delay path runs a netsim.DelaySearch instead. Results are
+// positionally aligned with comms; a commodity with no path on the
+// topology gets an empty slice.
 func Candidates(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg Config) ([][]Path, error) {
 	cfg = cfg.withDefaults()
 	g, err := buildGraph(n, links)

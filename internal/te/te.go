@@ -175,32 +175,30 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 	snk := obs.Active()
 	stop := snk.StartTimer("cisp_te_reopt_seconds")
 	defer stop()
-	if 2*len(links) != len(c.g.edges) {
-		return nil, fmt.Errorf("te: capacity update has %d links, controller topology has %d", len(links), len(c.g.edges)/2)
+	if len(links) != len(c.g.links) {
+		return nil, fmt.Errorf("te: capacity update has %d links, controller topology has %d", len(links), len(c.g.links))
 	}
 	// Validate the whole list before touching any capacity: a partial
 	// mutation on a rejected update would desync the controller's graph
 	// from its installed splits.
 	for i, l := range links {
-		if e := c.g.edges[2*i]; e.from != l.A || e.to != l.B {
-			return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, e.from, e.to)
+		if e := c.g.links[i]; e.A != l.A || e.B != l.B {
+			return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, e.A, e.B)
 		}
 		if r := float64(l.RateBps); !solvable(r) {
 			return nil, fmt.Errorf("te: capacity update link %d has rate %v", i, r)
 		}
 	}
-	changed := make([]bool, len(c.g.edges))
-	prev := make([]float64, len(c.g.edges))
+	changed := make([]bool, len(links))
+	prev := make([]units.BitsPerSecond, len(links))
 	anyChanged := false
 	for i, l := range links {
-		for dir := 0; dir < 2; dir++ {
-			e := &c.g.edges[2*i+dir]
-			prev[2*i+dir] = e.capBps
-			if e.capBps != float64(l.RateBps) {
-				changed[2*i+dir] = true
-				anyChanged = true
-				e.capBps = float64(l.RateBps)
-			}
+		e := &c.g.links[i]
+		prev[i] = e.RateBps
+		if e.RateBps != l.RateBps {
+			changed[i] = true
+			anyChanged = true
+			e.RateBps = l.RateBps
 		}
 	}
 	if !anyChanged {
@@ -212,7 +210,7 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 		hit := false
 		for _, p := range cm.cands {
 			for _, ei := range p.edges {
-				if changed[ei] {
+				if changed[ei/2] {
 					hit = true
 					break
 				}
@@ -233,8 +231,8 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 		saved[k] = c.comms[i]
 	}
 	if err := c.reroute(affected); err != nil {
-		for ei := range c.g.edges {
-			c.g.edges[ei].capBps = prev[ei]
+		for i := range c.g.links {
+			c.g.links[i].RateBps = prev[i]
 		}
 		for k, i := range affected {
 			c.comms[i] = saved[k]
@@ -260,7 +258,7 @@ func (c *Controller) reroute(idxs []int) error {
 	for _, i := range idxs {
 		inSet[i] = true
 	}
-	base := make([]float64, len(c.g.edges))
+	base := make([]float64, 2*len(c.g.links))
 	for i := range c.comms {
 		if !inSet[i] {
 			c.comms[i].addLoad(base)
@@ -272,13 +270,13 @@ func (c *Controller) reroute(idxs []int) error {
 	// the usable subset — candidates whose every edge is up. A commodity
 	// with no usable candidate is re-enumerated on the degraded topology
 	// and keeps any new paths for later.
-	var scratch *dijkstraScratch
+	var search *netsim.DelaySearch
 	usableOf := func(cm *teComm) []int {
 		var usable []int
 		for pi, p := range cm.cands {
 			up := true
 			for _, ei := range p.edges {
-				if c.g.edges[ei].capBps <= 0 {
+				if c.g.capBps(ei) <= 0 {
 					up = false
 					break
 				}
@@ -304,10 +302,10 @@ func (c *Controller) reroute(idxs []int) error {
 		cm.fracs = nil
 		usable := usableOf(cm)
 		if len(usable) == 0 {
-			if scratch == nil {
-				scratch = newScratch(c.g)
+			if search == nil {
+				search = netsim.NewDelaySearch(c.g.index, c.g.links)
 			}
-			for _, p := range yen(c.g, scratch, cm.src, cm.dst, c.cfg.K, c.cfg.Stretch) {
+			for _, p := range yen(c.g, search, cm.src, cm.dst, c.cfg.K, c.cfg.Stretch) {
 				dup := false
 				for _, q := range cm.cands {
 					if slices.Equal(p.edges, q.edges) {
@@ -398,7 +396,7 @@ func (c *Controller) solveBlocks(lpComms []*teComm, fixed []float64) ([][]float6
 	}
 
 	loadOf := func(fr [][]float64) []float64 {
-		load := make([]float64, len(c.g.edges))
+		load := make([]float64, 2*len(c.g.links))
 		copy(load, fixed)
 		for i, cm := range lpComms {
 			cm.addLoadFracs(load, fr[i])
@@ -469,7 +467,7 @@ func sortByDemand(cs []*teComm) []int {
 // rebuildSolution reassembles Splits and the predicted MLU from the
 // commodity table.
 func (c *Controller) rebuildSolution() {
-	load := make([]float64, len(c.g.edges))
+	load := make([]float64, 2*len(c.g.links))
 	splits := make(map[int][]netsim.SplitPath, len(c.comms))
 	for i := range c.comms {
 		cm := &c.comms[i]
@@ -521,8 +519,8 @@ func (cm *teComm) subLoadFracs(load []float64, fracs []float64) {
 
 func maxUtil(g *graph, load []float64) float64 {
 	mlu := 0.0
-	for ei := range g.edges {
-		if c := g.edges[ei].capBps; c > 0 {
+	for ei := range load {
+		if c := g.capBps(int32(ei)); c > 0 {
 			if u := load[ei] / c; u > mlu {
 				mlu = u
 			}
@@ -577,17 +575,17 @@ func NewMLUGraph(n int, links []netsim.TopoLink) (*MLUGraph, error) {
 // differ. Load accrues commodity by commodity, split by split, hop by hop.
 func (m *MLUGraph) MLU(links []netsim.TopoLink, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) (units.Utilization, error) {
 	g := m.g
-	if 2*len(links) != len(g.edges) {
-		return 0, fmt.Errorf("te: MLU over %d links, graph has %d", len(links), len(g.edges)/2)
+	if len(links) != len(g.links) {
+		return 0, fmt.Errorf("te: MLU over %d links, graph has %d", len(links), len(g.links))
 	}
 	for i, l := range links {
-		if e := g.edges[2*i]; e.from != l.A || e.to != l.B {
-			return 0, fmt.Errorf("te: MLU link %d is %d-%d, graph has %d-%d", i, l.A, l.B, e.from, e.to)
+		e := &g.links[i]
+		if e.A != l.A || e.B != l.B {
+			return 0, fmt.Errorf("te: MLU link %d is %d-%d, graph has %d-%d", i, l.A, l.B, e.A, e.B)
 		}
-		g.edges[2*i].capBps = float64(l.RateBps)
-		g.edges[2*i+1].capBps = float64(l.RateBps)
+		e.RateBps = l.RateBps
 	}
-	load := make([]float64, len(g.edges))
+	load := make([]float64, 2*len(g.links))
 	for _, cm := range comms {
 		for _, sp := range splits[cm.Flow] {
 			for i := 0; i+1 < len(sp.Path); i++ {

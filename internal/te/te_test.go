@@ -26,7 +26,7 @@ func TestYenEnumeratesDiversePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := yen(g, newScratch(g), 0, 3, 4, 2.0)
+	paths := yen(g, netsim.NewDelaySearch(g.index, g.links), 0, 3, 4, 2.0)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2 (the disjoint diamond arms)", len(paths))
 	}
@@ -50,7 +50,7 @@ func TestYenStretchCap(t *testing.T) {
 	// The 0-2-3 arm is 25% longer than 0-1-3; a stretch cap of 1.2 must
 	// exclude it.
 	g, _ := buildGraph(4, diamond())
-	paths := yen(g, newScratch(g), 0, 3, 4, 1.2)
+	paths := yen(g, netsim.NewDelaySearch(g.index, g.links), 0, 3, 4, 1.2)
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths under stretch 1.2, want 1", len(paths))
 	}
@@ -70,7 +70,7 @@ func TestYenLongerGraph(t *testing.T) {
 		{A: 3, B: 4, RateBps: 1, PropDelay: 3},
 	}
 	g, _ := buildGraph(5, links)
-	paths := yen(g, newScratch(g), 0, 4, 10, 10)
+	paths := yen(g, netsim.NewDelaySearch(g.index, g.links), 0, 4, 10, 10)
 	if len(paths) < 3 {
 		t.Fatalf("got %d paths, want >= 3", len(paths))
 	}
@@ -236,9 +236,9 @@ func TestMethodSelectionAndOrdering(t *testing.T) {
 		// All-shortest-path baseline.
 		base := map[int][]netsim.SplitPath{}
 		g, _ := buildGraph(n, links)
-		scratch := newScratch(g)
+		search := netsim.NewDelaySearch(g.index, g.links)
 		for _, cm := range comms {
-			eids, _ := scratch.run(g, cm.Src, cm.Dst, 0, math.Inf(1))
+			eids, _ := search.Run(cm.Src, cm.Dst, 0, math.Inf(1))
 			p := g.pathFromEdges(cm.Src, eids)
 			base[cm.Flow] = []netsim.SplitPath{{Path: p.Nodes, Frac: 1}}
 		}

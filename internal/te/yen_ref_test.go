@@ -22,13 +22,24 @@ type scanScratch struct {
 }
 
 func newScanScratch(g *graph) *scanScratch {
+	n := g.index.N()
 	return &scanScratch{
-		dist:    make([]float64, g.n),
-		prevE:   make([]int32, g.n),
-		done:    make([]bool, g.n),
-		edgeBan: make([]bool, len(g.edges)),
-		nodeBan: make([]bool, g.n),
+		dist:    make([]float64, n),
+		prevE:   make([]int32, n),
+		done:    make([]bool, n),
+		edgeBan: make([]bool, 2*len(g.links)),
+		nodeBan: make([]bool, n),
 	}
+}
+
+// ends returns edge e's tail and head: link e/2 from A to B for an even
+// e, from B to A for an odd one.
+func ends(g *graph, e int32) (from, to int) {
+	l := g.links[e/2]
+	if e%2 == 0 {
+		return l.A, l.B
+	}
+	return l.B, l.A
 }
 
 func (s *scanScratch) run(g *graph, src, dst int) ([]int32, float64) {
@@ -40,7 +51,7 @@ func (s *scanScratch) run(g *graph, src, dst int) ([]int32, float64) {
 	s.dist[src] = 0
 	for {
 		u, best := -1, math.Inf(1)
-		for v := 0; v < g.n; v++ {
+		for v := range s.dist {
 			if !s.done[v] && !s.nodeBan[v] && s.dist[v] < best {
 				u, best = v, s.dist[v]
 			}
@@ -50,13 +61,13 @@ func (s *scanScratch) run(g *graph, src, dst int) ([]int32, float64) {
 		}
 		s.done[u] = true
 		for _, ei := range g.index.Out(u) {
-			e := &g.edges[ei]
-			if s.edgeBan[ei] || s.nodeBan[e.to] || e.capBps <= 0 {
+			_, to := ends(g, ei)
+			if s.edgeBan[ei] || s.nodeBan[to] || g.capBps(ei) <= 0 {
 				continue
 			}
-			if nd := s.dist[u] + e.delay; nd < s.dist[e.to] {
-				s.dist[e.to] = nd
-				s.prevE[e.to] = ei
+			if nd := s.dist[u] + g.delay(ei); nd < s.dist[to] {
+				s.dist[to] = nd
+				s.prevE[to] = ei
 			}
 		}
 	}
@@ -67,7 +78,7 @@ func (s *scanScratch) run(g *graph, src, dst int) ([]int32, float64) {
 	for v := dst; v != src; {
 		ei := s.prevE[v]
 		rev = append(rev, ei)
-		v = g.edges[ei].from
+		v, _ = ends(g, ei)
 	}
 	out := make([]int32, len(rev))
 	for i, e := range rev {
@@ -114,7 +125,7 @@ func yenScan(g *graph, src, dst, k int, stretch float64) []Path {
 			}
 			rootD := 0.0
 			for _, ei := range prev.edges[:i] {
-				rootD += g.edges[ei].delay
+				rootD += g.delay(ei)
 			}
 			if rootD+spurD > maxDelay {
 				continue
@@ -190,7 +201,7 @@ func runYenCase(t *testing.T, c yenCase) {
 	t.Helper()
 	g, n := c.graph(t)
 	k := 1 + int(c.k)%8
-	s := newScratch(g)
+	s := netsim.NewDelaySearch(g.index, g.links)
 	for _, stretch := range yenStretches {
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {

@@ -1,13 +1,13 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"cisp/internal/cities"
 	"cisp/internal/econ"
 	"cisp/internal/gaming"
-	"cisp/internal/graph"
 	"cisp/internal/media"
 	"cisp/internal/netsim"
 	"cisp/internal/obs"
@@ -302,8 +302,11 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		return res
 	})
 
-	rttH := p.appRTTs(b.Nodes, hybrid, fluidComms, appOf)
-	rttF := p.appRTTs(b.Nodes, b.Fiber, fluidComms, appOf)
+	rttH, errH := appRTTs(b.Nodes, hybrid, fluidComms, appOf)
+	rttF, errF := appRTTs(b.Nodes, b.Fiber, fluidComms, appOf)
+	if err := errors.Join(errH, errF); err != nil {
+		return nil, fmt.Errorf("workload: RTTs: %w", err)
+	}
 	for i, res := range results {
 		rtt := rttH
 		if specs[i].substrate == SubstrateFiber {
@@ -323,34 +326,31 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 }
 
 // appRTTs returns the demand-weighted mean propagation RTT per
-// application over a substrate: shortest-delay paths at clear sky, each
+// application over a substrate: least-delay paths at clear sky, each
 // commodity weighted by its offered demand.
-func (p Pipeline) appRTTs(nodes int, links []netsim.TopoLink, comms []netsim.Commodity, appOf map[int]App) [NumApps]float64 {
-	g := graph.New[units.Seconds](nodes)
-	for _, l := range links {
-		g.AddEdge(l.A, l.B, l.PropDelay)
+func appRTTs(nodes int, links []netsim.TopoLink, comms []netsim.Commodity, appOf map[int]App) ([NumApps]float64, error) {
+	var out [NumApps]float64
+	index, err := netsim.NewLinkIndex(nodes, links)
+	if err != nil {
+		return out, err
 	}
-	dist := map[int][]units.Seconds{}
+	s := netsim.NewDelaySearch(index, links)
+	delay := make([]float64, len(comms))
+	s.EachSource(comms, func(i int) { delay[i] = s.Dist(comms[i].Dst) })
 	var sum, weight [NumApps]float64
-	for _, c := range comms {
-		d, ok := dist[c.Src]
-		if !ok {
-			d, _ = g.Dijkstra(c.Src)
-			dist[c.Src] = d
-		}
+	for i, c := range comms {
 		a := appOf[c.Flow]
-		if dd := d[c.Dst]; !math.IsInf(float64(dd), 1) { // unreachable pairs are skipped
-			sum[a] += float64(c.Demand) * 2 * float64(dd)
+		if d := delay[i]; !math.IsInf(d, 1) { // unreachable pairs are skipped
+			sum[a] += float64(c.Demand) * 2 * d
 			weight[a] += float64(c.Demand)
 		}
 	}
-	var out [NumApps]float64
 	for a := range out {
 		if weight[a] > 0 {
 			out[a] = sum[a] / weight[a] * 1000 // seconds → ms
 		}
 	}
-	return out
+	return out, nil
 }
 
 // runStats reduces one simulation result to its per-application figures.
