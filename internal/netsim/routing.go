@@ -423,8 +423,9 @@ func (r *SplitRules) Check(flow int, sps []SplitPath) error {
 
 // InstallRoutes computes a path per commodity under the scheme and installs
 // forwarding state. It returns the chosen paths keyed by flow ID.
-// Commodities are processed in decreasing demand for the utilization-aware
-// schemes, which route sequentially against the residual network.
+// Commodities are processed in decreasing demand, ties in comms order, for
+// the utilization-aware schemes, which route sequentially against the
+// residual network.
 func InstallRoutes(nw *Network, links []TopoLink, comms []Commodity, scheme Scheme) map[int][]int {
 	paths := ComputeRoutes(nw.N(), links, comms, scheme)
 	for flow, path := range paths {
@@ -448,7 +449,7 @@ func ComputeRoutes(n int, links []TopoLink, comms []Commodity, scheme Scheme) ma
 	}
 
 	order := slices.Clone(comms)
-	sort.Slice(order, func(i, j int) bool { return order[i].Demand > order[j].Demand })
+	sort.SliceStable(order, func(i, j int) bool { return order[i].Demand > order[j].Demand })
 
 	load := make([]float64, 2*len(links)) // routed demand per directed ID
 	paths := make(map[int][]int, len(comms))

@@ -62,6 +62,33 @@ func TestMinMaxUtilSpreadsLoad(t *testing.T) {
 	}
 }
 
+// TestMinMaxDemandTiesKeepOrder: commodities of equal demand route in
+// their list order. Two equal-capacity arms take the commodities of each
+// demand in turn, the fast arm first, so within a demand the k-th one
+// routed takes the fast arm when k is even and a reordering of the ties
+// shows in the paths. Go's unstable sort reorders these ties.
+func TestMinMaxDemandTiesKeepOrder(t *testing.T) {
+	links := []TopoLink{
+		{A: 0, B: 1, RateBps: 10e6, PropDelay: 0.001},
+		{A: 1, B: 3, RateBps: 10e6, PropDelay: 0.001},
+		{A: 0, B: 2, RateBps: 10e6, PropDelay: 0.010},
+		{A: 2, B: 3, RateBps: 10e6, PropDelay: 0.010},
+	}
+	var comms []Commodity
+	for k := 0; k < 16; k++ {
+		comms = append(comms, Commodity{Flow: 100 - k, Src: 0, Dst: 3, Demand: units.BitsPerSecond(1e5 * float64(1+k%2))})
+	}
+	paths := ComputeRoutes(4, links, comms, MinMaxUtilization)
+	routed := map[units.BitsPerSecond]int{}
+	for _, c := range comms {
+		k := routed[c.Demand]
+		routed[c.Demand]++
+		if want := 1 + k%2; paths[c.Flow][1] != want {
+			t.Fatalf("flow %d, the %d-th of demand %v, routed via %d, want %d", c.Flow, k, c.Demand, paths[c.Flow][1], want)
+		}
+	}
+}
+
 func TestThroughputOptimalPrefersWide(t *testing.T) {
 	var sim Simulator
 	nw := NewNetwork(&sim, 4)
