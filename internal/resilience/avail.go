@@ -149,9 +149,9 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 		}
 		if rescueEval {
 			// A rescue is the least-delay path over the up links.
-			for li, d := range down {
-				search.BanLink(int32(2*li), d)
-				search.BanLink(int32(2*li+1), d)
+			for li := range p.links {
+				search.BanLink(int32(2*li), down[li])
+				search.BanLink(int32(2*li+1), down[li])
 			}
 			for _, c := range p.flows {
 				if _, have := rescues[c.Flow]; have || p.deadFrac(inForce[c.Flow], down) == 0 {

@@ -302,8 +302,8 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		return res
 	})
 
-	rttH, errH := appRTTs(b.Nodes, hybrid, fluidComms, appOf)
-	rttF, errF := appRTTs(b.Nodes, b.Fiber, fluidComms, appOf)
+	rttH, errH := p.appRTTs(b.Nodes, hybrid, fluidComms, appOf)
+	rttF, errF := p.appRTTs(b.Nodes, b.Fiber, fluidComms, appOf)
 	if err := errors.Join(errH, errF); err != nil {
 		return nil, fmt.Errorf("workload: RTTs: %w", err)
 	}
@@ -328,7 +328,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 // appRTTs returns the demand-weighted mean propagation RTT per
 // application over a substrate: least-delay paths at clear sky, each
 // commodity weighted by its offered demand.
-func appRTTs(nodes int, links []netsim.TopoLink, comms []netsim.Commodity, appOf map[int]App) ([NumApps]float64, error) {
+func (p Pipeline) appRTTs(nodes int, links []netsim.TopoLink, comms []netsim.Commodity, appOf map[int]App) ([NumApps]float64, error) {
 	var out [NumApps]float64
 	index, err := netsim.NewLinkIndex(nodes, links)
 	if err != nil {
