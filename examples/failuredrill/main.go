@@ -28,10 +28,7 @@ func main() {
 	opt := experiments.Options{Scale: cisp.ScaleSmall, Seed: 3, MaxCities: 12}
 	fmt.Println("== Designing the US backbone (Steps 1-3 + fiber conduits) ==")
 	tt, err := experiments.DesignedTETopology(opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	links := tt.Links()
 	fmt.Printf("%d sites, %d microwave links, %d fiber links (midpoint transit nodes: %d)\n\n",
 		len(tt.Sites), len(tt.Mw), len(tt.Fiber), tt.Nodes-len(tt.Sites))
@@ -39,16 +36,10 @@ func main() {
 	demand := traffic.Hotspot(tt.DesignTM, 5, 8, opt.Seed)
 	comms := experiments.DemandCommodities(demand, 4000, 250<<10, 30)
 	ctrl, err := te.NewController(tt.Nodes, links, comms, te.Config{K: 8, UtilFloor: -1})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	primaries := ctrl.Solution().Splits
 	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	disjoint := 0
 	for _, bk := range prot.Backups {
 		if bk.Shared == 0 {
@@ -72,22 +63,24 @@ func main() {
 
 	// The cut: the busiest fiber conduit under the installed primaries,
 	// severed mid-storm and spliced 30 minutes later.
-	cut := busiestFiberLink(len(tt.Mw), prot.SplitLoad(comms, primaries))
+	index, err := netsim.NewLinkIndex(tt.Nodes, links)
+	check(err)
+	load, err := index.SplitLoad(comms, primaries)
+	check(err)
+	cut := busiestFiberLink(len(tt.Mw), load)
 	hw := &resilience.Schedule{Horizon: 3600, NumLinks: len(links), Outages: []resilience.Outage{
 		{Link: cut, Start: 1200, End: 3000},
 	}}
 	drill, err := resilience.Merge(storm, hw)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	fmt.Printf("== The drill ==\nstorm fades %d/%d microwave links for t=[900,2700)s; fiber link %d (%d-%d) cut for t=[1200,3000)s\n\n",
 		stormFailed, len(tt.Mw), cut, links[cut].A, links[cut].B)
 
 	fmt.Println("== Analytic hour (availability, latency stretch of surviving traffic) ==")
 	fmt.Printf("%-6s %13s %7s %12s %11s %9s\n", "scheme", "availability", "nines", "meanstretch", "maxstretch", "reroutes")
 	for _, mode := range []resilience.Mode{resilience.NoProtection, resilience.FRR, resilience.FRRReopt} {
-		st := prot.Availability(drill, mode)
+		st, err := prot.Availability(drill, mode)
+		check(err)
 		fmt.Printf("%-6s %12.5f%% %7.2f %12.3f %11.3f %9d\n",
 			mode, st.Availability*100, st.Nines, st.MeanStretch, st.MaxStretch, st.Reroutes)
 	}
@@ -102,10 +95,7 @@ func main() {
 			planCtrl = ctrl // the background loop reoptimizes the live controller
 		}
 		plan, err := prot.Plan(replay, mode, planCtrl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		sc := &netsim.Scenario{
 			Nodes: tt.Nodes, Links: links, Comms: comms,
 			Splits:      primaries,
@@ -129,14 +119,23 @@ func main() {
 }
 
 // busiestFiberLink returns the index of the fiber link, past the first
-// nMw microwave links, carrying the most load (the first fiber link if no
-// fiber link carries any).
+// nMw microwave links, carrying the most load in its two directions
+// together (the first fiber link if no fiber link carries any). load is
+// per directed link ID: link i's directions are 2i and 2i+1.
 func busiestFiberLink(nMw int, load []float64) int {
-	best := nMw
-	for li := nMw; li < len(load); li++ {
-		if load[li] > load[best] {
-			best = li
+	best, most := nMw, load[2*nMw]+load[2*nMw+1]
+	for li := nMw + 1; 2*li < len(load); li++ {
+		if v := load[2*li] + load[2*li+1]; v > most {
+			best, most = li, v
 		}
 	}
 	return best
+}
+
+// check exits with err's message when err is not nil.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

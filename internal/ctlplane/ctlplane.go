@@ -75,10 +75,9 @@ type Daemon struct {
 	epoch   uint64
 
 	// Publication state over clear and comms, which are fixed for the
-	// daemon's lifetime: split validation, the MLU graph, and the encoder
-	// with its per-flow cache.
+	// daemon's lifetime: split validation, whose link index also sums the
+	// snapshot MLU's load, and the encoder with its per-flow cache.
 	rules *netsim.SplitRules
-	mlu   *te.MLUGraph
 	enc   *encoder
 
 	eff []netsim.TopoLink // effective's output, refilled at every call
@@ -133,11 +132,6 @@ func New(cfg Config) (*Daemon, error) {
 	if err := d.rebuild(te.Config{}); err != nil {
 		return nil, err
 	}
-	mlu, err := te.NewMLUGraph(d.nodes, d.clear)
-	if err != nil {
-		return nil, fmt.Errorf("ctlplane: snapshot MLU: %w", err)
-	}
-	d.mlu = mlu
 	if err := d.publish(KindInitial, d.ctrl.Solution().Splits); err != nil {
 		return nil, err
 	}
@@ -257,8 +251,8 @@ func (d *Daemon) loop() {
 // effective is the current link state: netsim.Graded over the clear-sky
 // list the controller was built over, the fade fractions and the
 // down-set. It refills the daemon's one list, so callers read it only
-// until the next call (UpdateCapacities and MLUGraph.MLU keep nothing of
-// it).
+// until the next call (UpdateCapacities and netsim.MaxUtilization keep
+// nothing of it).
 func (d *Daemon) effective() []netsim.TopoLink {
 	d.eff = netsim.Graded(d.eff, d.clear, d.capFrac, d.down)
 	return d.eff
@@ -368,7 +362,7 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 // whose splits differ from their last published entry are validated and
 // encoded: validity depends on nothing but the splits, clear and comms,
 // and the last two never change, so an unchanged entry is still valid.
-// MLU is te.MLUOf's, over the composed link state.
+// MLU is the splits' load over the composed link state's rates.
 func (d *Daemon) publish(kind string, splits map[int][]netsim.SplitPath) error {
 	snk := obs.Active()
 	stop := snk.StartTimer("cisp_ctlplane_publish_seconds")
@@ -377,10 +371,11 @@ func (d *Daemon) publish(kind string, splits map[int][]netsim.SplitPath) error {
 	if err != nil {
 		return fmt.Errorf("ctlplane: refusing to publish: %w", err)
 	}
-	mlu, err := d.mlu.MLU(d.effective(), d.comms, splits)
+	load, err := d.rules.Index().SplitLoad(d.comms, splits)
 	if err != nil {
 		return fmt.Errorf("ctlplane: snapshot MLU: %w", err)
 	}
+	mlu := netsim.MaxUtilization(d.effective(), load)
 	d.version++
 	snap, err := d.enc.snapshot(d.version, d.epoch, kind, d.cfg.Clock().Unix(),
 		d.ctrl.Solution().Method, float64(mlu), d.down, entries)

@@ -3,9 +3,9 @@
 // loopback listener, drives it with a virtual clock and deterministic
 // event schedules, records the exact snapshot sequence the daemon
 // publishes, and asserts the sequence invariants the design promises —
-// versions strictly increasing, splits summing to one, zero LP solves on
-// the fast-reroute path, and byte-identical sequences for the same seed
-// at any worker-pool width. Tests across the repo use it as the one
+// versions strictly increasing, splits summing to one, backups running
+// over the backbone, zero LP solves on the fast-reroute path, and
+// byte-identical sequences for the same seed at any worker-pool width. Tests across the repo use it as the one
 // honest way to exercise the daemon: nothing is mocked below the HTTP
 // client.
 package ctltest
@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +71,7 @@ type Harness struct {
 	URL   string // http://127.0.0.1:<port>, no trailing slash
 
 	client *http.Client
+	rules  *netsim.SplitRules // the backbone and commodities, for checking backups
 
 	mu     sync.Mutex
 	seq    []*ctlplane.Snapshot
@@ -90,10 +92,15 @@ func Start(t testing.TB, opts Options) *Harness {
 	if opts.Comms == nil {
 		opts.Comms = ctlplane.GravityCommodities(opts.Backbone.Sites, 20)
 	}
+	rules, err := netsim.NewSplitRules(opts.Backbone.Nodes, opts.Backbone.Links(), opts.Comms)
+	if err != nil {
+		t.Fatalf("ctltest: split rules over the backbone: %v", err)
+	}
 	h := &Harness{
 		T:      t,
 		Clock:  obs.NewManualClock(time.Unix(0, 0)),
 		client: &http.Client{Timeout: 30 * time.Second},
+		rules:  rules,
 	}
 	h.Sink = &obs.Sink{Reg: obs.NewRegistry(), Clock: h.Clock.Clock()}
 	prev := obs.SetActive(h.Sink)
@@ -246,9 +253,9 @@ func (h *Harness) FRRLPSolves() float64 {
 // every snapshot stream must satisfy, regardless of the event schedule:
 // versions strictly increase by one from 1, epochs are monotone, every
 // commodity's split fractions sum to one within netsim.SplitSumTol, every
-// snapshot's JSON is json.Marshal of the snapshot plus a newline (the
-// oracle for the daemon's per-flow encoding), and no LP solve ever ran on
-// a fast-reroute publication.
+// backup is sound (checkBackups), every snapshot's JSON is json.Marshal of
+// the snapshot plus a newline (the oracle for the daemon's per-flow
+// encoding), and no LP solve ever ran on a fast-reroute publication.
 func (h *Harness) AssertInvariants() {
 	h.T.Helper()
 	seq := h.Sequence()
@@ -281,6 +288,9 @@ func (h *Harness) AssertInvariants() {
 				h.T.Fatalf("ctltest: snapshot v%d flow %d splits sum to %v, want 1±%v", s.Version, cw.Flow, sum, netsim.SplitSumTol)
 			}
 		}
+		if err := checkBackups(s, h.rules); err != nil {
+			h.T.Fatalf("ctltest: snapshot v%d: %v", s.Version, err)
+		}
 		if math.IsNaN(s.MLU) || math.IsInf(s.MLU, 0) || s.MLU < 0 {
 			h.T.Fatalf("ctltest: snapshot v%d has bad MLU %v", s.Version, s.MLU)
 		}
@@ -288,6 +298,25 @@ func (h *Harness) AssertInvariants() {
 	if n := h.FRRLPSolves(); n != 0 {
 		h.T.Fatalf("ctltest: %v LP solves observed on the fast-reroute path, want 0", n)
 	}
+}
+
+// checkBackups returns an error unless the snapshot's backups list flows
+// in strictly ascending order, each flow one of the snapshot's
+// commodities, and each path runs that commodity's Src to its Dst over
+// the backbone's links, as rules check a one-path split.
+func checkBackups(s *ctlplane.Snapshot, rules *netsim.SplitRules) error {
+	for i, bk := range s.Backups {
+		if i > 0 && bk.Flow <= s.Backups[i-1].Flow {
+			return fmt.Errorf("backup flows %d then %d, want strictly ascending", s.Backups[i-1].Flow, bk.Flow)
+		}
+		if _, ok := slices.BinarySearchFunc(s.Commodities, bk.Flow, func(c ctlplane.CommodityWire, flow int) int { return c.Flow - flow }); !ok {
+			return fmt.Errorf("backup for flow %d, which is not a commodity", bk.Flow)
+		}
+		if err := rules.Check(bk.Flow, []netsim.SplitPath{{Path: bk.Path, Frac: 1}}); err != nil {
+			return fmt.Errorf("backup: %w", err)
+		}
+	}
+	return nil
 }
 
 // Diff returns a description of the first difference between two recorded

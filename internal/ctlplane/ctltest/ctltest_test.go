@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -293,6 +294,52 @@ func TestDrainRefusesWork(t *testing.T) {
 		t.Fatalf("/v1/snapshot after drain = %d, want 200", status)
 	}
 	h.D.Close() // idempotent
+}
+
+// TestCheckBackupsRefusesBadBackups: the published backups pass the
+// harness's backup check, and each way a backup can go wrong (flows out of
+// order, a flow that is no commodity, a path between other endpoints, a
+// hop off the backbone) fails it.
+func TestCheckBackupsRefusesBadBackups(t *testing.T) {
+	h := Start(t, Options{})
+	snap := h.Sequence()[0]
+	if len(snap.Backups) < 2 {
+		t.Fatalf("initial snapshot has %d backups, want at least 2", len(snap.Backups))
+	}
+	if err := checkBackups(snap, h.rules); err != nil {
+		t.Fatalf("published backups: %v", err)
+	}
+	first := snap.Backups[0]
+	src, dst := first.Path[0], first.Path[len(first.Path)-1]
+	for _, tc := range []struct {
+		name string
+		edit func([]ctlplane.BackupWire) []ctlplane.BackupWire
+		want string
+	}{
+		{"swapped", func(bs []ctlplane.BackupWire) []ctlplane.BackupWire {
+			bs[0], bs[1] = bs[1], bs[0]
+			return bs
+		}, "strictly ascending"},
+		{"repeated", func(bs []ctlplane.BackupWire) []ctlplane.BackupWire { return append(bs[:1], bs...) }, "strictly ascending"},
+		{"unknown flow", func(bs []ctlplane.BackupWire) []ctlplane.BackupWire {
+			return append(bs, ctlplane.BackupWire{Flow: 1 << 30, Path: first.Path})
+		}, "not a commodity"},
+		{"reversed", func(bs []ctlplane.BackupWire) []ctlplane.BackupWire {
+			bs[0].Path = slices.Clone(first.Path)
+			slices.Reverse(bs[0].Path)
+			return bs
+		}, "does not run"},
+		{"off the backbone", func(bs []ctlplane.BackupWire) []ctlplane.BackupWire {
+			bs[0].Path = []int{src, src, dst}
+			return bs
+		}, "is not a topology link"},
+	} {
+		bad := *snap
+		bad.Backups = tc.edit(slices.Clone(snap.Backups))
+		if err := checkBackups(&bad, h.rules); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestSnapshotInstallsIntoScenario closes the loop the ISSUE names: a

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"cisp/internal/netsim"
 	"cisp/internal/resilience"
@@ -150,7 +151,11 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 	fprintf(w, "%-6s %12s %7s %12s %11s %9s\n",
 		"scheme", "availability", "nines", "meanstretch", "maxstretch", "reroutes")
 	for _, mode := range availModes {
-		st := prot.Availability(year, mode)
+		st, err := prot.Availability(year, mode)
+		if err != nil {
+			fprintf(w, "figavail: %s availability: %v\n", mode, err)
+			return nil
+		}
 		res.Rows = append(res.Rows, AvailRow{
 			Study: "year", Scheme: mode.String(), Mode: "-",
 			Availability: st.Availability, Nines: st.Nines,
@@ -164,20 +169,24 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 	// ------------------------------------------------------------------
 	// Sim study: the three most-loaded microwave links fail mid-replay.
 	// ------------------------------------------------------------------
-	load := prot.SplitLoad(comms, primaries)[:len(tt.Mw)]
+	index, err := netsim.NewLinkIndex(tt.Nodes, links)
+	if err != nil {
+		fprintf(w, "figavail: %v\n", err)
+		return nil
+	}
+	primLoad, err := index.SplitLoad(comms, primaries)
+	if err != nil {
+		fprintf(w, "figavail: primaries' load: %v\n", err)
+		return nil
+	}
+	load := make([]float64, len(tt.Mw)) // both directions of each microwave link
+	for li := range load {
+		load[li] = primLoad[2*li] + primLoad[2*li+1]
+	}
 	for k := 0; k < 3 && k < len(load); k++ {
 		best := -1
 		for li, v := range load {
-			taken := false
-			for _, f := range res.FailedLinks {
-				if f == li {
-					taken = true
-				}
-			}
-			if taken {
-				continue
-			}
-			if best < 0 || v > load[best] {
+			if !slices.Contains(res.FailedLinks, li) && (best < 0 || v > load[best]) {
 				best = li
 			}
 		}
@@ -200,16 +209,23 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 			fprintf(w, "figavail: %s plan: %v\n", mode, err)
 			return nil
 		}
-		st := prot.Availability(sched, mode)
+		st, err := prot.Availability(sched, mode)
+		if err != nil {
+			fprintf(w, "figavail: %s availability: %v\n", mode, err)
+			return nil
+		}
 
 		// Planning-side MLU with every scheduled link down: the FRR patch
 		// for none/frr, the controller's re-solved splits for reopt.
 		var predMLU units.Utilization
 		switch mode {
 		case resilience.NoProtection:
-			predMLU, err = te.MLUOf(tt.Nodes, degraded, comms, primaries)
+			predMLU = netsim.MaxUtilization(degraded, primLoad)
 		case resilience.FRR:
-			predMLU, err = te.MLUOf(tt.Nodes, degraded, comms, prot.Patched(downAll))
+			var frrLoad []float64
+			if frrLoad, err = index.SplitLoad(comms, prot.Patched(downAll)); err == nil {
+				predMLU = netsim.MaxUtilization(degraded, frrLoad)
+			}
 		case resilience.FRRReopt:
 			// Plan compilation left ctrl at the schedule's final
 			// (restored) state; one warm re-solve puts it at the compound

@@ -25,8 +25,8 @@ type Edge[W ~float64] struct {
 	Weight W
 }
 
-// Graph is an undirected weighted graph. The zero value is an empty graph;
-// use New for a pre-sized one.
+// Graph is an undirected weighted graph over a fixed node set; build one
+// with New.
 type Graph[W ~float64] struct {
 	adj [][]Edge[W]
 }
@@ -38,21 +38,6 @@ func New[W ~float64](n int) *Graph[W] {
 
 // N returns the number of nodes.
 func (g *Graph[W]) N() int { return len(g.adj) }
-
-// Edges returns the total number of undirected edges.
-func (g *Graph[W]) Edges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
-// AddNode appends an isolated node and returns its ID.
-func (g *Graph[W]) AddNode() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
-}
 
 // AddEdge adds an undirected edge of the given non-negative weight. It
 // panics on out-of-range nodes or negative weight — both are programming

@@ -184,21 +184,6 @@ func TestPathLength(t *testing.T) {
 	}
 }
 
-func TestAddNode(t *testing.T) {
-	g := New[float64](2)
-	id := g.AddNode()
-	if id != 2 || g.N() != 3 {
-		t.Fatalf("AddNode = %d (n=%d), want 2 (n=3)", id, g.N())
-	}
-}
-
-func TestEdgeCount(t *testing.T) {
-	g := line(5)
-	if g.Edges() != 4 {
-		t.Fatalf("Edges = %d, want 4", g.Edges())
-	}
-}
-
 func TestAddEdgePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

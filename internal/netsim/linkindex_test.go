@@ -148,8 +148,6 @@ func TestLinkIndexRefusedByEveryConsumer(t *testing.T) {
 		check("te.NewController", err)
 		_, err = te.Candidates(n, links, comms, te.Config{})
 		check("te.Candidates", err)
-		_, err = te.NewMLUGraph(n, links)
-		check("te.NewMLUGraph", err)
 		_, err = resilience.NewProtection(n, links, comms, nil)
 		check("resilience.NewProtection", err)
 		check("ValidateSplits", netsim.ValidateSplits(n, links, comms, nil))

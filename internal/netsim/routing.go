@@ -93,6 +93,44 @@ func (x *LinkIndex) Nodes(src int, ids []int32) []int {
 	return nodes
 }
 
+// SplitLoad returns each directed link's offered load under the splits:
+// demand × fraction, summed commodity by commodity in comms order, then
+// split by split, then hop by hop. A hop that is not a link is an error.
+func (x *LinkIndex) SplitLoad(comms []Commodity, splits map[int][]SplitPath) ([]float64, error) {
+	load := make([]float64, len(x.to))
+	for _, c := range comms {
+		for _, sp := range splits[c.Flow] {
+			for i := 0; i+1 < len(sp.Path); i++ {
+				id, ok := x.Lookup(sp.Path[i], sp.Path[i+1])
+				if !ok {
+					return nil, fmt.Errorf("netsim: commodity %d split hop %d->%d is not a link", c.Flow, sp.Path[i], sp.Path[i+1])
+				}
+				load[id] += float64(c.Demand) * sp.Frac
+			}
+		}
+	}
+	return load, nil
+}
+
+// MaxUtilization returns the largest load over rate among the directed
+// links of a duplex list whose rate is positive, 0 when none carries any.
+// load holds one entry per directed ID, as SplitLoad returns it over the
+// list's index; a load of any other length panics.
+func MaxUtilization(links []TopoLink, load []float64) units.Utilization {
+	if len(load) != 2*len(links) {
+		panic(fmt.Sprintf("netsim: %d directed loads for %d duplex links", len(load), len(links)))
+	}
+	mlu := 0.0
+	for id, v := range load {
+		if c := float64(links[id>>1].RateBps); c > 0 {
+			if u := v / c; u > mlu {
+				mlu = u
+			}
+		}
+	}
+	return units.Utilization(mlu)
+}
+
 // DelaySearch is the one least-delay search on a simulation topology (te's
 // Yen spurs, shortest-path routing, the workload RTTs, the availability
 // rescues): a heap Dijkstra over a duplex list and its LinkIndex, reused
@@ -383,6 +421,9 @@ func NewSplitRules(n int, links []TopoLink, comms []Commodity) (*SplitRules, err
 	}
 	return r, nil
 }
+
+// Index returns the link index the rules check hops against.
+func (r *SplitRules) Index() *LinkIndex { return r.index }
 
 // Check applies ValidateSplits' rules to one commodity's split set.
 func (r *SplitRules) Check(flow int, sps []SplitPath) error {

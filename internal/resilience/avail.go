@@ -70,8 +70,12 @@ func (p *Protection) deadFrac(sps []split, down []bool) float64 {
 // the background full reoptimization (load shaping, the LP's actual
 // output, is the simulation study's concern, not availability's). A
 // rescue, once installed, keeps carrying the commodity's dead fractions
-// until its own links die or the primaries recover.
-func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
+// until its own links die or the primaries recover. A schedule that does
+// not cover exactly the topology's links is refused, as Plan refuses it.
+func (p *Protection) Availability(sched *Schedule, mode Mode) (Stats, error) {
+	if err := p.covers(sched); err != nil {
+		return Stats{}, err
+	}
 	st := Stats{Mode: mode}
 
 	// Boundaries: every topology change and every one of Plan's decisions
@@ -211,7 +215,7 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 	if stretchW > 0 {
 		st.MeanStretch = stretchSum / stretchW
 	}
-	return st
+	return st, nil
 }
 
 func (p *Protection) pathDelay(path []int) float64 {

@@ -194,25 +194,13 @@ func (p *Protection) link(a, b int) (int, bool) {
 	return int(id / 2), ok
 }
 
-// SplitLoad returns each topology link's offered load under the splits —
-// demand × fraction summed over every split path crossing the link, both
-// directions folded onto the undirected link, commodity by commodity in
-// comms order, split by split, hop by hop. The shared accounting for
-// "which links carry the plan's traffic" (drill selection in
-// experiments.FigAvail, the failuredrill example); path hops that are not
-// topology links are ignored.
-func (p *Protection) SplitLoad(comms []netsim.Commodity, splits map[int][]netsim.SplitPath) []float64 {
-	load := make([]float64, len(p.links))
-	for _, c := range comms {
-		for _, sp := range splits[c.Flow] {
-			for i := 0; i+1 < len(sp.Path); i++ {
-				if li, ok := p.link(sp.Path[i], sp.Path[i+1]); ok {
-					load[li] += float64(c.Demand) * sp.Frac
-				}
-			}
-		}
+// covers refuses a schedule that does not cover exactly the topology's
+// links.
+func (p *Protection) covers(sched *Schedule) error {
+	if sched.NumLinks != len(p.links) {
+		return fmt.Errorf("resilience: schedule covers %d links, topology has %d", sched.NumLinks, len(p.links))
 	}
-	return load
+	return nil
 }
 
 // pathLinks maps a node path to topology link indices.
@@ -283,7 +271,8 @@ func (p *Protection) patchOne(flow int, base map[int][]netsim.SplitPath, down []
 
 // Patched returns the split set fast reroute holds in force under a
 // down-set, starting from the installed primaries — the planning-side view
-// for MLU evaluation (te.MLUOf) without compiling a full Plan.
+// for MLU evaluation (netsim.LinkIndex.SplitLoad) without compiling a full
+// Plan.
 func (p *Protection) Patched(down []bool) map[int][]netsim.SplitPath {
 	return p.PatchedFrom(p.primaries, down)
 }
@@ -383,8 +372,8 @@ type Plan struct {
 // capacity states (warm reoptimization) and leaves it at the schedule's
 // final state. ctrl is ignored for the other modes.
 func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Plan, error) {
-	if sched.NumLinks != len(p.links) {
-		return nil, fmt.Errorf("resilience: schedule covers %d links, topology has %d", sched.NumLinks, len(p.links))
+	if err := p.covers(sched); err != nil {
+		return nil, err
 	}
 	plan := &Plan{Mode: mode, Failures: sched.Events()}
 	if mode == NoProtection {

@@ -64,7 +64,10 @@ func TestProtectionResponsePinned(t *testing.T) {
 			word(uint64(plan.Reroutes))
 			word(uint64(plan.LPSolves))
 
-			st := prot.Availability(sched, mode)
+			st, err := prot.Availability(sched, mode)
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, mode, err)
+			}
 			word(uint64(st.Mode))
 			float(st.Availability)
 			float(st.Nines)

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -291,6 +292,29 @@ func TestNewProtectionRejectsUnknownFlow(t *testing.T) {
 	}
 }
 
+// TestAvailabilityRejectsScheduleWidth: a schedule narrower or wider than
+// the topology is refused by Availability, in every mode, with Plan's
+// error, instead of indexing past its down-set or ignoring the links it
+// adds.
+func TestAvailabilityRejectsScheduleWidth(t *testing.T) {
+	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{4, 8} {
+		sched := &Schedule{Horizon: 100, NumLinks: n, Outages: []Outage{{Link: n - 1, Start: 10, End: 40}}}
+		want := fmt.Sprintf("resilience: schedule covers %d links, topology has 6", n)
+		if _, err := p.Plan(sched, FRR, nil); err == nil || err.Error() != want {
+			t.Errorf("%d-link schedule: Plan error %v, want %q", n, err, want)
+		}
+		for _, mode := range []Mode{NoProtection, FRR, FRRReopt} {
+			if st, err := p.Availability(sched, mode); err == nil || err.Error() != want {
+				t.Errorf("%d-link schedule, %v: Availability = %+v, error %v, want %q", n, mode, st, err, want)
+			}
+		}
+	}
+}
+
 // TestPlanFRRZeroLPSolves pins the headline event-path property: compiling
 // an FRR response to a multi-failure schedule performs zero simplex solves
 // anywhere in the process, and the updates activate backups and revert on
@@ -423,9 +447,15 @@ func TestAvailabilityOrdering(t *testing.T) {
 		{Link: 1, Start: 500, End: 600},
 		{Link: 4, Start: 500, End: 600},
 	}}
-	none := p.Availability(sched, NoProtection)
-	frr := p.Availability(sched, FRR)
-	reopt := p.Availability(sched, FRRReopt)
+	avail := func(mode Mode) Stats {
+		t.Helper()
+		st, err := p.Availability(sched, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	none, frr, reopt := avail(NoProtection), avail(FRR), avail(FRRReopt)
 
 	// none: 200 s of the 1000 s horizon dark => 0.8.
 	if math.Abs(none.Availability-0.8) > 1e-6 {

@@ -122,9 +122,9 @@ func TestFailedUpdateKeepsState(t *testing.T) {
 var badValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
 
 // TestConstructionRejectsBadValues: the rates UpdateCapacities rejects are
-// rejected when a controller, a candidate search or an MLU graph is built
-// over them, and NewController rejects the same values as demands; the
-// error names the link or the commodity.
+// rejected when a controller or a candidate search is built over them, and
+// NewController rejects the same values as demands; the error names the
+// link or the commodity.
 func TestConstructionRejectsBadValues(t *testing.T) {
 	bb := ctltest.Backbone()
 	comms := ctltest.Commodities()
@@ -136,9 +136,6 @@ func TestConstructionRejectsBadValues(t *testing.T) {
 		}
 		if _, err := te.Candidates(bb.Nodes, links, comms, te.Config{}); err == nil {
 			t.Errorf("Candidates accepted rate %v", v)
-		}
-		if _, err := te.NewMLUGraph(bb.Nodes, links); err == nil {
-			t.Errorf("NewMLUGraph accepted rate %v", v)
 		}
 		bad := slices.Clone(comms)
 		bad[1].Demand = units.BitsPerSecond(v)

@@ -350,7 +350,7 @@ func (c *Controller) reroute(idxs []int) error {
 		if nx <= lpVarLimit {
 			method = "lp"
 			c.solves++
-			floor := maxUtil(c.g, base)
+			floor := float64(netsim.MaxUtilization(c.g.links, base))
 			fracs, _, err = solveLP(c.g, shadows, base, floor, float64(c.cfg.UtilFloor), c.lp)
 		} else {
 			method = "block-lp"
@@ -418,7 +418,7 @@ func (c *Controller) solveBlocks(lpComms []*teComm, fixed []float64) ([][]float6
 				cs[k] = lpComms[ci]
 				cs[k].subLoadFracs(base, fracs[ci])
 			}
-			floor := maxUtil(c.g, base)
+			floor := float64(netsim.MaxUtilization(c.g.links, base))
 			f, _, err := solveLP(c.g, cs, base, floor, float64(c.cfg.UtilFloor), nil)
 			return blockResult{fracs: f, err: err}
 		})
@@ -486,7 +486,7 @@ func (c *Controller) rebuildSolution() {
 			splits[cm.flow] = sp
 		}
 	}
-	c.sol = &Solution{Splits: splits, MLU: units.Utilization(maxUtil(c.g, load)), Method: c.method}
+	c.sol = &Solution{Splits: splits, MLU: netsim.MaxUtilization(c.g.links, load), Method: c.method}
 }
 
 // addLoad accrues the commodity's current split load onto the edge vector.
@@ -517,18 +517,6 @@ func (cm *teComm) subLoadFracs(load []float64, fracs []float64) {
 	}
 }
 
-func maxUtil(g *graph, load []float64) float64 {
-	mlu := 0.0
-	for ei := range load {
-		if c := g.capBps(int32(ei)); c > 0 {
-			if u := load[ei] / c; u > mlu {
-				mlu = u
-			}
-		}
-	}
-	return mlu
-}
-
 // solvable reports whether a rate or demand is one te can solve over:
 // finite and ≥ 0. Zero is legal: a down link or an idle commodity.
 func solvable(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 }
@@ -539,67 +527,4 @@ func allIndices(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// MLUOf evaluates the predicted maximum link utilization of an arbitrary
-// split set over the topology — the planning-side counterpart of
-// netsim.ScenarioResult.MLU, useful for comparing a TE solution against
-// single-path routing before simulating either.
-func MLUOf(n int, links []netsim.TopoLink, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) (units.Utilization, error) {
-	m, err := NewMLUGraph(n, links)
-	if err != nil {
-		return 0, err
-	}
-	return m.MLU(links, comms, splits)
-}
-
-// MLUGraph is MLUOf prepared for one topology: the directed graph, built
-// once for a caller that re-evaluates split sets as link rates change.
-// MLU writes the rates into the graph, so an MLUGraph is not safe for
-// concurrent use.
-type MLUGraph struct {
-	g *graph
-}
-
-// NewMLUGraph builds the graph MLU evaluates over.
-func NewMLUGraph(n int, links []netsim.TopoLink) (*MLUGraph, error) {
-	g, err := buildGraph(n, links)
-	if err != nil {
-		return nil, err
-	}
-	return &MLUGraph{g: g}, nil
-}
-
-// MLU is MLUOf over the prepared topology at links' rates. links must list
-// the links NewMLUGraph was given, in the same order; only RateBps may
-// differ. Load accrues commodity by commodity, split by split, hop by hop.
-func (m *MLUGraph) MLU(links []netsim.TopoLink, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) (units.Utilization, error) {
-	g := m.g
-	if len(links) != len(g.links) {
-		return 0, fmt.Errorf("te: MLU over %d links, graph has %d", len(links), len(g.links))
-	}
-	for i, l := range links {
-		e := &g.links[i]
-		if e.A != l.A || e.B != l.B {
-			return 0, fmt.Errorf("te: MLU link %d is %d-%d, graph has %d-%d", i, l.A, l.B, e.A, e.B)
-		}
-		e.RateBps = l.RateBps
-	}
-	load := make([]float64, 2*len(g.links))
-	for _, cm := range comms {
-		for _, sp := range splits[cm.Flow] {
-			for i := 0; i+1 < len(sp.Path); i++ {
-				ei, ok := g.index.Lookup(sp.Path[i], sp.Path[i+1])
-				if !ok {
-					return 0, fmt.Errorf("te: split path hop %d->%d not in topology", sp.Path[i], sp.Path[i+1])
-				}
-				load[ei] += float64(cm.Demand) * sp.Frac
-			}
-		}
-	}
-	mlu := maxUtil(g, load)
-	if math.IsNaN(mlu) {
-		return 0, fmt.Errorf("te: NaN utilization")
-	}
-	return units.Utilization(mlu), nil
 }

@@ -132,15 +132,26 @@ func TestSolveBalancesDiamond(t *testing.T) {
 		t.Fatalf("fractions sum to %v, want 1", total)
 	}
 	// Single-path routing pins 15 Mbps on a 10 Mbps arm: MLU 1.5.
-	spMLU, err := MLUOf(4, links, comms, map[int][]netsim.SplitPath{
+	spMLU := splitMLU(t, 4, links, comms, map[int][]netsim.SplitPath{
 		1: {{Path: []int{0, 1, 3}, Frac: 1}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if spMLU <= sol.MLU {
 		t.Fatalf("shortest-path MLU %v not worse than TE MLU %v", spMLU, sol.MLU)
 	}
+}
+
+// splitMLU is the maximum link utilization of a split set over links.
+func splitMLU(t *testing.T, n int, links []netsim.TopoLink, comms []netsim.Commodity, splits map[int][]netsim.SplitPath) units.Utilization {
+	t.Helper()
+	index, err := netsim.NewLinkIndex(n, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := index.SplitLoad(comms, splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return netsim.MaxUtilization(links, load)
 }
 
 // TestSolvePrefersShortPathWhenUncongested: with demand far below one arm's
@@ -242,10 +253,7 @@ func TestMethodSelectionAndOrdering(t *testing.T) {
 			p := g.pathFromEdges(cm.Src, eids)
 			base[cm.Flow] = []netsim.SplitPath{{Path: p.Nodes, Frac: 1}}
 		}
-		baseMLU, err := MLUOf(n, links, comms, base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		baseMLU := splitMLU(t, n, links, comms, base)
 
 		for flow, sp := range sol.Splits {
 			sum := 0.0

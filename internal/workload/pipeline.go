@@ -252,7 +252,9 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		}
 		failH, updH = planH.Failures, planH.Updates
 		rep.ReroutesCISP = planH.Reroutes
-		rep.AvailCISP = protH.Availability(c.Schedule, resilience.FRRReopt)
+		if rep.AvailCISP, err = protH.Availability(c.Schedule, resilience.FRRReopt); err != nil {
+			return nil, fmt.Errorf("workload: hybrid availability: %w", err)
+		}
 
 		// The fiber baseline sees the same drill restricted to its own
 		// link list: microwave fades vanish, the conduit cut keeps biting.
@@ -268,7 +270,9 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		}
 		failF, updF = planF.Failures, planF.Updates
 		rep.ReroutesFiber = planF.Reroutes
-		rep.AvailFiber = protF.Availability(fiberSched, resilience.FRRReopt)
+		if rep.AvailFiber, err = protF.Availability(fiberSched, resilience.FRRReopt); err != nil {
+			return nil, fmt.Errorf("workload: fiber availability: %w", err)
+		}
 		protStop()
 		protSp.SetItems(int64(rep.ReroutesCISP + rep.ReroutesFiber))
 		protSp.End()
