@@ -14,3 +14,7 @@ func SetFluidObserver(fn func(*FluidSim)) func(*FluidSim) {
 func (f *FluidSim) Rounds() (fresh, replayed int64) {
 	return f.freshRounds, f.replayedRounds
 }
+
+// Subtractions returns how many residual subtractions the allocator has
+// made: a route's weight and share taken off one link.
+func (f *FluidSim) Subtractions() int64 { return f.subtractions }

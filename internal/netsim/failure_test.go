@@ -322,3 +322,48 @@ func TestMalformedActionsRejectedAtSetup(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteTimesRejectedAtSetup: with a NaN horizon both engines run
+// past any horizon, and a failure at a NaN time never comes due, so the
+// fluid engine's batch loop never advances past it. expand, which both
+// engines run first, refuses a NaN, infinite or negative horizon and a
+// failure or update at a NaN or infinite time, naming the value.
+func TestNonFiniteTimesRejectedAtSetup(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	path := []SplitPath{{Path: []int{0, 1, 2}, Frac: 1}}
+	cases := []struct {
+		name string
+		edit func(sc *Scenario)
+		want string
+	}{
+		{"NaN horizon", func(sc *Scenario) { sc.Horizon = nan }, "horizon NaN s"},
+		{"infinite horizon", func(sc *Scenario) { sc.Horizon = inf }, "horizon +Inf s"},
+		{"negative horizon", func(sc *Scenario) { sc.Horizon = -1 }, "horizon -1 s"},
+		{"failure at NaN", func(sc *Scenario) {
+			sc.Failures = []FailureEvent{{Time: nan, Link: 1}}
+		}, "failure event on link 1 at NaN s"},
+		{"failure at -Inf", func(sc *Scenario) {
+			sc.Failures = []FailureEvent{{Time: -inf, Link: 0}}
+		}, "failure event on link 0 at -Inf s"},
+		{"update at NaN", func(sc *Scenario) {
+			sc.Updates = []PathUpdate{{Time: nan, Flow: 1, Paths: path}}
+		}, "path update for commodity 1 at NaN s"},
+		{"update at +Inf", func(sc *Scenario) {
+			sc.Updates = []PathUpdate{{Time: inf, Flow: 1, Paths: path}}
+		}, "path update for commodity 1 at +Inf s"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s: no panic", tc.name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q does not mention %q", tc.name, msg, tc.want)
+				}
+			}()
+			sc := agreementScenario()
+			tc.edit(sc)
+			sc.expand()
+		}()
+	}
+}

@@ -23,17 +23,20 @@ import (
 // cumulative service accumulator — a flow of B bytes arriving when the
 // group has served S bytes per flow departs when the accumulator reaches
 // S + B. The allocator is incremental: each allocation logs its bottleneck
-// rounds (a round freezes one bottleneck link's routes), every write to a
-// link's flow count or capacity marks the link dirty, and the next
-// allocation replays the logged rounds whose bottleneck is still clean and
-// searches for a bottleneck only among dirty links (see recompute). Per-event
-// cost is therefore O(links + Σ active route lengths + dirty-link scans):
-// two copies of the link arrays, one subtraction per hop of every active
-// route, and share scans over only the links an event changed or whose
-// logged rounds it undid. It is independent of the number of concurrent
-// flows. Superseded departure events are dropped lazily, and the departure
-// heap is compacted before a push would take it past twice the route
-// count, so it never holds more than 2 × routes entries.
+// rounds (a round freezes one bottleneck link's routes) and, per link, the
+// subtractions the link received; every write to a link's flow count or
+// capacity marks the link dirty, and the next allocation replays the logged
+// rounds whose bottleneck is still clean and searches for a bottleneck only
+// among dirty links (see recompute). Only dirty links' residuals are kept,
+// each caught up from its own log. Per-event cost is therefore O(rounds +
+// routes frozen + subtractions on dirty links + dirty-link scans): a
+// replayed round copies its routes into the new log and touches none of
+// them, and only the links an event changed, or whose logged rounds it
+// undid, are reset, caught up and scanned. It is independent of the number
+// of concurrent flows and of the links an event cannot reach. Superseded
+// departure events are dropped lazily, and the departure heap is compacted
+// before a push would take it past twice the route count, so it never
+// holds more than 2 × routes entries.
 //
 // The simulation is deterministic: allocation picks the same bottlenecks,
 // in the same order, as a scan of every link in index order, and all heap
@@ -71,13 +74,14 @@ type FluidSim struct {
 	// Allocator state. linkW (active flows per link) and capBps (current
 	// capacity; 0 = link down) are maintained incrementally, and every
 	// write to either marks the link dirty for the next recompute. scratchW
-	// and scratchR are a recompute's residual weight and capacity.
+	// and scratchR are a recompute's residual weight and capacity, current
+	// only on dirty links.
 	linkW    []float64
 	capBps   []float64
 	scratchW []float64
 	scratchR []float64
 	frozenAt []int64
-	epoch    int64 // stamps frozenAt and dirtyAt; advanced after each recompute
+	epoch    int64 // stamps frozenAt, dirtyAt and keptAt; advanced after each recompute
 
 	// Allocation log: rounds[:nRounds] are the last recompute's bottleneck
 	// rounds in order, and round k froze the groups
@@ -89,29 +93,61 @@ type FluidSim struct {
 	order, nextOrder   []int32
 	nRounds            int
 
+	// Round slots name a round in the per-link logs and keep that name
+	// while the round is replayed, so a clean link's log outlives the
+	// renumbering of rounds. slotRound[s] is slot s's round index in the
+	// last allocation, and keptAt[s] == epoch marks a slot whose round the
+	// running recompute replayed. free[:nFree] are the unused slots. A
+	// recompute frees the previous allocation's dropped and unreached
+	// rounds only when it ends, so it holds at most 2 × links slots.
+	slotRound []int32
+	keptAt    []int64
+	free      []int32
+	nFree     int
+
 	// Dirty links: dirtyAt[li] == epoch marks a link whose weight or
 	// capacity changed since the last recompute, or (during one) whose
-	// residuals left the logged ones. dirty[:nDirty] lists them.
+	// residuals left the logged ones. dirty[:nDirty] lists them; a
+	// recompute drops a link from the list once it is drained.
 	dirtyAt []int64
 	dirty   []int32
 	nDirty  int
 
-	freshRounds, replayedRounds int64 // work counters, read by the tests
+	// Work counters, read by the tests: rounds run fresh and replayed, and
+	// residual subtractions made.
+	freshRounds, replayedRounds, subtractions int64
 }
 
 type fluidLink struct {
 	from, to int
 	origCap  float64 // construction-time (clear-sky) capacity, for utilization reporting
 	groups   []int32 // routes crossing this link (grows with AddRoute)
+
+	// log[:nLog] are the subtractions the link received in the last
+	// allocation, in order. A recompute reads a dirty link's log from pos,
+	// due being the round index of log[pos] (math.MaxInt32 once spent), and
+	// writes the link's new log into next[:nNext]. Each route crossing
+	// subtracts at most once, so AddRoute sizes both to len(groups).
+	log, next        []fluidSub
+	nLog, pos, nNext int32
+	due              int32
 }
 
 // fluidRound is one logged bottleneck round: the link it drained, the
-// per-flow share it froze its groups at, and the end of its groups in the
-// log's group order.
+// per-flow share it froze its groups at, the end of its groups in the
+// log's group order, and its slot.
 type fluidRound struct {
 	link  int32
 	end   int32
 	share float64
+	slot  int32
+}
+
+// fluidSub is one logged subtraction: the round slot and group that made
+// it, and the weight and per-flow share it took off the link.
+type fluidSub struct {
+	slot, group int32
+	w, share    float64
 }
 
 type fluidGroup struct {
@@ -194,6 +230,13 @@ func NewFluid(nNodes int, links []TopoLink) *FluidSim {
 	f.linkServed = make([]float64, n)
 	f.rounds = make([]fluidRound, n)
 	f.nextRounds = make([]fluidRound, n)
+	f.slotRound = make([]int32, 2*n)
+	f.keptAt = make([]int64, 2*n)
+	f.free = make([]int32, 2*n)
+	for s := range f.free {
+		f.free[s] = int32(len(f.free) - 1 - s)
+	}
+	f.nFree = len(f.free)
 	f.dirtyAt = make([]int64, n)
 	f.dirty = make([]int32, n)
 	return f
@@ -223,7 +266,10 @@ func (f *FluidSim) AddRoute(path []int) int {
 			panic(fmt.Sprintf("netsim: no fluid link %d->%d on route", path[i], path[i+1]))
 		}
 		g.links[i] = li
-		f.links[li].groups = append(f.links[li].groups, gid)
+		l := &f.links[li]
+		l.groups = append(l.groups, gid)
+		l.log = append(l.log, fluidSub{})
+		l.next = append(l.next, fluidSub{})
 	}
 	f.groups = append(f.groups, g)
 	f.frozenAt = append(f.frozenAt, 0)
@@ -235,8 +281,20 @@ func (f *FluidSim) AddRoute(path []int) int {
 // StartAt schedules a flow of the given payload on a registered route,
 // arriving at time at (>= the current simulation time), and returns its
 // flow ID. Flow IDs count up from 0 in StartAt order. FCTs are measured
-// from at.
+// from at. A payload of at most 0 bytes counts as 1 byte.
+//
+// Panics on an unregistered route, a NaN arrival time, or a NaN or +Inf
+// payload: a NaN event time never fires and never ends Run, and an
+// infinite payload makes the served bytes and utilizations NaN.
 func (f *FluidSim) StartAt(route int, bytes float64, at float64) int {
+	switch id := len(f.flowRoute); {
+	case route < 0 || route >= len(f.groups):
+		panic(fmt.Sprintf("netsim: fluid flow %d on unregistered route %d", id, route))
+	case math.IsNaN(at):
+		panic(fmt.Sprintf("netsim: fluid flow %d arrives at %v s", id, at))
+	case math.IsNaN(bytes) || math.IsInf(bytes, 1):
+		panic(fmt.Sprintf("netsim: fluid flow %d carries %v bytes", id, bytes))
+	}
 	if at < f.now {
 		at = f.now
 	}
@@ -597,44 +655,70 @@ func (f *FluidSim) departGroup(gi int32) {
 //   - when the dirty link sorts first it runs a fresh round, freezing its
 //     active unfrozen groups and dirtying all their links.
 //
+// No clean link's residuals are read, so a replayed round only copies its
+// groups into the new log. Each link logs the subtractions it receives
+// (round slot, group, weight, share); a link that stays clean receives
+// the same list again and keeps its log as it is. A link that turns dirty
+// starts from its current weight and capacity and catches up from its own
+// log to the replay point, applying the entries of replayed rounds and
+// skipping those of dropped ones: the same subtractions in the same order,
+// so its residuals are bit-exact. It catches up only when read: at a scan,
+// if an entry has fallen due, and before a fresh round subtracts from it.
+// The least dirty link is kept until a link turns dirty, a fresh round
+// runs or a dirty link's entry falls due. A fresh round marks frozen the
+// groups in its bottleneck's new log, which holds every replayed group it
+// could meet. A replayed group needs no setRate: its rate is the logged
+// share (an admission, departure or move would have dirtied the round's
+// bottleneck), and either its departure event is live or its rate is 0,
+// where setRate would only advance its gen with no event queued to void.
+//
 // Once the log is spent only dirty links can still carry weight. The first
 // recompute is the same loop with an empty log, every loaded link marked
-// by its admissions. Only dirty links are scanned for a share, so a
-// recompute costs O(links) to reset the residuals (two copies), Σ active
-// route lengths of subtractions, and the dirty links' scans.
-// TestFluidMatchesReference and FuzzFluidMatchesReference hold every rate
-// and the log to a full-scan reference, and TestFluidReplayWorkPinned pins
-// how many rounds run fresh and how many replay.
+// by its admissions. A drained link leaves the dirty list with its new log
+// final: every group crossing it is frozen or idle, so its later entries
+// belong to rounds that are dropped or never reached. At the end the other
+// dirty links finish their logs, and the slots of the rounds not replayed
+// are freed. A recompute thus costs O(rounds + groups frozen) to walk and
+// copy the log, plus the subtractions on the dirty links and their scans.
+// TestFluidMatchesReference and FuzzFluidMatchesReference hold every rate,
+// the round log and every link's log to a full-scan reference, and
+// TestFluidReplayWorkPinned pins the rounds run fresh and replayed and the
+// subtractions made.
 //
 //cisp:hotpath
 func (f *FluidSim) recompute() {
-	copy(f.scratchW, f.linkW)
-	copy(f.scratchR, f.capBps)
+	for _, li := range f.dirty[:f.nDirty] {
+		f.resetLink(li)
+	}
 	remaining := f.activeG
 	k, from := 0, int32(0) // next logged round, and the start of its groups
 	nr, ng := 0, int32(0)  // rounds and frozen groups logged so far
+	// The least dirty link, its share, the first round a dirty link's log
+	// falls due at, and whether a link turned dirty or changed since.
+	d, share, due, stale := int32(-1), 0.0, int32(0), true
 	for remaining > 0 {
 		for k < f.nRounds && f.dirtyAt[f.rounds[k].link] == f.epoch {
 			for _, gi := range f.order[from:f.rounds[k].end] {
 				for _, li := range f.groups[gi].links {
-					f.markDirty(li)
+					stale = f.turnDirty(li) || stale
 				}
 			}
 			from = f.rounds[k].end
 			k++
 		}
-		d, share := f.leastDirty()
+		if stale || due < int32(k) {
+			d, share, due = f.leastDirty(k)
+			stale = false
+		}
 		if k < f.nRounds {
 			if r := f.rounds[k]; d < 0 || r.share < share || r.share == share && r.link < d {
-				for _, gi := range f.order[from:r.end] {
-					f.freeze(gi, r.share)
-					f.nextOrder[ng] = gi
-					ng++
-					remaining--
-				}
+				copy(f.nextOrder[ng:], f.order[from:r.end])
+				ng += r.end - from
+				remaining -= int(r.end - from)
 				from = r.end
 				k++
-				f.nextRounds[nr] = fluidRound{link: r.link, end: ng, share: r.share}
+				f.keptAt[r.slot] = f.epoch
+				f.nextRounds[nr] = fluidRound{link: r.link, end: ng, share: r.share, slot: r.slot}
 				nr++
 				f.replayedRounds++
 				continue
@@ -643,21 +727,38 @@ func (f *FluidSim) recompute() {
 		if d < 0 {
 			break // defensive: every active group weights some link
 		}
-		for _, gi := range f.links[d].groups {
+		f.nFree--
+		slot := f.free[f.nFree]
+		l := &f.links[d]
+		for _, e := range l.next[:l.nNext] {
+			f.frozenAt[e.group] = f.epoch
+		}
+		for _, gi := range l.groups {
 			if f.groups[gi].n == 0 || f.frozenAt[gi] == f.epoch {
 				continue
 			}
-			f.freeze(gi, share)
-			for _, li := range f.groups[gi].links {
-				f.markDirty(li)
-			}
+			f.freeze(gi, share, slot, k)
 			f.nextOrder[ng] = gi
 			ng++
 			remaining--
 		}
-		f.nextRounds[nr] = fluidRound{link: d, end: ng, share: share}
+		f.nextRounds[nr] = fluidRound{link: d, end: ng, share: share, slot: slot}
 		nr++
 		f.freshRounds++
+		stale = true
+	}
+	for _, li := range f.dirty[:f.nDirty] {
+		f.catchUp(li, k)
+		f.commit(li)
+	}
+	for _, r := range f.rounds[:f.nRounds] {
+		if f.keptAt[r.slot] != f.epoch {
+			f.free[f.nFree] = r.slot
+			f.nFree++
+		}
+	}
+	for i, r := range f.nextRounds[:nr] {
+		f.slotRound[r.slot] = int32(i)
 	}
 	f.rounds, f.nextRounds = f.nextRounds, f.rounds
 	f.order, f.nextOrder = f.nextOrder, f.order
@@ -666,30 +767,87 @@ func (f *FluidSim) recompute() {
 	f.epoch++
 }
 
-// freeze fixes an active, unfrozen group at a round's share and takes its
-// weight and allocation off every link it crosses.
+// freeze fixes an active, unfrozen group at a fresh round's share and
+// takes its weight and allocation off every link it crosses, each caught
+// up to round k first (turning dirty if it was clean).
 //
 //cisp:hotpath
-func (f *FluidSim) freeze(gi int32, share float64) {
+func (f *FluidSim) freeze(gi int32, share float64, slot int32, k int) {
 	f.frozenAt[gi] = f.epoch
 	g := &f.groups[gi]
 	if share != g.rate || !g.hasEvent { // otherwise setRate has nothing to do
 		f.setRate(gi, share)
 	}
-	w := float64(g.n)
-	sw, sr := f.scratchW, f.scratchR
+	e := fluidSub{slot: slot, group: gi, w: float64(g.n), share: share}
 	for _, li := range g.links {
-		rw := sw[li] - w
-		if rw < 1e-9 {
-			rw = 0
+		f.turnDirty(li)
+		if f.links[li].due < int32(k) {
+			f.catchUp(li, k)
 		}
-		sw[li] = rw
-		rr := sr[li] - share*w
-		if rr < 0 {
-			rr = 0
-		}
-		sr[li] = rr
+		f.subtract(li, e)
 	}
+}
+
+// subtract takes a logged or fresh subtraction off a dirty link's
+// residuals and appends it to the link's new log.
+//
+//cisp:hotpath
+func (f *FluidSim) subtract(li int32, e fluidSub) {
+	rw := f.scratchW[li] - e.w
+	if rw < 1e-9 {
+		rw = 0
+	}
+	f.scratchW[li] = rw
+	rr := f.scratchR[li] - e.share*e.w
+	if rr < 0 {
+		rr = 0
+	}
+	f.scratchR[li] = rr
+	l := &f.links[li]
+	l.next[l.nNext] = e
+	l.nNext++
+	f.subtractions++
+}
+
+// catchUp applies a dirty link's logged subtractions from the rounds
+// before k that this recompute replayed, skipping those of dropped rounds.
+//
+//cisp:hotpath
+func (f *FluidSim) catchUp(li int32, k int) {
+	l := &f.links[li]
+	for ; l.pos < l.nLog; l.pos++ {
+		e := l.log[l.pos]
+		if r := f.slotRound[e.slot]; r >= int32(k) {
+			l.due = r
+			return
+		}
+		if f.keptAt[e.slot] == f.epoch {
+			f.subtract(li, e)
+		}
+	}
+	l.due = math.MaxInt32
+}
+
+// resetLink starts a link that turned dirty from its current weight and
+// capacity, with its log unread and its new log empty.
+//
+//cisp:hotpath
+func (f *FluidSim) resetLink(li int32) {
+	f.scratchW[li], f.scratchR[li] = f.linkW[li], f.capBps[li]
+	l := &f.links[li]
+	l.pos, l.nNext, l.due = 0, 0, math.MaxInt32
+	if l.nLog > 0 {
+		l.due = f.slotRound[l.log[0].slot]
+	}
+}
+
+// commit makes a dirty link's new log its log.
+//
+//cisp:hotpath
+func (f *FluidSim) commit(li int32) {
+	l := &f.links[li]
+	l.log, l.next = l.next, l.log
+	l.nLog = l.nNext
 }
 
 // markDirty marks a link whose weight or capacity changed, or whose
@@ -704,21 +862,42 @@ func (f *FluidSim) markDirty(li int32) {
 	}
 }
 
-// leastDirty returns the live dirty link with the smallest (share, link
-// index), or -1, and its share. It drops drained links from the dirty
-// list as it scans: weight never comes back within a recompute.
+// turnDirty marks a link dirty within a recompute and resets it, and
+// reports whether it was clean.
 //
 //cisp:hotpath
-func (f *FluidSim) leastDirty() (int32, float64) {
-	best, bestShare := int32(-1), math.Inf(1)
+func (f *FluidSim) turnDirty(li int32) bool {
+	if f.dirtyAt[li] == f.epoch {
+		return false
+	}
+	f.markDirty(li)
+	f.resetLink(li)
+	return true
+}
+
+// leastDirty returns the live dirty link with the smallest (share, link
+// index), or -1, its share, and the first round at which a live dirty
+// link's log falls due. It catches up the links that owe entries from the
+// rounds before k and drops drained links from the dirty list, their logs
+// final: weight never comes back within a recompute.
+//
+//cisp:hotpath
+func (f *FluidSim) leastDirty(k int) (int32, float64, int32) {
+	best, bestShare, due := int32(-1), math.Inf(1), int32(math.MaxInt32)
 	kept := 0
 	for _, li := range f.dirty[:f.nDirty] {
+		l := &f.links[li]
+		if l.due < int32(k) {
+			f.catchUp(li, k)
+		}
 		w := f.scratchW[li]
 		if w <= 0 {
+			f.commit(li)
 			continue
 		}
 		f.dirty[kept] = li
 		kept++
+		due = min(due, l.due)
 		share := f.scratchR[li] / w
 		if share < 0 {
 			share = 0
@@ -728,7 +907,7 @@ func (f *FluidSim) leastDirty() (int32, float64) {
 		}
 	}
 	f.nDirty = kept
-	return best, bestShare
+	return best, bestShare, due
 }
 
 // setRate applies a group's new allocation and (re)schedules its next

@@ -425,11 +425,12 @@ func TestFluidScaleInvariance(t *testing.T) {
 // bottleneck round scans the whole link array, and link weights are summed
 // afresh from the groups. It returns the per-flow max-min rate of every
 // group in f's current state, computed with the same floating-point steps
-// as FluidSim.recompute, and its rounds: each bottleneck with its share,
-// and the groups frozen, in order.
-func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []int32) {
-	w := make([]float64, len(f.links))
-	r := make([]float64, len(f.links))
+// as FluidSim.recompute, its rounds (each bottleneck with its share, and
+// the groups frozen, in order), and every link's residual weight and
+// capacity after the last round.
+func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []int32, w, r []float64) {
+	w = make([]float64, len(f.links))
+	r = make([]float64, len(f.links))
 	copy(r, f.capBps)
 	remaining := 0
 	for gi := range f.groups {
@@ -481,16 +482,18 @@ func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []
 		}
 		rounds = append(rounds, fluidRound{link: int32(best), end: int32(len(order)), share: bestShare})
 	}
-	return rates, rounds, order
+	return rates, rounds, order, w, r
 }
 
 // checkReference fails the test unless every group's rate in f equals the
-// reference allocation's bit for bit, and f's log of its last allocation
-// holds the reference's rounds: the same bottlenecks, shares and frozen
-// groups in the same order. It is called only when no edit is pending.
+// reference allocation's bit for bit, f's log of its last allocation holds
+// the reference's rounds (the same bottlenecks, shares and frozen groups in
+// the same order), and the state f keeps for its next allocation is that
+// allocation's: see checkLinkLogs. It is called only when no edit is
+// pending.
 func checkReference(t *testing.T, f *FluidSim, when string) {
 	t.Helper()
-	rates, rounds, order := referenceRates(f)
+	rates, rounds, order, resW, resR := referenceRates(f)
 	for gi := range f.groups {
 		if got := f.groups[gi].rate; math.Float64bits(got) != math.Float64bits(rates[gi]) {
 			t.Fatalf("%s: group %d rate %v, reference %v", when, gi, got, rates[gi])
@@ -507,6 +510,66 @@ func checkReference(t *testing.T, f *FluidSim, when string) {
 	for i, gi := range order {
 		if f.order[i] != gi {
 			t.Fatalf("%s: frozen group %d is %d, reference %d", when, i, f.order[i], gi)
+		}
+	}
+	checkLinkLogs(t, f, when, resW, resR)
+}
+
+// checkLinkLogs holds the per-link logs of f's last allocation to the
+// reference residuals resW and resR: each link's log, replayed from the
+// link's current weight and capacity, must leave them bit for bit, so a
+// wrong log fails even on a link the next recompute would not read. Every
+// round must own a distinct slot that maps back to it, the other slots
+// must be free, and each entry must name, in round order, the round that
+// froze its group, with that round's share and the group's weight.
+func checkLinkLogs(t *testing.T, f *FluidSim, when string, resW, resR []float64) {
+	t.Helper()
+	used := make([]bool, len(f.free))
+	for _, s := range f.free[:f.nFree] {
+		used[s] = true
+	}
+	roundOf := make([]int32, len(f.groups))
+	for gi := range roundOf {
+		roundOf[gi] = -1
+	}
+	for k, r := range f.rounds[:f.nRounds] {
+		if used[r.slot] || f.slotRound[r.slot] != int32(k) {
+			t.Fatalf("%s: round %d's slot %d is free, shared or maps to round %d", when, k, r.slot, f.slotRound[r.slot])
+		}
+		used[r.slot] = true
+		start := int32(0)
+		if k > 0 {
+			start = f.rounds[k-1].end
+		}
+		for _, gi := range f.order[start:r.end] {
+			roundOf[gi] = int32(k)
+		}
+	}
+	if f.nFree+f.nRounds != len(f.free) {
+		t.Fatalf("%s: %d free slots and %d rounds, want %d slots in all", when, f.nFree, f.nRounds, len(f.free))
+	}
+	for li := range f.links {
+		l := &f.links[li]
+		w, r := f.linkW[li], f.capBps[li]
+		last := int32(0)
+		for i, e := range l.log[:l.nLog] {
+			k := f.slotRound[e.slot]
+			if k < last || k >= int32(f.nRounds) || f.rounds[k].slot != e.slot || roundOf[e.group] != k ||
+				math.Float64bits(e.share) != math.Float64bits(f.rounds[k].share) || e.w != float64(f.groups[e.group].n) {
+				t.Fatalf("%s: link %d's entry %d %+v is not its round's (round %d of %d)", when, li, i, e, k, f.nRounds)
+			}
+			last = k
+			w -= e.w
+			r -= e.share * e.w
+			if w < 1e-9 {
+				w = 0
+			}
+			if r < 0 {
+				r = 0
+			}
+		}
+		if math.Float64bits(w) != math.Float64bits(resW[li]) || math.Float64bits(r) != math.Float64bits(resR[li]) {
+			t.Fatalf("%s: link %d's log leaves weight %v and capacity %v, reference %v and %v", when, li, w, r, resW[li], resR[li])
 		}
 	}
 }
@@ -565,9 +628,10 @@ func randomWalk(rng *rand.Rand, n int, links []TopoLink) []int {
 // one instant included), departures, link failures, restorations and
 // resizes, reroutes onto existing routes and onto one registered mid-run,
 // and a Recompute with nothing changed, on seeded random meshes with
-// multipath routes. After every Run and Recompute each group's rate and
-// the allocator's round log must be bit-identical to the full-scan
-// reference allocation, and the departure heap must stay within its bound.
+// multipath routes. After every Run and Recompute each group's rate, the
+// allocator's round log and every link's log must be bit-identical to the
+// full-scan reference allocation (checkReference), and the departure heap
+// must stay within its bound.
 func TestFluidMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -663,12 +727,23 @@ func TestFluidMatchesReference(t *testing.T) {
 // mesh: bursts of arrivals at one instant, a directed link taken to 0,
 // restored, or resized to a third rate, reroutes onto an existing route or
 // onto one registered mid-run, Recomputes (with or without edits) and Runs.
-// After every Run and Recompute each group's rate and the allocator's round
-// log must equal the full-scan reference allocation's bit for bit.
+// After every Run and Recompute each group's rate, the allocator's round log
+// and every link's log must equal the full-scan reference allocation's bit
+// for bit (checkReference).
 func FuzzFluidMatchesReference(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 2, 7, 9, 40, 7, 1, 5, 6, 7, 2, 3, 0, 4, 3, 7, 80})
 	f.Add(int64(2), []byte{0, 0, 3, 1, 2, 3, 4, 0, 9, 3, 7, 20, 5, 1, 6, 6, 2, 5, 7, 30, 3, 8, 200, 7, 90})
 	f.Add(int64(3), []byte{0, 10, 3, 8, 1, 5, 0, 10, 2, 9, 4, 7, 5, 1, 1, 6, 7, 15, 2, 5, 6, 7, 255})
+	// A clean link turns dirty when a round crossing it is dropped, and
+	// its catch-up skips that round's entries.
+	f.Add(int64(1), []byte{8, 201, 1, 168, 37, 186, 5, 7, 208, 154})
+	// A fresh round subtracts from a link that still owes logged entries.
+	f.Add(int64(17), []byte{0, 2, 5, 76, 29, 229, 165, 126, 168, 64, 188, 12, 218, 25, 168, 7, 8, 7, 4})
+	// Every route drains, so a recompute frees every round slot, and a
+	// second burst's fresh rounds reuse them.
+	f.Add(int64(4), []byte{0, 0, 2, 1, 90, 2, 40, 3, 200, 7, 255, 0, 0, 2, 1, 90, 4, 40, 3, 200, 7, 255})
+	// A downed link's rate-0 routes replay in a later recompute.
+	f.Add(int64(13), []byte{0, 2, 169, 24, 2, 202, 118, 1, 0, 184, 191, 124})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 400 {
 			script = script[:400]
@@ -747,12 +822,16 @@ func FuzzFluidMatchesReference(f *testing.F) {
 // log over overloadedFluidScenario. A change that falls back to full
 // rescans, or dirties more links than an event changed, moves the split.
 func TestFluidReplayWorkPinned(t *testing.T) {
-	var fresh, replayed int64
-	defer SetFluidObserver(SetFluidObserver(func(f *FluidSim) { fresh, replayed = f.Rounds() }))
+	var fresh, replayed, subs int64
+	defer SetFluidObserver(SetFluidObserver(func(f *FluidSim) {
+		fresh, replayed = f.Rounds()
+		subs = f.Subtractions()
+	}))
 	overloadedFluidScenario().Run(FluidMode)
-	const wantFresh, wantReplayed = 9353, 143911
-	if fresh != wantFresh || replayed != wantReplayed {
-		t.Errorf("%d fresh and %d replayed rounds, want %d and %d", fresh, replayed, wantFresh, wantReplayed)
+	const wantFresh, wantReplayed, wantSubs = 9353, 143911, 275632
+	if fresh != wantFresh || replayed != wantReplayed || subs != wantSubs {
+		t.Errorf("%d fresh and %d replayed rounds, %d subtractions; want %d, %d and %d",
+			fresh, replayed, subs, wantFresh, wantReplayed, wantSubs)
 	}
 }
 
@@ -821,5 +900,49 @@ func TestFluidRejectsBadRates(t *testing.T) {
 		f.Start(r, 1e6)
 		f.Run(0)
 		mustPanic("SetLinkRate", func() { f.SetLinkRate(0, 1, rate) })
+	}
+}
+
+// TestFluidStartAtRejectsBadFlows: a NaN arrival time or payload never
+// comes due and never ends Run, an infinite payload makes the served bytes
+// and utilizations NaN, and an unregistered route failed only inside Run.
+// StartAt refuses each, naming the flow and the value, and registers
+// nothing; a payload of at most 0 bytes still counts as 1 byte.
+func TestFluidStartAtRejectsBadFlows(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f := NewFluid(2, []TopoLink{{A: 0, B: 1, RateBps: 8e6}})
+	r := f.AddRoute([]int{0, 1})
+	f.Start(r, 1e6)
+	for _, c := range []struct {
+		route     int
+		bytes, at float64
+		want      string
+	}{
+		{r, 1e6, nan, "fluid flow 1 arrives at NaN s"},
+		{r, nan, 0, "fluid flow 1 carries NaN bytes"},
+		{r, inf, 0, "fluid flow 1 carries +Inf bytes"},
+		{5, 1e6, 0, "fluid flow 1 on unregistered route 5"},
+		{-1, 1e6, 0, "fluid flow 1 on unregistered route -1"},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil {
+					t.Errorf("StartAt(%d, %v, %v): no panic", c.route, c.bytes, c.at)
+				} else if msg := fmt.Sprint(p); !strings.Contains(msg, c.want) {
+					t.Errorf("StartAt(%d, %v, %v): panic %q does not mention %q", c.route, c.bytes, c.at, msg, c.want)
+				}
+			}()
+			f.StartAt(c.route, c.bytes, c.at)
+		}()
+	}
+	zero, negInf := f.Start(r, 0), f.StartAt(r, -inf, 0)
+	if zero != 1 || negInf != 2 {
+		t.Fatalf("flows after the refusals got IDs %d and %d, want 1 and 2", zero, negInf)
+	}
+	f.Run(10)
+	for _, id := range []int{zero, negInf} {
+		if _, done := f.FCT(id); !done || f.ServedBytes(id) != 1 {
+			t.Errorf("flow %d: completed %v with %v bytes served, want a 1-byte flow", id, done, f.ServedBytes(id))
+		}
 	}
 }

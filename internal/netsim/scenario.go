@@ -3,6 +3,7 @@ package netsim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -75,7 +76,7 @@ type Scenario struct {
 	// Links[Event.Link] goes down (queued and in-flight packets are lost,
 	// fluid flows crossing it re-rate to zero) or comes back up. Events at
 	// the same instant apply before any Updates at that instant. A Link
-	// outside Links panics when the run starts.
+	// outside Links, or a NaN or infinite Time, panics when the run starts.
 	Failures []FailureEvent
 
 	// Updates re-route commodities mid-run, identically in both engine
@@ -89,12 +90,13 @@ type Scenario struct {
 	// hook for fast-reroute and reoptimization plans
 	// (internal/resilience). Both modes check every update when the run
 	// starts, even one past the Horizon: a positive-fraction path that does
-	// not connect the commodity, or no positive fraction at all, panics.
-	// An update of a commodity that has no flows moves nothing.
+	// not connect the commodity, no positive fraction at all, or a NaN or
+	// infinite Time panics. An update of a commodity that has no flows
+	// moves nothing.
 	Updates []PathUpdate
 
 	FlowBytes   int     // payload per flow (default 100 KB)
-	Horizon     float64 // simulated seconds (default 30)
+	Horizon     float64 // simulated seconds (default 30; NaN, infinite or negative panics)
 	StartSpread float64 // flow starts drawn uniformly from [0, StartSpread] (0 = all at t=0)
 	Seed        int64   // start-time randomness (packet and fluid draw identically)
 }
@@ -245,8 +247,14 @@ func pick(assign []int, k int) int {
 // is keyed by its index in Updates, not by when it applies. Malformed
 // input panics here, before either engine starts, wherever it falls in
 // time: a split or update path that does not connect its commodity, an
-// update with no positive fraction, a failure on a link outside Links.
+// update with no positive fraction, a failure on a link outside Links, a
+// NaN, infinite or negative Horizon, and a failure or update at a NaN or
+// infinite Time. A NaN horizon would run both engines past any horizon,
+// and an action at a NaN time would never come due.
 func (sc *Scenario) expand() *replay {
+	if h := sc.Horizon; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
+		panic(fmt.Sprintf("netsim: scenario horizon %v s", h))
+	}
 	var routed []Commodity
 	for _, c := range sc.Comms {
 		if len(sc.Splits[c.Flow]) == 0 {
@@ -300,9 +308,15 @@ func (sc *Scenario) expand() *replay {
 		if ev.Link < 0 || ev.Link >= len(sc.Links) {
 			panic(fmt.Sprintf("netsim: failure event link %d outside [0,%d)", ev.Link, len(sc.Links)))
 		}
+		if math.IsNaN(ev.Time) || math.IsInf(ev.Time, 0) {
+			panic(fmt.Sprintf("netsim: failure event on link %d at %v s", ev.Link, ev.Time))
+		}
 		x.acts = append(x.acts, replayAction{t: ev.Time, link: ev.Link, up: ev.Up, comm: -1})
 	}
 	for ui, u := range sc.Updates {
+		if math.IsNaN(u.Time) || math.IsInf(u.Time, 0) {
+			panic(fmt.Sprintf("netsim: path update for commodity %d at %v s", u.Flow, u.Time))
+		}
 		a := replayAction{t: u.Time, link: -1, comm: -1}
 		if ci, ok := index[u.Flow]; ok {
 			var fracs []float64
