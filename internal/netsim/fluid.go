@@ -126,8 +126,8 @@ type fluidLink struct {
 	// log[:nLog] are the subtractions the link received in the last
 	// allocation, in order. A recompute reads a dirty link's log from pos,
 	// due being the round index of log[pos] (math.MaxInt32 once spent), and
-	// writes the link's new log into next[:nNext]. Each route crossing
-	// subtracts at most once, so AddRoute sizes both to len(groups).
+	// writes the link's new log into next[:nNext]. A route subtracts at
+	// most once per crossing, so AddRoute sizes both to len(groups).
 	log, next        []fluidSub
 	nLog, pos, nNext int32
 	due              int32
