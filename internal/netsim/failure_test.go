@@ -283,10 +283,18 @@ func TestScenarioFailureDeterminism(t *testing.T) {
 }
 
 // TestMalformedActionsRejectedAtSetup: both engines reject the same
-// malformed timed actions before the run starts, wherever they fall in
-// time. The two updates sit past the horizon, where no engine would ever
-// apply them.
+// malformed timed actions and numbers before the run starts, naming the
+// value, wherever an action falls in time. The first two updates sit past
+// the horizon, where no engine would ever apply them. An infinite start
+// spread left every flow unstarted with no error, a NaN or negative one
+// read as 0, a negative flow size failed differently in each engine, an
+// infinite split fraction failed with a bare index error inside the run
+// and a NaN one moved every flow onto the other path.
 func TestMalformedActionsRejectedAtSetup(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	split := func(frac float64) []SplitPath {
+		return []SplitPath{{Path: []int{0, 1, 2}, Frac: frac}, {Path: []int{0, 1, 2}, Frac: 0.5}}
+	}
 	cases := []struct {
 		name string
 		edit func(sc *Scenario)
@@ -303,6 +311,22 @@ func TestMalformedActionsRejectedAtSetup(t *testing.T) {
 		{"failure on a link outside Links", func(sc *Scenario) {
 			sc.Failures = []FailureEvent{{Time: 1, Link: len(sc.Links)}}
 		}, "outside"},
+		{"infinite start spread", func(sc *Scenario) { sc.StartSpread = inf }, "start spread +Inf s"},
+		{"NaN start spread", func(sc *Scenario) { sc.StartSpread = nan }, "start spread NaN s"},
+		{"negative start spread", func(sc *Scenario) { sc.StartSpread = -2 }, "start spread -2 s"},
+		{"negative flow size", func(sc *Scenario) { sc.FlowBytes = -5000 }, "flow size -5000 bytes"},
+		{"infinite split fraction", func(sc *Scenario) {
+			sc.Splits = map[int][]SplitPath{1: split(inf)}
+		}, "commodity 1 has fraction +Inf"},
+		{"NaN split fraction", func(sc *Scenario) {
+			sc.Splits = map[int][]SplitPath{1: split(nan)}
+		}, "commodity 1 has fraction NaN"},
+		{"NaN update fraction", func(sc *Scenario) {
+			sc.Updates = []PathUpdate{{Time: 1, Flow: 1, Paths: split(nan)}}
+		}, "commodity 1 has fraction NaN"},
+		{"-Inf update fraction", func(sc *Scenario) {
+			sc.Updates = []PathUpdate{{Time: 1, Flow: 1, Paths: split(-inf)}}
+		}, "commodity 1 has fraction -Inf"},
 	}
 	for _, tc := range cases {
 		for _, mode := range []Mode{PacketMode, FluidMode} {

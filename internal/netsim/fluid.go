@@ -22,21 +22,17 @@ import (
 // individual flows, and each group tracks its members' departures through a
 // cumulative service accumulator — a flow of B bytes arriving when the
 // group has served S bytes per flow departs when the accumulator reaches
-// S + B. The allocator is incremental: each allocation logs its bottleneck
-// rounds (a round freezes one bottleneck link's routes) and, per link, the
-// subtractions the link received; every write to a link's flow count or
-// capacity marks the link dirty, and the next allocation replays the logged
-// rounds whose bottleneck is still clean and searches for a bottleneck only
-// among dirty links (see recompute). Only dirty links' residuals are kept,
-// each caught up from its own log. Per-event cost is therefore O(rounds +
-// routes frozen + subtractions on dirty links + dirty-link scans): a
-// replayed round copies its routes into the new log and touches none of
-// them, and only the links an event changed, or whose logged rounds it
-// undid, are reset, caught up and scanned. It is independent of the number
-// of concurrent flows and of the links an event cannot reach. Superseded
-// departure events are dropped lazily, and the departure heap is compacted
-// before a push would take it past twice the route count, so it never
-// holds more than 2 × routes entries.
+// S + B. The allocator is incremental (see recompute): each allocation
+// logs its bottleneck rounds (a round freezes one bottleneck link's routes)
+// and, per link, the subtractions the link received; a write to a link's
+// flow count or capacity marks the link dirty, and the next allocation
+// replays the logged rounds whose bottleneck is still clean and keeps and
+// scans only dirty links' residuals. Per-event cost is O(rounds + routes
+// frozen afresh or dropped + subtractions on dirty links + dirty-link
+// scans), independent of the number of concurrent flows and of the links
+// an event cannot reach. Superseded departure events are dropped lazily,
+// and the departure heap is compacted before a push would take it past
+// twice the route count, so it never holds more than 2 × routes entries.
 //
 // The simulation is deterministic: allocation picks the same bottlenecks,
 // in the same order, as a scan of every link in index order, and all heap
@@ -65,7 +61,6 @@ type FluidSim struct {
 	linkServed   []float64
 
 	active    int // currently running flows
-	activeG   int // groups with at least one running flow
 	completed int
 
 	arrivals []arrivalItem
@@ -84,13 +79,11 @@ type FluidSim struct {
 	epoch    int64 // stamps frozenAt, dirtyAt and keptAt; advanced after each recompute
 
 	// Allocation log: rounds[:nRounds] are the last recompute's bottleneck
-	// rounds in order, and round k froze the groups
-	// order[rounds[k-1].end:rounds[k].end]. A recompute writes its own log
-	// into nextRounds and nextOrder, then swaps. Rounds never outnumber
-	// links (each drains its bottleneck) and each group freezes once, so
-	// NewFluid and AddRoute size all four.
+	// rounds in order. The groups round k froze are not listed here: they
+	// are the tail of its bottleneck's link log (roundGroups). A recompute
+	// writes its rounds into nextRounds, then swaps. Rounds never outnumber
+	// links (each drains its bottleneck), so NewFluid sizes both.
 	rounds, nextRounds []fluidRound
-	order, nextOrder   []int32
 	nRounds            int
 
 	// Round slots name a round in the per-link logs and keep that name
@@ -98,8 +91,8 @@ type FluidSim struct {
 	// renumbering of rounds. slotRound[s] is slot s's round index in the
 	// last allocation, and keptAt[s] == epoch marks a slot whose round the
 	// running recompute replayed. free[:nFree] are the unused slots. A
-	// recompute frees the previous allocation's dropped and unreached
-	// rounds only when it ends, so it holds at most 2 × links slots.
+	// recompute frees the previous allocation's dropped rounds only when it
+	// ends, so it holds at most 2 × links slots.
 	slotRound []int32
 	keptAt    []int64
 	free      []int32
@@ -133,21 +126,21 @@ type fluidLink struct {
 	due              int32
 }
 
-// fluidRound is one logged bottleneck round: the link it drained, the
-// per-flow share it froze its groups at, the end of its groups in the
-// log's group order, and its slot.
+// fluidRound is one logged bottleneck round: the link it drained, its
+// slot, and the per-flow share it froze its groups at.
 type fluidRound struct {
-	link  int32
-	end   int32
-	share float64
-	slot  int32
+	link, slot int32
+	share      float64
 }
 
-// fluidSub is one logged subtraction: the round slot and group that made
-// it, and the weight and per-flow share it took off the link.
+// fluidSub is one logged subtraction: the slot of the round that made it
+// and the group it froze. Its weight and share need no record: catch-up
+// applies an entry only while its round replays, a round replays only
+// while its bottleneck is clean, and a change to one of its groups' flow
+// counts dirties that bottleneck. So the weight is the group's current
+// flow count and the share the round's.
 type fluidSub struct {
 	slot, group int32
-	w, share    float64
 }
 
 type fluidGroup struct {
@@ -273,8 +266,6 @@ func (f *FluidSim) AddRoute(path []int) int {
 	}
 	f.groups = append(f.groups, g)
 	f.frozenAt = append(f.frozenAt, 0)
-	f.order = append(f.order, 0)
-	f.nextOrder = append(f.nextOrder, 0)
 	return int(gid)
 }
 
@@ -429,9 +420,13 @@ func (f *FluidSim) Recompute() { f.recompute() }
 // Pending (not yet admitted) flows simply start on the new route; completed
 // flows and no-op moves are ignored. A flow whose remaining payload is
 // already zero (its departure event just hasn't fired) completes in place.
-// Like SetLinkRate, the rate effect lands at the next Recompute.
+// Like SetLinkRate, the rate effect lands at the next Recompute. Panics
+// on an unknown flow or an unregistered route.
 func (f *FluidSim) Reroute(flow, route int) {
-	if route < 0 || route >= len(f.groups) {
+	switch {
+	case flow < 0 || flow >= len(f.flowRoute):
+		panic(fmt.Sprintf("netsim: reroute of unknown flow %d", flow))
+	case route < 0 || route >= len(f.groups):
 		panic(fmt.Sprintf("netsim: reroute of flow %d onto unregistered route %d", flow, route))
 	}
 	if f.flowFCT[flow] >= 0 || int(f.flowRoute[flow]) == route {
@@ -468,7 +463,6 @@ func (f *FluidSim) Reroute(flow, route int) {
 		f.markDirty(li)
 	}
 	if g.n == 0 {
-		f.activeG--
 		g.rate = 0
 	}
 	g.gen++
@@ -485,9 +479,6 @@ func (f *FluidSim) Reroute(flow, route int) {
 	// Attach to the new group with the remaining payload.
 	ng := &f.groups[route]
 	f.advance(ng)
-	if ng.n == 0 {
-		f.activeG++
-	}
 	ng.n++
 	ng.gen++
 	ng.hasEvent = false
@@ -584,9 +575,6 @@ func (f *FluidSim) Run(until float64) {
 func (f *FluidSim) admit(it arrivalItem) {
 	g := &f.groups[f.flowRoute[it.flow]]
 	f.advance(g)
-	if g.n == 0 {
-		f.activeG++
-	}
 	g.n++
 	g.gen++ // the pending-departure minimum may have changed
 	g.hasEvent = false
@@ -625,7 +613,6 @@ func (f *FluidSim) departGroup(gi int32) {
 		}
 	}
 	if g.n == 0 {
-		f.activeG--
 		g.rate = 0
 	}
 	g.gen++
@@ -655,55 +642,54 @@ func (f *FluidSim) departGroup(gi int32) {
 //   - when the dirty link sorts first it runs a fresh round, freezing its
 //     active unfrozen groups and dirtying all their links.
 //
-// No clean link's residuals are read, so a replayed round only copies its
-// groups into the new log. Each link logs the subtractions it receives
-// (round slot, group, weight, share); a link that stays clean receives
-// the same list again and keeps its log as it is. A link that turns dirty
-// starts from its current weight and capacity and catches up from its own
-// log to the replay point, applying the entries of replayed rounds and
-// skipping those of dropped ones: the same subtractions in the same order,
-// so its residuals are bit-exact. It catches up only when read: at a scan,
-// if an entry has fallen due, and before a fresh round subtracts from it.
-// The least dirty link is kept until a link turns dirty, a fresh round
-// runs or a dirty link's entry falls due. A fresh round marks frozen the
-// groups in its bottleneck's new log, which holds every replayed group it
-// could meet. A replayed group needs no setRate: its rate is the logged
-// share (an admission, departure or move would have dirtied the round's
-// bottleneck), and either its departure event is live or its rate is 0,
-// where setRate would only advance its gen with no event queued to void.
+// The per-link logs are the one record of an allocation: each link logs
+// the subtractions it receives as (round slot, group), and a link that
+// stays clean receives the same list again and keeps its log. A replayed
+// round reads none of its groups. A dropped round reads them from its
+// bottleneck's log (roundGroups), which holds none if that link already
+// drained and committed in this recompute, when none need dirtying. A
+// link that turns dirty starts from its current weight and capacity and
+// catches up from its own log to the replay point, applying the entries of
+// replayed rounds, each at its group's flow count and its round's share
+// (see fluidSub), and skipping those of dropped ones: the same
+// subtractions in the same order, so its residuals are bit-exact. It
+// catches up only when read: at a scan, if an entry has fallen due, and
+// before a fresh round subtracts from it. The least dirty link is kept
+// until a link turns dirty, a fresh round runs or a dirty link's entry
+// falls due. A fresh round marks frozen the groups in its bottleneck's new
+// log, which holds every replayed group it could meet. A replayed group
+// needs no setRate: its rate is the logged share (a change to it would
+// have dirtied the round's bottleneck), and either its departure event is
+// live or its rate is 0 and it has none.
 //
-// Once the log is spent only dirty links can still carry weight. The first
-// recompute is the same loop with an empty log, every loaded link marked
-// by its admissions. A drained link leaves the dirty list with its new log
-// final: every group crossing it is frozen or idle, so its later entries
-// belong to rounds that are dropped or never reached. At the end the other
-// dirty links finish their logs, and the slots of the rounds not replayed
-// are freed. A recompute thus costs O(rounds + groups frozen) to walk and
-// copy the log, plus the subtractions on the dirty links and their scans.
-// TestFluidMatchesReference and FuzzFluidMatchesReference hold every rate,
-// the round log and every link's log to a full-scan reference, and
-// TestFluidReplayWorkPinned pins the rounds run fresh and replayed and the
-// subtractions made.
+// A drained link leaves the dirty list with its new log final: every group
+// crossing it is frozen or idle, so its later entries belong to rounds
+// that will be dropped. The walk ends when no logged round is left and no
+// dirty link is live, so every dirty link has left the list, and the slots
+// of the rounds not replayed are freed. The first recompute is the same
+// loop with an empty log, every loaded link dirty. A recompute costs
+// O(rounds + groups frozen afresh or dropped + subtractions on dirty links
+// + dirty-link scans). TestFluidMatchesReference and
+// FuzzFluidMatchesReference hold every rate, the round log and every
+// link's log to a full-scan reference; TestFluidReplayWorkPinned pins the
+// rounds run fresh and replayed and the subtractions made.
 //
 //cisp:hotpath
 func (f *FluidSim) recompute() {
 	for _, li := range f.dirty[:f.nDirty] {
 		f.resetLink(li)
 	}
-	remaining := f.activeG
-	k, from := 0, int32(0) // next logged round, and the start of its groups
-	nr, ng := 0, int32(0)  // rounds and frozen groups logged so far
+	k, nr := 0, 0 // next logged round, and rounds logged so far
 	// The least dirty link, its share, the first round a dirty link's log
 	// falls due at, and whether a link turned dirty or changed since.
 	d, share, due, stale := int32(-1), 0.0, int32(0), true
-	for remaining > 0 {
+	for {
 		for k < f.nRounds && f.dirtyAt[f.rounds[k].link] == f.epoch {
-			for _, gi := range f.order[from:f.rounds[k].end] {
-				for _, li := range f.groups[gi].links {
+			for _, e := range f.roundGroups(k) {
+				for _, li := range f.groups[e.group].links {
 					stale = f.turnDirty(li) || stale
 				}
 			}
-			from = f.rounds[k].end
 			k++
 		}
 		if stale || due < int32(k) {
@@ -712,20 +698,16 @@ func (f *FluidSim) recompute() {
 		}
 		if k < f.nRounds {
 			if r := f.rounds[k]; d < 0 || r.share < share || r.share == share && r.link < d {
-				copy(f.nextOrder[ng:], f.order[from:r.end])
-				ng += r.end - from
-				remaining -= int(r.end - from)
-				from = r.end
 				k++
 				f.keptAt[r.slot] = f.epoch
-				f.nextRounds[nr] = fluidRound{link: r.link, end: ng, share: r.share, slot: r.slot}
+				f.nextRounds[nr] = r
 				nr++
 				f.replayedRounds++
 				continue
 			}
 		}
 		if d < 0 {
-			break // defensive: every active group weights some link
+			break // the log is spent and no dirty link is live
 		}
 		f.nFree--
 		slot := f.free[f.nFree]
@@ -738,18 +720,11 @@ func (f *FluidSim) recompute() {
 				continue
 			}
 			f.freeze(gi, share, slot, k)
-			f.nextOrder[ng] = gi
-			ng++
-			remaining--
 		}
-		f.nextRounds[nr] = fluidRound{link: d, end: ng, share: share, slot: slot}
+		f.nextRounds[nr] = fluidRound{link: d, slot: slot, share: share}
 		nr++
 		f.freshRounds++
 		stale = true
-	}
-	for _, li := range f.dirty[:f.nDirty] {
-		f.catchUp(li, k)
-		f.commit(li)
 	}
 	for _, r := range f.rounds[:f.nRounds] {
 		if f.keptAt[r.slot] != f.epoch {
@@ -761,10 +736,30 @@ func (f *FluidSim) recompute() {
 		f.slotRound[r.slot] = int32(i)
 	}
 	f.rounds, f.nextRounds = f.nextRounds, f.rounds
-	f.order, f.nextOrder = f.nextOrder, f.order
 	f.nRounds = nr
-	f.nDirty = 0
 	f.epoch++
+}
+
+// roundGroups returns logged round k's entries in its bottleneck's log:
+// the groups it froze, in order, a group that crosses the bottleneck twice
+// once per crossing. A round drains its bottleneck, so the link takes no
+// subtraction after it: the round's entries are the log's tail that
+// carries its slot. recompute reads a round only to drop it. If the
+// bottleneck has already drained and committed its new log in the running
+// recompute, no entry carries the slot (slots are freed only when a
+// recompute ends) and none is returned. None is needed: no other logged
+// round froze the round's groups, so each has since been frozen afresh or
+// gone idle, and either dirtied every link the group crosses.
+//
+//cisp:hotpath
+func (f *FluidSim) roundGroups(k int) []fluidSub {
+	r := f.rounds[k]
+	l := &f.links[r.link]
+	i := l.nLog
+	for i > 0 && l.log[i-1].slot == r.slot {
+		i--
+	}
+	return l.log[i:l.nLog]
 }
 
 // freeze fixes an active, unfrozen group at a fresh round's share and
@@ -778,27 +773,27 @@ func (f *FluidSim) freeze(gi int32, share float64, slot int32, k int) {
 	if share != g.rate || !g.hasEvent { // otherwise setRate has nothing to do
 		f.setRate(gi, share)
 	}
-	e := fluidSub{slot: slot, group: gi, w: float64(g.n), share: share}
+	e, w := fluidSub{slot: slot, group: gi}, float64(g.n)
 	for _, li := range g.links {
 		f.turnDirty(li)
 		if f.links[li].due < int32(k) {
 			f.catchUp(li, k)
 		}
-		f.subtract(li, e)
+		f.subtract(li, e, w, share)
 	}
 }
 
-// subtract takes a logged or fresh subtraction off a dirty link's
-// residuals and appends it to the link's new log.
+// subtract takes a group's weight w at a round's per-flow share off a
+// dirty link's residuals and appends the entry e to the link's new log.
 //
 //cisp:hotpath
-func (f *FluidSim) subtract(li int32, e fluidSub) {
-	rw := f.scratchW[li] - e.w
+func (f *FluidSim) subtract(li int32, e fluidSub, w, share float64) {
+	rw := f.scratchW[li] - w
 	if rw < 1e-9 {
 		rw = 0
 	}
 	f.scratchW[li] = rw
-	rr := f.scratchR[li] - e.share*e.w
+	rr := f.scratchR[li] - share*w
 	if rr < 0 {
 		rr = 0
 	}
@@ -817,12 +812,13 @@ func (f *FluidSim) catchUp(li int32, k int) {
 	l := &f.links[li]
 	for ; l.pos < l.nLog; l.pos++ {
 		e := l.log[l.pos]
-		if r := f.slotRound[e.slot]; r >= int32(k) {
+		r := f.slotRound[e.slot]
+		if r >= int32(k) {
 			l.due = r
 			return
 		}
 		if f.keptAt[e.slot] == f.epoch {
-			f.subtract(li, e)
+			f.subtract(li, e, float64(f.groups[e.group].n), f.rounds[r].share)
 		}
 	}
 	l.due = math.MaxInt32
@@ -839,15 +835,6 @@ func (f *FluidSim) resetLink(li int32) {
 	if l.nLog > 0 {
 		l.due = f.slotRound[l.log[0].slot]
 	}
-}
-
-// commit makes a dirty link's new log its log.
-//
-//cisp:hotpath
-func (f *FluidSim) commit(li int32) {
-	l := &f.links[li]
-	l.log, l.next = l.next, l.log
-	l.nLog = l.nNext
 }
 
 // markDirty marks a link whose weight or capacity changed, or whose
@@ -878,8 +865,8 @@ func (f *FluidSim) turnDirty(li int32) bool {
 // leastDirty returns the live dirty link with the smallest (share, link
 // index), or -1, its share, and the first round at which a live dirty
 // link's log falls due. It catches up the links that owe entries from the
-// rounds before k and drops drained links from the dirty list, their logs
-// final: weight never comes back within a recompute.
+// rounds before k and drops drained links from the dirty list, committing
+// their new logs as final: weight never comes back within a recompute.
 //
 //cisp:hotpath
 func (f *FluidSim) leastDirty(k int) (int32, float64, int32) {
@@ -891,17 +878,15 @@ func (f *FluidSim) leastDirty(k int) (int32, float64, int32) {
 			f.catchUp(li, k)
 		}
 		w := f.scratchW[li]
-		if w <= 0 {
-			f.commit(li)
+		if w <= 0 { // drained: commit its new log
+			l.log, l.next = l.next, l.log
+			l.nLog = l.nNext
 			continue
 		}
 		f.dirty[kept] = li
 		kept++
 		due = min(due, l.due)
-		share := f.scratchR[li] / w
-		if share < 0 {
-			share = 0
-		}
+		share := f.scratchR[li] / w // never negative: rates are checked and residuals clamped
 		if best < 0 || share < bestShare || share == bestShare && li < best {
 			best, bestShare = li, share
 		}

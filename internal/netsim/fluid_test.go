@@ -421,14 +421,21 @@ func TestFluidScaleInvariance(t *testing.T) {
 	}
 }
 
+// refRound is one bottleneck round of referenceRates: the link it drained,
+// its per-flow share and the groups it froze, in order.
+type refRound struct {
+	link   int32
+	share  float64
+	groups []int32
+}
+
 // referenceRates is weighted progressive filling done the long way: every
 // bottleneck round scans the whole link array, and link weights are summed
 // afresh from the groups. It returns the per-flow max-min rate of every
 // group in f's current state, computed with the same floating-point steps
-// as FluidSim.recompute, its rounds (each bottleneck with its share, and
-// the groups frozen, in order), and every link's residual weight and
+// as FluidSim.recompute, its rounds, and every link's residual weight and
 // capacity after the last round.
-func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []int32, w, r []float64) {
+func referenceRates(f *FluidSim) (rates []float64, rounds []refRound, w, r []float64) {
 	w = make([]float64, len(f.links))
 	r = make([]float64, len(f.links))
 	copy(r, f.capBps)
@@ -459,6 +466,7 @@ func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []
 		if best < 0 {
 			break
 		}
+		round := refRound{link: int32(best), share: bestShare}
 		for _, gi := range f.links[best].groups {
 			g := &f.groups[gi]
 			if g.n == 0 || frozen[gi] {
@@ -467,7 +475,7 @@ func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []
 			frozen[gi] = true
 			remaining--
 			rates[gi] = bestShare
-			order = append(order, gi)
+			round.groups = append(round.groups, gi)
 			gw := float64(g.n)
 			for _, li := range g.links {
 				w[li] -= gw
@@ -480,20 +488,21 @@ func referenceRates(f *FluidSim) (rates []float64, rounds []fluidRound, order []
 				}
 			}
 		}
-		rounds = append(rounds, fluidRound{link: int32(best), end: int32(len(order)), share: bestShare})
+		rounds = append(rounds, round)
 	}
-	return rates, rounds, order, w, r
+	return rates, rounds, w, r
 }
 
 // checkReference fails the test unless every group's rate in f equals the
 // reference allocation's bit for bit, f's log of its last allocation holds
-// the reference's rounds (the same bottlenecks, shares and frozen groups in
-// the same order), and the state f keeps for its next allocation is that
+// the reference's rounds (the same bottlenecks and shares, and the same
+// frozen groups in the same order, read from each bottleneck's log through
+// roundGroups), and the state f keeps for its next allocation is that
 // allocation's: see checkLinkLogs. It is called only when no edit is
 // pending.
 func checkReference(t *testing.T, f *FluidSim, when string) {
 	t.Helper()
-	rates, rounds, order, resW, resR := referenceRates(f)
+	rates, rounds, resW, resR := referenceRates(f)
 	for gi := range f.groups {
 		if got := f.groups[gi].rate; math.Float64bits(got) != math.Float64bits(rates[gi]) {
 			t.Fatalf("%s: group %d rate %v, reference %v", when, gi, got, rates[gi])
@@ -503,13 +512,13 @@ func checkReference(t *testing.T, f *FluidSim, when string) {
 		t.Fatalf("%s: %d rounds logged, reference ran %d", when, f.nRounds, len(rounds))
 	}
 	for k, r := range rounds {
-		if got := f.rounds[k]; got.link != r.link || got.end != r.end || math.Float64bits(got.share) != math.Float64bits(r.share) {
-			t.Fatalf("%s: round %d logged as %+v, reference %+v", when, k, got, r)
+		var groups []int32
+		for _, e := range f.roundGroups(k) {
+			groups = append(groups, e.group)
 		}
-	}
-	for i, gi := range order {
-		if f.order[i] != gi {
-			t.Fatalf("%s: frozen group %d is %d, reference %d", when, i, f.order[i], gi)
+		if got := f.rounds[k]; got.link != r.link || math.Float64bits(got.share) != math.Float64bits(r.share) || !slices.Equal(groups, r.groups) {
+			t.Fatalf("%s: round %d logged as link %d, share %v, groups %v; reference %d, %v, %v",
+				when, k, got.link, got.share, groups, r.link, r.share, r.groups)
 		}
 	}
 	checkLinkLogs(t, f, when, resW, resR)
@@ -517,13 +526,19 @@ func checkReference(t *testing.T, f *FluidSim, when string) {
 
 // checkLinkLogs holds the per-link logs of f's last allocation to the
 // reference residuals resW and resR: each link's log, replayed from the
-// link's current weight and capacity, must leave them bit for bit, so a
-// wrong log fails even on a link the next recompute would not read. Every
-// round must own a distinct slot that maps back to it, the other slots
-// must be free, and each entry must name, in round order, the round that
-// froze its group, with that round's share and the group's weight.
+// link's current weight and capacity with each entry's group weight and
+// round share, must leave them bit for bit, so a wrong log fails even on a
+// link the next recompute would not read. Every round must own a distinct
+// slot that maps back to it, the other slots must be free, each round's
+// entries in its bottleneck's log must be at least one, contiguous and
+// last (so roundGroups reads them all), and each entry must name, in round
+// order, the round that froze its group. No link may be left on the dirty
+// list.
 func checkLinkLogs(t *testing.T, f *FluidSim, when string, resW, resR []float64) {
 	t.Helper()
+	if f.nDirty != 0 {
+		t.Fatalf("%s: %d links left on the dirty list", when, f.nDirty)
+	}
 	used := make([]bool, len(f.free))
 	for _, s := range f.free[:f.nFree] {
 		used[s] = true
@@ -537,12 +552,18 @@ func checkLinkLogs(t *testing.T, f *FluidSim, when string, resW, resR []float64)
 			t.Fatalf("%s: round %d's slot %d is free, shared or maps to round %d", when, k, r.slot, f.slotRound[r.slot])
 		}
 		used[r.slot] = true
-		start := int32(0)
-		if k > 0 {
-			start = f.rounds[k-1].end
+		l := &f.links[r.link]
+		tail, all := f.roundGroups(k), 0
+		for _, e := range l.log[:l.nLog] {
+			if e.slot == r.slot {
+				all++
+			}
 		}
-		for _, gi := range f.order[start:r.end] {
-			roundOf[gi] = int32(k)
+		if len(tail) == 0 || len(tail) != all {
+			t.Fatalf("%s: round %d has %d entries in its bottleneck %d's log, %d of them in its tail", when, k, all, r.link, len(tail))
+		}
+		for _, e := range tail {
+			roundOf[e.group] = int32(k)
 		}
 	}
 	if f.nFree+f.nRounds != len(f.free) {
@@ -554,13 +575,13 @@ func checkLinkLogs(t *testing.T, f *FluidSim, when string, resW, resR []float64)
 		last := int32(0)
 		for i, e := range l.log[:l.nLog] {
 			k := f.slotRound[e.slot]
-			if k < last || k >= int32(f.nRounds) || f.rounds[k].slot != e.slot || roundOf[e.group] != k ||
-				math.Float64bits(e.share) != math.Float64bits(f.rounds[k].share) || e.w != float64(f.groups[e.group].n) {
+			if k < last || k >= int32(f.nRounds) || f.rounds[k].slot != e.slot || roundOf[e.group] != k {
 				t.Fatalf("%s: link %d's entry %d %+v is not its round's (round %d of %d)", when, li, i, e, k, f.nRounds)
 			}
 			last = k
-			w -= e.w
-			r -= e.share * e.w
+			gw := float64(f.groups[e.group].n)
+			w -= gw
+			r -= f.rounds[k].share * gw
 			if w < 1e-9 {
 				w = 0
 			}
@@ -744,6 +765,11 @@ func FuzzFluidMatchesReference(f *testing.F) {
 	f.Add(int64(4), []byte{0, 0, 2, 1, 90, 2, 40, 3, 200, 7, 255, 0, 0, 2, 1, 90, 4, 40, 3, 200, 7, 255})
 	// A downed link's rate-0 routes replay in a later recompute.
 	f.Add(int64(13), []byte{0, 2, 169, 24, 2, 202, 118, 1, 0, 184, 191, 124})
+	// Four flows arrive at one instant and depart in turn. A departure
+	// drops a round whose bottleneck a fresh round of the same recompute
+	// has already drained and committed, so the bottleneck's log no longer
+	// names the dropped round's route, which was frozen afresh.
+	f.Add(int64(24), []byte{253, 121, 206, 68, 96, 24, 249, 217, 194, 40, 56, 72, 229, 30, 247, 63, 197})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		if len(script) > 400 {
 			script = script[:400]
@@ -907,12 +933,25 @@ func TestFluidRejectsBadRates(t *testing.T) {
 // comes due and never ends Run, an infinite payload makes the served bytes
 // and utilizations NaN, and an unregistered route failed only inside Run.
 // StartAt refuses each, naming the flow and the value, and registers
-// nothing; a payload of at most 0 bytes still counts as 1 byte.
+// nothing; a payload of at most 0 bytes still counts as 1 byte. Reroute
+// refuses an unknown flow, which failed with a bare index error, and an
+// unregistered route, naming both.
 func TestFluidStartAtRejectsBadFlows(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	f := NewFluid(2, []TopoLink{{A: 0, B: 1, RateBps: 8e6}})
 	r := f.AddRoute([]int{0, 1})
 	f.Start(r, 1e6)
+	mustPanic := func(what, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p == nil {
+				t.Errorf("%s: no panic", what)
+			} else if msg := fmt.Sprint(p); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q does not mention %q", what, msg, want)
+			}
+		}()
+		fn()
+	}
 	for _, c := range []struct {
 		route     int
 		bytes, at float64
@@ -924,16 +963,19 @@ func TestFluidStartAtRejectsBadFlows(t *testing.T) {
 		{5, 1e6, 0, "fluid flow 1 on unregistered route 5"},
 		{-1, 1e6, 0, "fluid flow 1 on unregistered route -1"},
 	} {
-		func() {
-			defer func() {
-				if p := recover(); p == nil {
-					t.Errorf("StartAt(%d, %v, %v): no panic", c.route, c.bytes, c.at)
-				} else if msg := fmt.Sprint(p); !strings.Contains(msg, c.want) {
-					t.Errorf("StartAt(%d, %v, %v): panic %q does not mention %q", c.route, c.bytes, c.at, msg, c.want)
-				}
-			}()
-			f.StartAt(c.route, c.bytes, c.at)
-		}()
+		mustPanic(fmt.Sprintf("StartAt(%d, %v, %v)", c.route, c.bytes, c.at), c.want,
+			func() { f.StartAt(c.route, c.bytes, c.at) })
+	}
+	for _, c := range []struct {
+		flow, route int
+		want        string
+	}{
+		{7, r, "reroute of unknown flow 7"},
+		{-1, r, "reroute of unknown flow -1"},
+		{0, 3, "reroute of flow 0 onto unregistered route 3"},
+	} {
+		mustPanic(fmt.Sprintf("Reroute(%d, %d)", c.flow, c.route), c.want,
+			func() { f.Reroute(c.flow, c.route) })
 	}
 	zero, negInf := f.Start(r, 0), f.StartAt(r, -inf, 0)
 	if zero != 1 || negInf != 2 {

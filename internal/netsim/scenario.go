@@ -68,7 +68,8 @@ type Scenario struct {
 	// Seed-deterministic draw, identically in both engine modes — so the
 	// per-path flow populations, and therefore the offered load, are the
 	// same in packet and fluid runs. Commodities without an entry fall back
-	// to Scheme routing.
+	// to Scheme routing. A path whose fraction is at most 0 is unused; a
+	// NaN or infinite fraction panics when the run starts.
 	Splits map[int][]SplitPath
 
 	// Failures is a timed link outage schedule applied during the run, in
@@ -90,14 +91,14 @@ type Scenario struct {
 	// hook for fast-reroute and reoptimization plans
 	// (internal/resilience). Both modes check every update when the run
 	// starts, even one past the Horizon: a positive-fraction path that does
-	// not connect the commodity, no positive fraction at all, or a NaN or
-	// infinite Time panics. An update of a commodity that has no flows
-	// moves nothing.
+	// not connect the commodity, no positive fraction at all, a NaN or
+	// infinite fraction, or a NaN or infinite Time panics. An update of a
+	// commodity that has no flows moves nothing.
 	Updates []PathUpdate
 
-	FlowBytes   int     // payload per flow (default 100 KB)
+	FlowBytes   int     // payload per flow (default 100 KB; negative panics)
 	Horizon     float64 // simulated seconds (default 30; NaN, infinite or negative panics)
-	StartSpread float64 // flow starts drawn uniformly from [0, StartSpread] (0 = all at t=0)
+	StartSpread float64 // flow starts drawn uniformly from [0, StartSpread] (0 = all at t=0; NaN, infinite or negative panics)
 	Seed        int64   // start-time randomness (packet and fluid draw identically)
 }
 
@@ -246,14 +247,21 @@ func pick(assign []int, k int) int {
 // paths; start times come from Seed+1 over the clones; each update's draw
 // is keyed by its index in Updates, not by when it applies. Malformed
 // input panics here, before either engine starts, wherever it falls in
-// time: a split or update path that does not connect its commodity, an
-// update with no positive fraction, a failure on a link outside Links, a
-// NaN, infinite or negative Horizon, and a failure or update at a NaN or
-// infinite Time. A NaN horizon would run both engines past any horizon,
-// and an action at a NaN time would never come due.
+// time: a split or update path that does not connect its commodity, a
+// NaN or infinite split or update fraction, an update with no positive
+// fraction, a failure on a link outside Links, a NaN, infinite or negative
+// Horizon or StartSpread, a negative FlowBytes, and a failure or update at
+// a NaN or infinite Time. A NaN horizon would run both engines past any
+// horizon, an action at a NaN time would never come due, and an infinite
+// start spread would start no flow.
 func (sc *Scenario) expand() *replay {
-	if h := sc.Horizon; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
+	switch h, s := sc.Horizon, sc.StartSpread; {
+	case math.IsNaN(h) || math.IsInf(h, 0) || h < 0:
 		panic(fmt.Sprintf("netsim: scenario horizon %v s", h))
+	case math.IsNaN(s) || math.IsInf(s, 0) || s < 0:
+		panic(fmt.Sprintf("netsim: scenario start spread %v s", s))
+	case sc.FlowBytes < 0:
+		panic(fmt.Sprintf("netsim: scenario flow size %d bytes", sc.FlowBytes))
 	}
 	var routed []Commodity
 	for _, c := range sc.Comms {
@@ -358,10 +366,14 @@ func (x *replay) settle(res *ScenarioResult, served func(clone int) float64) {
 }
 
 // splitPaths validates a commodity's weighted paths and extracts the
-// positive-fraction ones. Panics on a path that does not connect the
-// commodity's endpoints — a planning-layer bug, not a runtime condition.
+// positive-fraction ones. Panics on a NaN or infinite fraction and on a
+// path that does not connect the commodity's endpoints — planning-layer
+// bugs, not runtime conditions.
 func splitPaths(c Commodity, sp []SplitPath) (paths [][]int, fracs []float64) {
 	for _, s := range sp {
+		if math.IsNaN(s.Frac) || math.IsInf(s.Frac, 0) {
+			panic(fmt.Sprintf("netsim: split path %v of commodity %d has fraction %v", s.Path, c.Flow, s.Frac))
+		}
 		if s.Frac <= 0 {
 			continue
 		}
