@@ -38,7 +38,7 @@ func main() {
 	ctrl, err := te.NewController(tt.Nodes, links, comms, te.Config{K: 8, UtilFloor: -1})
 	check(err)
 	primaries := ctrl.Solution().Splits
-	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries)
+	prot, err := resilience.NewProtection(ctrl, primaries)
 	check(err)
 	disjoint := 0
 	for _, bk := range prot.Backups {
@@ -63,8 +63,7 @@ func main() {
 
 	// The cut: the busiest fiber conduit under the installed primaries,
 	// severed mid-storm and spliced 30 minutes later.
-	index, err := netsim.NewLinkIndex(tt.Nodes, links)
-	check(err)
+	index, _, _ := ctrl.Topology()
 	load, err := index.SplitLoad(comms, primaries)
 	check(err)
 	cut := busiestFiberLink(len(tt.Mw), load)

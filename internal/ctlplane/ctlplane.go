@@ -323,7 +323,7 @@ func (d *Daemon) rebuild(teCfg te.Config) error {
 	if err != nil {
 		return fmt.Errorf("ctlplane: clear-sky TE solve: %w", err)
 	}
-	prot, err := resilience.NewProtection(d.nodes, d.clear, d.comms, ctrl.Solution().Splits)
+	prot, err := resilience.NewProtection(ctrl, ctrl.Solution().Splits)
 	if err != nil {
 		return fmt.Errorf("ctlplane: backup precomputation: %w", err)
 	}

@@ -253,6 +253,45 @@ func TestReloadRejectsOutOfRangeTuning(t *testing.T) {
 	h.AssertInvariants()
 }
 
+// TestReloadBackupsFollowStretch: a reload rebuilds the backups from the
+// new controller's candidates, within its stretch, so after a reload at
+// stretch 1 no published backup is slower than its commodity's shortest
+// path.
+func TestReloadBackupsFollowStretch(t *testing.T) {
+	h := Start(t, Options{})
+	snap, err := h.D.Reload(te.Config{Stretch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Epoch != 2 {
+		t.Fatalf("reload published epoch %d, want 2", snap.Epoch)
+	}
+	b := Backbone()
+	links := b.Links()
+	index, err := netsim.NewLinkIndex(b.Nodes, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := netsim.NewDelaySearch(index, links)
+	comms := map[int]netsim.Commodity{}
+	for _, c := range Commodities() {
+		comms[c.Flow] = c
+	}
+	for _, bk := range snap.Backups {
+		c := comms[bk.Flow]
+		_, shortest := search.Run(c.Src, c.Dst, 0, math.Inf(1))
+		delay := 0.0
+		for i := 0; i+1 < len(bk.Path); i++ {
+			id, _ := index.Lookup(bk.Path[i], bk.Path[i+1])
+			delay += float64(links[id/2].PropDelay)
+		}
+		if delay > shortest {
+			t.Errorf("flow %d: backup %v takes %.3f ms, %.2f× its shortest path", bk.Flow, bk.Path, delay*1e3, delay/shortest)
+		}
+	}
+	h.AssertInvariants()
+}
+
 func TestInjectRejects(t *testing.T) {
 	h := Start(t, Options{})
 	cases := []struct{ name, body string }{

@@ -113,7 +113,7 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 		return nil
 	}
 	primaries := ctrl.Solution().Splits
-	prot, err := resilience.NewProtection(tt.Nodes, links, comms, primaries)
+	prot, err := resilience.NewProtection(ctrl, primaries)
 	if err != nil {
 		fprintf(w, "figavail: protection: %v\n", err)
 		return nil
@@ -169,11 +169,7 @@ func FigAvail(opt Options, totalFlows int) *FigAvailResult {
 	// ------------------------------------------------------------------
 	// Sim study: the three most-loaded microwave links fail mid-replay.
 	// ------------------------------------------------------------------
-	index, err := netsim.NewLinkIndex(tt.Nodes, links)
-	if err != nil {
-		fprintf(w, "figavail: %v\n", err)
-		return nil
-	}
+	index, _, _ := ctrl.Topology()
 	primLoad, err := index.SplitLoad(comms, primaries)
 	if err != nil {
 		fprintf(w, "figavail: primaries' load: %v\n", err)

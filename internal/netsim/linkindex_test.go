@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cisp/internal/netsim"
-	"cisp/internal/resilience"
 	"cisp/internal/te"
 )
 
@@ -146,10 +145,6 @@ func TestLinkIndexRefusedByEveryConsumer(t *testing.T) {
 		check("NewLinkIndex", err)
 		_, err = te.NewController(n, links, comms, te.Config{})
 		check("te.NewController", err)
-		_, err = te.Candidates(n, links, comms, te.Config{})
-		check("te.Candidates", err)
-		_, err = resilience.NewProtection(n, links, comms, nil)
-		check("resilience.NewProtection", err)
 		check("ValidateSplits", netsim.ValidateSplits(n, links, comms, nil))
 		mustPanic("NewFluid", func() { netsim.NewFluid(n, links) })
 		mustPanic("ComputeRoutes", func() { netsim.ComputeRoutes(n, links, comms, netsim.ShortestPath) })

@@ -15,9 +15,9 @@ import (
 // Protection timing and pool size (§8).
 const (
 	// backupK bounds the backup search to the first backupK paths of the
-	// Yen candidate pool the TE control plane enumerates, within te's
-	// default stretch of each commodity's shortest-path delay: fast
-	// reroute never leaves the latency envelope the design promised.
+	// Yen candidate pool the TE controller enumerates, within its stretch
+	// of each commodity's shortest-path delay: fast reroute never leaves
+	// the latency envelope the design promised.
 	backupK = 8
 	// detectDelay is the failure-detection plus local-repair activation
 	// latency, seconds: backup paths install this long after a failure
@@ -75,28 +75,25 @@ type Protection struct {
 	// entry (nothing disjoint to fall back on).
 	Backups map[int]Backup
 
-	links     []netsim.TopoLink
+	links     []netsim.TopoLink   // the controller's clear-sky links
 	flows     []*netsim.Commodity // the commodities with primaries, in flow-ID order
 	primaries map[int][]netsim.SplitPath
 	shortest  map[int]float64   // clear-sky shortest-path delay per flow
 	index     *netsim.LinkIndex // directed link ID / 2 = index into links
 }
 
-// NewProtection builds the fast-reroute state for the commodities over the
-// clear-sky topology. primaries is the installed routing decision — a TE
-// solution's Splits, or single paths wrapped as one-element splits; flows
-// without an entry are unprotected, and an entry for a flow outside comms
-// is an error. For every commodity it enumerates the TE candidate pool
-// (te's default stretch, backupK paths) and picks the candidate sharing
-// the fewest undirected links with the commodity's primaries, ties broken
-// toward lower delay — maximal link disjointness subject to the latency
-// cap. A topology netsim.LinkIndex refuses is an error.
-func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
-	primaries map[int][]netsim.SplitPath) (*Protection, error) {
-	index, err := netsim.NewLinkIndex(nodes, links)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: %w", err)
-	}
+// NewProtection builds the fast-reroute state over ctrl's clear-sky
+// topology and commodities (te.Controller.Topology). primaries is the
+// installed routing decision — a TE solution's Splits, or single paths
+// wrapped as one-element splits; flows without an entry are unprotected,
+// and an entry for a flow outside the commodities is an error. For every
+// commodity it reads the controller's first backupK candidates
+// (te.Controller.Candidates, at the controller's stretch) and picks the
+// one sharing the fewest undirected links with the commodity's
+// primaries, ties broken toward lower delay — maximal link disjointness
+// subject to the latency cap.
+func NewProtection(ctrl *te.Controller, primaries map[int][]netsim.SplitPath) (*Protection, error) {
+	index, links, comms := ctrl.Topology()
 	p := &Protection{
 		Backups:   make(map[int]Backup),
 		links:     links,
@@ -114,10 +111,7 @@ func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 		}
 		p.flows = append(p.flows, commBy[flow])
 	}
-	cands, err := te.Candidates(nodes, links, comms, te.Config{K: backupK})
-	if err != nil {
-		return nil, err
-	}
+	cands := ctrl.Candidates(backupK)
 	for i, c := range comms {
 		pool := cands[i]
 		if len(pool) == 0 {

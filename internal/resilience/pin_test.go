@@ -29,7 +29,8 @@ func TestProtectionResponsePinned(t *testing.T) {
 		}
 		return ctrl
 	}
-	prot, err := resilience.NewProtection(b.Nodes, links, comms, newCtrl().Solution().Splits)
+	ctrl := newCtrl()
+	prot, err := resilience.NewProtection(ctrl, ctrl.Solution().Splits)
 	if err != nil {
 		t.Fatal(err)
 	}

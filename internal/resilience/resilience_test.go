@@ -173,13 +173,34 @@ func protPrimaries() map[int][]netsim.SplitPath {
 	return map[int][]netsim.SplitPath{1: {{Path: []int{0, 1, 3}, Frac: 1}}}
 }
 
+// protCtrl is a default-tuned controller over links and protComms.
+func protCtrl(t *testing.T, links []netsim.TopoLink) *te.Controller {
+	t.Helper()
+	ctrl, err := te.NewController(5, links, protComms(), te.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
+
+// protect builds fast reroute over protCtrl(links) with primaries
+// installed.
+func protect(t *testing.T, links []netsim.TopoLink, primaries map[int][]netsim.SplitPath) *Protection {
+	t.Helper()
+	p, err := NewProtection(protCtrl(t, links), primaries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestBackupDisjointAndWithinStretch is the satellite guarantee: the chosen
 // backup shares no link with the primary when a disjoint candidate exists
 // within the stretch cap, never exceeds the cap, and is the best (fewest
 // shared links, then lowest delay) of the whole candidate pool.
 func TestBackupDisjointAndWithinStretch(t *testing.T) {
-	comms := protComms()
-	p, err := NewProtection(5, protLinks(), comms, protPrimaries())
+	ctrl := protCtrl(t, protLinks())
+	p, err := NewProtection(ctrl, protPrimaries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +224,7 @@ func TestBackupDisjointAndWithinStretch(t *testing.T) {
 	// Exhaustive check against the pool the backup was chosen from: no
 	// non-primary candidate is more disjoint, and none equally disjoint is
 	// faster.
-	pool, err := te.Candidates(5, protLinks(), comms, te.Config{K: backupK, Stretch: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cand := range pool[0] {
+	for _, cand := range ctrl.Candidates(backupK)[0] {
 		if slices.Equal(cand.Nodes, protPrimaries()[1][0].Path) {
 			continue
 		}
@@ -252,10 +269,7 @@ func TestPatchMovesOnlyDeadFractions(t *testing.T) {
 		{Path: []int{0, 1, 3}, Frac: 0.6},
 		{Path: []int{0, 4, 3}, Frac: 0.4},
 	}}
-	p, err := NewProtection(5, patchLinks(), protComms(), primaries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := protect(t, patchLinks(), primaries)
 	if bk := p.Backups[1]; !slices.Equal(bk.Path, []int{0, 2, 3}) {
 		t.Fatalf("backup %v, want the disjoint 0-2-3 arm", bk.Path)
 	}
@@ -286,7 +300,7 @@ func TestPatchMovesOnlyDeadFractions(t *testing.T) {
 func TestNewProtectionRejectsUnknownFlow(t *testing.T) {
 	primaries := protPrimaries()
 	primaries[9] = []netsim.SplitPath{{Path: []int{0, 1, 3}, Frac: 1}}
-	_, err := NewProtection(5, protLinks(), protComms(), primaries)
+	_, err := NewProtection(protCtrl(t, protLinks()), primaries)
 	if err == nil || !strings.Contains(err.Error(), "flow 9") {
 		t.Fatalf("NewProtection with a primary for unknown flow 9: err = %v", err)
 	}
@@ -297,10 +311,7 @@ func TestNewProtectionRejectsUnknownFlow(t *testing.T) {
 // error, instead of indexing past its down-set or ignoring the links it
 // adds.
 func TestAvailabilityRejectsScheduleWidth(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := protect(t, protLinks(), protPrimaries())
 	for _, n := range []int{4, 8} {
 		sched := &Schedule{Horizon: 100, NumLinks: n, Outages: []Outage{{Link: n - 1, Start: 10, End: 40}}}
 		want := fmt.Sprintf("resilience: schedule covers %d links, topology has 6", n)
@@ -320,10 +331,7 @@ func TestAvailabilityRejectsScheduleWidth(t *testing.T) {
 // anywhere in the process, and the updates activate backups and revert on
 // repair.
 func TestPlanFRRZeroLPSolves(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := protect(t, protLinks(), protPrimaries())
 	sched := &Schedule{Horizon: 100, NumLinks: 6, Outages: []Outage{
 		{Link: 0, Start: 10, End: 40},
 		{Link: 4, Start: 60, End: 70}, // hits the backup itself while primary is up: no reroute needed
@@ -354,10 +362,7 @@ func TestPlanFRRZeroLPSolves(t *testing.T) {
 // controller's simplex solves, so another controller solving on another
 // goroutine while the plan compiles leaves the count at its quiet value.
 func TestPlanLPSolvesIgnoreConcurrentTE(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := protect(t, protLinks(), protPrimaries())
 	sched := &Schedule{Horizon: 1000, NumLinks: 6}
 	for k := 0; k < 20; k++ {
 		sched.Outages = append(sched.Outages, Outage{Link: 0, Start: float64(40*k + 10), End: float64(40*k + 30)})
@@ -436,10 +441,7 @@ func TestPlanLPSolvesIgnoreConcurrentTE(t *testing.T) {
 // exercises every branch: reopt ≥ frr ≥ none, with strict gaps where the
 // fixture guarantees them, and stretch > 1 for rescued traffic.
 func TestAvailabilityOrdering(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := protect(t, protLinks(), protPrimaries())
 	// Primary out 100 s; later both primary and backup out 100 s (only the
 	// out-of-cap 0-2-3 detour survives: reopt's residual rescue).
 	sched := &Schedule{Horizon: 1000, NumLinks: 6, Outages: []Outage{
@@ -505,10 +507,7 @@ func TestAvailabilityOrdering(t *testing.T) {
 // packet mode, so the stable cross-engine quantity is total bits over
 // makespan).
 func TestPlanAgreesAcrossEngines(t *testing.T) {
-	p, err := NewProtection(5, protLinks(), protComms(), protPrimaries())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := protect(t, protLinks(), protPrimaries())
 	sched := &Schedule{Horizon: 60, NumLinks: 6, Outages: []Outage{{Link: 0, Start: 0.8, End: 30}}}
 	plan, err := p.Plan(sched, FRR, nil)
 	if err != nil {

@@ -150,36 +150,19 @@ func pathLess(a, b *Path) bool {
 	return false
 }
 
-// enumerate finds each commodity's candidate paths, fanned out over the
-// shared worker pool: one Yen run per commodity, one search per chunk.
-// Results are positionally stable, and yen lifts every ban it sets and a
-// run resets the rest, so neither the fan-out nor the chunking can change
-// a path.
-func enumerate(g *graph, comms []netsim.Commodity, cfg Config) [][]Path {
-	out := make([][]Path, len(comms))
-	parallel.For(len(comms), 1, func(lo, hi int) {
+// enumerate runs Yen at k for every commodity over the clear-sky links,
+// fanned out over the shared worker pool: one Yen run per commodity, one
+// search per chunk. Results are positionally stable, and yen lifts every
+// ban it sets and a run resets the rest, so neither the fan-out nor the
+// chunking can change a path.
+func (c *Controller) enumerate(k int) [][]Path {
+	g := &graph{index: c.g.index, links: c.clear}
+	out := make([][]Path, len(c.commodities))
+	parallel.For(len(out), 1, func(lo, hi int) {
 		s := netsim.NewDelaySearch(g.index, g.links)
 		for i := lo; i < hi; i++ {
-			out[i] = yen(g, s, comms[i].Src, comms[i].Dst, cfg.K, cfg.Stretch)
+			out[i] = yen(g, s, c.commodities[i].Src, c.commodities[i].Dst, k, c.cfg.Stretch)
 		}
 	})
 	return out
-}
-
-// Candidates enumerates every commodity's latency-bounded candidate paths
-// over the duplex topology — the controller's internal enumeration (Yen's
-// algorithm, at most cfg.K paths within cfg.Stretch × the shortest delay),
-// exported so fast reroute's disjoint-backup search
-// (resilience.NewProtection, at K 8) works from the exact same path pool a
-// Controller with the same Config would split over. A caller that wants
-// only the least-delay path runs a netsim.DelaySearch instead. Results are
-// positionally aligned with comms; a commodity with no path on the
-// topology gets an empty slice.
-func Candidates(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg Config) ([][]Path, error) {
-	cfg = cfg.withDefaults()
-	g, err := buildGraph(n, links)
-	if err != nil {
-		return nil, err
-	}
-	return enumerate(g, comms, cfg), nil
 }

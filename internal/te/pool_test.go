@@ -59,11 +59,16 @@ func poolHash(pools [][]te.Path) (paths int, sum uint64) {
 }
 
 // TestCandidatePoolPinned pins the candidate pools over the designed
-// backbone at TE's K 4 and fast reroute's K 8: the path count and a hash
-// of every path's nodes and delay bits, recorded at the scan-Dijkstra
-// enumeration.
+// backbone at TE's K 4 and fast reroute's K 8, read through a K 4
+// controller: its own pool and a fresh enumeration at K 8. It pins the
+// path count and a hash of every path's nodes and delay bits, recorded at
+// the scan-Dijkstra enumeration.
 func TestCandidatePoolPinned(t *testing.T) {
 	n, links, comms := designedInstance(t)
+	ctrl, err := te.NewController(n, links, comms, te.Config{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		k     int
 		paths int
@@ -72,11 +77,7 @@ func TestCandidatePoolPinned(t *testing.T) {
 		{4, 1238, 0x842e64af6811e541},
 		{8, 2295, 0x8f0f95ba372a8085},
 	} {
-		pools, err := te.Candidates(n, links, comms, te.Config{K: c.k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths, sum := poolHash(pools)
+		paths, sum := poolHash(ctrl.Candidates(c.k))
 		if paths != c.paths || sum != c.hash {
 			t.Errorf("K %d: %d paths, hash %#x; want %d, %#x", c.k, paths, sum, c.paths, c.hash)
 		}
@@ -84,20 +85,18 @@ func TestCandidatePoolPinned(t *testing.T) {
 }
 
 // TestYenPrefixAcrossK: a K k pool is the first k paths of the K 8 pool,
-// for every k below 8, so TE (K 4) and fast reroute (K 8) could share one
-// enumeration.
+// for every k below 8, so a controller's Candidates may answer any k up to
+// its K from its own pool. A K 1 controller's pool is Yen at 1, and each
+// deeper k is a fresh Yen run at k.
 func TestYenPrefixAcrossK(t *testing.T) {
 	n, links, comms := designedInstance(t)
-	full, err := te.Candidates(n, links, comms, te.Config{K: 8})
+	ctrl, err := te.NewController(n, links, comms, te.Config{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := ctrl.Candidates(8)
 	for k := 1; k < 8; k++ {
-		pools, err := te.Candidates(n, links, comms, te.Config{K: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, pool := range pools {
+		for i, pool := range ctrl.Candidates(k) {
 			want := full[i][:min(k, len(full[i]))]
 			if len(pool) != len(want) {
 				t.Fatalf("K %d, commodity %d: %d paths, the K 8 pool's prefix has %d", k, comms[i].Flow, len(pool), len(want))

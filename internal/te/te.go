@@ -118,6 +118,13 @@ type Controller struct {
 	method string
 	solves int64 // simplex solves run, the initial solve included
 
+	// The constructor's links and commodities, and each commodity's first
+	// K candidates over them. A teComm's cands is a clipped pool entry, so
+	// a re-enumeration's append never writes into the pool.
+	clear       []netsim.TopoLink
+	commodities []netsim.Commodity
+	pool        [][]Path
+
 	// lp is the LP storage of every "lp"-method solve after construction.
 	// The constructor's solve, the largest by far, runs on fresh storage,
 	// so the controller does not keep a tableau that size alive.
@@ -138,11 +145,11 @@ func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg
 	if err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, g: g}
-	cands := enumerate(g, comms, cfg)
+	c := &Controller{cfg: cfg, g: g, clear: slices.Clone(links), commodities: slices.Clone(comms)}
+	c.pool = c.enumerate(cfg.K)
 	c.comms = make([]teComm, len(comms))
 	for i, cm := range comms {
-		c.comms[i] = teComm{flow: cm.Flow, src: cm.Src, dst: cm.Dst, demand: float64(cm.Demand), cands: cands[i]}
+		c.comms[i] = teComm{flow: cm.Flow, src: cm.Src, dst: cm.Dst, demand: float64(cm.Demand), cands: slices.Clip(c.pool[i])}
 	}
 	if err := c.reroute(allIndices(len(c.comms))); err != nil {
 		return nil, err
@@ -156,6 +163,31 @@ func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg
 // callers keep it, and its Splits, without copying; they must not modify
 // it, since nothing else copies it either.
 func (c *Controller) Solution() *Solution { return c.sol }
+
+// Topology returns the link index, the clear-sky links and the commodities
+// the controller was built over. They are shared: callers must not modify
+// them.
+func (c *Controller) Topology() (*netsim.LinkIndex, []netsim.TopoLink, []netsim.Commodity) {
+	return c.g.index, c.clear, c.commodities
+}
+
+// Candidates returns each commodity's first k candidate paths at clear
+// sky, aligned with the commodities; an unroutable commodity gets none. Up
+// to K they are the pool's prefixes; a deeper k runs Yen afresh at k over
+// the clear-sky links, at the controller's stretch. Both give what a
+// controller built at K k splits over (Yen's first k paths do not depend
+// on how many it was asked for), and no update changes them. The paths
+// are shared: callers must not modify them.
+func (c *Controller) Candidates(k int) [][]Path {
+	if k > c.cfg.K {
+		return c.enumerate(k)
+	}
+	out := make([][]Path, len(c.pool))
+	for i, p := range c.pool {
+		out[i] = slices.Clip(p[:min(k, len(p))])
+	}
+	return out
+}
 
 // LPSolves returns the number of simplex solves this controller has run,
 // its initial solve included. Unlike the process-wide LPSolves it counts

@@ -1,6 +1,7 @@
 package te
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -474,38 +475,114 @@ func TestUnroutableCommodityOmitted(t *testing.T) {
 	}
 }
 
-// TestCandidatesMatchesControllerPool: the exported enumeration must return
-// the same path pool a Controller with the same Config splits over, aligned
-// positionally with the commodity list (empty for unroutable pairs).
-func TestCandidatesMatchesControllerPool(t *testing.T) {
-	comms := []netsim.Commodity{
+// arms joins nodes 0 and 3 by four disjoint two-hop arms of 4, 5, 6 and
+// 7 ms, through nodes 1, 2, 4 and 5; node 6 is isolated.
+func arms() []netsim.TopoLink {
+	var links []netsim.TopoLink
+	for i, mid := range []int{1, 2, 4, 5} {
+		d := units.Seconds(0.002 + 0.0005*float64(i))
+		links = append(links,
+			netsim.TopoLink{A: 0, B: mid, RateBps: 10e6, PropDelay: d},
+			netsim.TopoLink{A: mid, B: 3, RateBps: 10e6, PropDelay: d})
+	}
+	return links
+}
+
+// armsComms are the arms' commodities at stretch 3: 0→3 has four
+// candidates, 1→2 six (two tied at 4.5 ms), 0→6 none and 0→1 one (its
+// detours, 7 ms and up, exceed 3 × 2 ms).
+func armsComms() []netsim.Commodity {
+	return []netsim.Commodity{
 		{Flow: 1, Src: 0, Dst: 3, Demand: 1e6},
-		{Flow: 2, Src: 0, Dst: 4, Demand: 1e6}, // node 4 isolated: unroutable
+		{Flow: 2, Src: 1, Dst: 2, Demand: 1e6},
+		{Flow: 3, Src: 0, Dst: 6, Demand: 1e6},
+		{Flow: 4, Src: 0, Dst: 1, Demand: 1e6},
 	}
-	cfg := Config{K: 3, Stretch: 2}
-	cands, err := Candidates(5, diamond(), comms, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 2 {
-		t.Fatalf("got %d candidate sets, want 2", len(cands))
-	}
-	if len(cands[1]) != 0 {
-		t.Fatalf("unroutable commodity got %d candidates", len(cands[1]))
-	}
-	ctrl, err := NewController(5, diamond(), comms, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ctrl.comms[0].cands
-	if len(cands[0]) != len(want) {
-		t.Fatalf("pool size %d, controller has %d", len(cands[0]), len(want))
+}
+
+// samePools fails unless got and want hold the same paths, edge for edge
+// with the same delay bits, commodity by commodity.
+func samePools(t *testing.T, what string, got, want [][]Path) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d commodities, want %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if !slices.Equal(cands[0][i].edges, want[i].edges) {
-			t.Fatalf("candidate %d differs: %v vs %v", i, cands[0][i].Nodes, want[i].Nodes)
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: commodity %d has %d paths, want %d", what, i, len(got[i]), len(want[i]))
+		}
+		for j, p := range want[i] {
+			q := got[i][j]
+			if !slices.Equal(q.edges, p.edges) || !slices.Equal(q.Nodes, p.Nodes) ||
+				math.Float64bits(q.Delay) != math.Float64bits(p.Delay) {
+				t.Fatalf("%s: commodity %d path %d = %v (%v s), want %v (%v s)", what, i, j, q.Nodes, q.Delay, p.Nodes, p.Delay)
+			}
 		}
 	}
+}
+
+// TestCandidatesMatchesControllerPool: a controller's Candidates(k) is, up
+// to its K, the prefix of its own pool, and deeper the pool a controller
+// built at K k splits over, aligned positionally with the commodities; an
+// unroutable commodity gets no paths at any k.
+func TestCandidatesMatchesControllerPool(t *testing.T) {
+	const K = 2
+	comms := armsComms()
+	ctrl, err := NewController(7, arms(), comms, Config{K: K, Stretch: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 7; k++ {
+		want := make([][]Path, len(comms))
+		if k <= K {
+			for i := range want {
+				want[i] = ctrl.comms[i].cands[:min(k, len(ctrl.comms[i].cands))]
+			}
+		} else {
+			deep, err := NewController(7, arms(), comms, Config{K: k, Stretch: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				want[i] = deep.comms[i].cands
+			}
+		}
+		got := ctrl.Candidates(k)
+		samePools(t, fmt.Sprintf("Candidates(%d)", k), got, want)
+		if len(got[2]) != 0 {
+			t.Fatalf("Candidates(%d): unroutable commodity got %d paths", k, len(got[2]))
+		}
+	}
+	if got := ctrl.Candidates(7); len(got[0]) != 4 || len(got[1]) != 6 || len(got[3]) != 1 {
+		t.Fatalf("Candidates(7) has %d, %d and %d paths, want 4, 6 and 1", len(got[0]), len(got[1]), len(got[3]))
+	}
+}
+
+// TestCandidatesSurviveReenumeration: an update that kills every candidate
+// of a commodity re-enumerates it on the degraded topology, and Candidates
+// still answers with the clear-sky pool, at K and deeper, for a full pool
+// and for one shorter than K.
+func TestCandidatesSurviveReenumeration(t *testing.T) {
+	const K = 2
+	ctrl, err := NewController(7, arms(), armsComms(), Config{K: K, Stretch: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atK, deep := ctrl.Candidates(K), ctrl.Candidates(K+4)
+	// Down 0-1 and 0-2: both of 0→3's candidates, the 4 and 5 ms arms,
+	// and 0→1's one die.
+	links := arms()
+	links[0].RateBps, links[2].RateBps = 0, 0
+	if _, err := ctrl.UpdateCapacities(links); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ i, want int }{{0, 2 + K}, {3, 1 + K}} {
+		if n := len(ctrl.comms[c.i].cands); n != c.want {
+			t.Fatalf("commodity %d holds %d candidates after the update, want %d (the pool and a re-enumeration)", c.i, n, c.want)
+		}
+	}
+	samePools(t, "Candidates(K) after the update", ctrl.Candidates(K), atK)
+	samePools(t, "Candidates(K+4) after the update", ctrl.Candidates(K+4), deep)
 }
 
 // TestLPSolvesCounter: the process-wide simplex counter must advance on a

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -242,7 +241,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		rep.HasFailures = true
 		protSp := p.Span.Child("protect")
 		protStop := snk.StartTimer("cisp_workload_stage_seconds", "stage", "protect")
-		protH, err := resilience.NewProtection(b.Nodes, hybrid, fluidComms, solH.Splits)
+		protH, err := resilience.NewProtection(ctrlH, solH.Splits)
 		if err != nil {
 			return nil, fmt.Errorf("workload: hybrid protection: %w", err)
 		}
@@ -260,7 +259,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		// link list: microwave fades vanish, the conduit cut keeps biting.
 		nMw := len(b.Mw)
 		fiberSched := c.Schedule.Remap(len(b.Fiber), func(li int) int { return li - nMw })
-		protF, err := resilience.NewProtection(b.Nodes, b.Fiber, fluidComms, solF.Splits)
+		protF, err := resilience.NewProtection(ctrlF, solF.Splits)
 		if err != nil {
 			return nil, fmt.Errorf("workload: fiber protection: %w", err)
 		}
@@ -306,11 +305,7 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 		return res
 	})
 
-	rttH, errH := p.appRTTs(b.Nodes, hybrid, fluidComms, appOf)
-	rttF, errF := p.appRTTs(b.Nodes, b.Fiber, fluidComms, appOf)
-	if err := errors.Join(errH, errF); err != nil {
-		return nil, fmt.Errorf("workload: RTTs: %w", err)
-	}
+	rttH, rttF := appRTTs(ctrlH, appOf), appRTTs(ctrlF, appOf)
 	for i, res := range results {
 		rtt := rttH
 		if specs[i].substrate == SubstrateFiber {
@@ -330,31 +325,28 @@ func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
 }
 
 // appRTTs returns the demand-weighted mean propagation RTT per
-// application over a substrate: least-delay paths at clear sky, each
-// commodity weighted by its offered demand.
-func (p Pipeline) appRTTs(nodes int, links []netsim.TopoLink, comms []netsim.Commodity, appOf map[int]App) ([NumApps]float64, error) {
-	var out [NumApps]float64
-	index, err := netsim.NewLinkIndex(nodes, links)
-	if err != nil {
-		return out, err
-	}
-	s := netsim.NewDelaySearch(index, links)
-	delay := make([]float64, len(comms))
-	s.EachSource(comms, func(i int) { delay[i] = s.Dist(comms[i].Dst) })
-	var sum, weight [NumApps]float64
-	for i, c := range comms {
-		a := appOf[c.Flow]
-		if d := delay[i]; !math.IsInf(d, 1) { // unreachable pairs are skipped
-			sum[a] += float64(c.Demand) * 2 * d
-			weight[a] += float64(c.Demand)
+// application over a substrate: each commodity's least-delay path at
+// clear sky, its controller's first candidate, weighted by its offered
+// demand. The candidates are the clear-sky pool, so a controller an
+// FRRReopt plan has degraded gives the same RTTs.
+func appRTTs(ctrl *te.Controller, appOf map[int]App) [NumApps]float64 {
+	_, _, comms := ctrl.Topology()
+	var sum, weight, out [NumApps]float64
+	for i, paths := range ctrl.Candidates(1) {
+		if len(paths) == 0 {
+			continue // unreachable pairs are skipped
 		}
+		c := comms[i]
+		a := appOf[c.Flow]
+		sum[a] += float64(c.Demand) * 2 * paths[0].Delay
+		weight[a] += float64(c.Demand)
 	}
 	for a := range out {
 		if weight[a] > 0 {
 			out[a] = sum[a] / weight[a] * 1000 // seconds → ms
 		}
 	}
-	return out, nil
+	return out
 }
 
 // runStats reduces one simulation result to its per-application figures.
