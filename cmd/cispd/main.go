@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -43,6 +44,9 @@ func main() {
 	streamHours := flag.Float64("stream-hours", 24, "modeled horizon of the replay stream")
 	pace := flag.Float64("pace", 0, "replay pacing: modeled seconds per wall second (0 = inject as fast as the control plane accepts)")
 	flag.Parse()
+	if h := *streamHours; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
+		log.Fatalf("cispd: -stream-hours %v is not a finite number of hours ≥ 0", h)
+	}
 
 	cs := cities.USCenters()
 	sort.SliceStable(cs, func(i, j int) bool { return cs[i].Population > cs[j].Population })

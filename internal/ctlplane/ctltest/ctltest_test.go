@@ -16,6 +16,7 @@ import (
 	"cisp/internal/netsim"
 	"cisp/internal/parallel"
 	"cisp/internal/te"
+	"cisp/internal/units"
 )
 
 func TestBootServesInitialSnapshot(t *testing.T) {
@@ -213,7 +214,8 @@ func TestReloadBumpsEpoch(t *testing.T) {
 // TestReloadRejectsOutOfRangeTuning: a K outside [0, 16] or a nonzero
 // Stretch outside [1, 3] is refused before anything rebuilds — 400 over
 // HTTP naming the field, the same error from Daemon.Reload — while the
-// bounds themselves reload.
+// bounds themselves reload. A NaN UtilFloor, which te refuses, fails the
+// rebuild and leaves the epoch put.
 func TestReloadRejectsOutOfRangeTuning(t *testing.T) {
 	h := Start(t, Options{})
 	for _, tc := range []struct {
@@ -237,6 +239,9 @@ func TestReloadRejectsOutOfRangeTuning(t *testing.T) {
 	}
 	if _, err := h.D.Reload(te.Config{Stretch: math.NaN()}); err == nil || !strings.Contains(err.Error(), "te.Stretch") {
 		t.Errorf("Daemon.Reload with a NaN stretch = %v, want an error naming te.Stretch", err)
+	}
+	if _, err := h.D.Reload(te.Config{UtilFloor: units.Utilization(math.NaN())}); err == nil || !strings.Contains(err.Error(), "UtilFloor") {
+		t.Errorf("Daemon.Reload with a NaN utilization floor = %v, want te's error naming UtilFloor", err)
 	}
 	if snap, _ := h.GetSnapshot(); snap.Epoch != 1 {
 		t.Fatalf("refused reloads moved the epoch to %d", snap.Epoch)

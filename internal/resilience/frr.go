@@ -170,17 +170,6 @@ func NewProtection(ctrl *te.Controller, primaries map[int][]netsim.SplitPath) (*
 	return p, nil
 }
 
-// Primaries returns the installed clear-sky routing decision the
-// protection was built over.
-func (p *Protection) Primaries() map[int][]netsim.SplitPath { return p.primaries }
-
-// ShortestDelay returns a commodity's clear-sky shortest-path delay (the
-// stretch baseline) and whether the commodity is routable.
-func (p *Protection) ShortestDelay(flow int) (float64, bool) {
-	d, ok := p.shortest[flow]
-	return d, ok
-}
-
 // link returns the position in the topology's link list of the link
 // joining a and b, in either direction.
 func (p *Protection) link(a, b int) (int, bool) {
@@ -189,10 +178,19 @@ func (p *Protection) link(a, b int) (int, bool) {
 }
 
 // covers refuses a schedule that does not cover exactly the topology's
-// links.
+// links, or whose horizon or an outage's start or end is NaN or
+// infinite: decisions could never leave a batch at a NaN time.
 func (p *Protection) covers(sched *Schedule) error {
 	if sched.NumLinks != len(p.links) {
 		return fmt.Errorf("resilience: schedule covers %d links, topology has %d", sched.NumLinks, len(p.links))
+	}
+	if !finite(sched.Horizon) {
+		return fmt.Errorf("resilience: schedule horizon %v", sched.Horizon)
+	}
+	for _, o := range sched.Outages {
+		if !finite(o.Start) || !finite(o.End) {
+			return fmt.Errorf("resilience: outage of link %d from %v to %v", o.Link, o.Start, o.End)
+		}
 	}
 	return nil
 }

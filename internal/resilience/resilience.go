@@ -11,8 +11,9 @@
 // interval schedule (WeatherSchedule, Merge). The fast-reroute layer
 // (Protection) precomputes, for every commodity, a backup path that is
 // maximally link-disjoint from the primaries the TE control plane
-// installed — chosen from the exact candidate pool internal/te enumerates,
-// so backups honor the same latency-stretch cap — and compiles a Plan of
+// installed — chosen from the candidate pool of the very te.Controller
+// that installed them, over its topology, so backups honor its
+// latency-stretch cap — and compiles a Plan of
 // timed netsim path updates that activates backups on failure events with
 // zero LP solves on the event path, optionally followed by a
 // te.Controller's warm full reoptimization swapping in when ready. The
@@ -67,8 +68,12 @@ type Schedule struct {
 // by (seed, i), so the same seed always yields the same schedule and
 // appending new elements never perturbs existing timelines (removing or
 // reordering earlier elements shifts the indices — and therefore the
-// draws — of everything after them).
+// draws — of everything after them). It panics on a NaN, infinite or
+// negative horizon, which it could never draw to.
 func DrawSchedule(els []Element, nLinks int, horizon float64, seed int64) *Schedule {
+	if !finite(horizon) || horizon < 0 {
+		panic(fmt.Sprintf("resilience: DrawSchedule horizon %v", horizon))
+	}
 	perLink := make([][]Outage, nLinks)
 	for i, el := range els {
 		if el.MTBF <= 0 || el.MTTR <= 0 {
@@ -185,15 +190,6 @@ func (s *Schedule) Compress(horizon float64) *Schedule {
 	return out
 }
 
-// DownSeconds returns each link's total scheduled downtime.
-func (s *Schedule) DownSeconds() []float64 {
-	out := make([]float64, s.NumLinks)
-	for _, o := range s.Outages {
-		out[o.Link] += o.End - o.Start
-	}
-	return out
-}
-
 // Merge overlays two schedules over the same link list: a link is down in
 // the result whenever it is down in either input — how a hardware outage
 // timetable composes with a weather one. The horizon is the larger of the
@@ -247,6 +243,9 @@ func WeatherSchedule(conds [][]weather.LinkCondition, intervalSec float64, nLink
 	}
 	return scheduleFromPerLink(perLink, nLinks, float64(len(conds))*intervalSec)
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // LinkElements models independent per-link hardware failure: one element
 // per link, identical MTBF/MTTR. Covers fiber conduits as well as

@@ -112,7 +112,10 @@ func TestMergeAndWeatherSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	downSec := m.DownSeconds()
+	downSec := make([]float64, m.NumLinks)
+	for _, o := range m.Outages {
+		downSec[o.Link] += o.End - o.Start
+	}
 	if math.Abs(downSec[0]-150) > 1e-9 { // [50,120) ∪ [100,200) = [50,200)
 		t.Fatalf("merged link 0 downtime %v, want 150", downSec[0])
 	}
@@ -211,7 +214,7 @@ func TestBackupDisjointAndWithinStretch(t *testing.T) {
 	if bk.Shared != 0 {
 		t.Fatalf("backup %v shares %d links with the primary; a disjoint path exists", bk.Path, bk.Shared)
 	}
-	short, _ := p.ShortestDelay(1)
+	short := p.shortest[1]
 	if bk.Delay > 1.5*short+1e-12 {
 		t.Fatalf("backup delay %.4f ms exceeds the stretch cap (%.4f ms)", bk.Delay*1e3, 1.5*short*1e3)
 	}
@@ -323,6 +326,55 @@ func TestAvailabilityRejectsScheduleWidth(t *testing.T) {
 				t.Errorf("%d-link schedule, %v: Availability = %+v, error %v, want %q", n, mode, st, err, want)
 			}
 		}
+	}
+}
+
+// TestNonFiniteScheduleRejected: Plan and Availability refuse, in every
+// mode, a schedule whose horizon or an outage's start or end is NaN or
+// infinite, naming it: the decision list would never leave a batch at a
+// NaN time, and compressing onto a NaN or infinite horizon makes such
+// times. DrawSchedule panics on a horizon it could never draw to.
+func TestNonFiniteScheduleRejected(t *testing.T) {
+	ctrl := protCtrl(t, protLinks())
+	p, err := NewProtection(ctrl, protPrimaries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	outage := func(start, end float64) *Schedule {
+		return &Schedule{Horizon: 100, NumLinks: 6, Outages: []Outage{{Link: 2, Start: start, End: end}}}
+	}
+	for _, tc := range []struct {
+		sched *Schedule
+		want  string
+	}{
+		{&Schedule{Horizon: nan, NumLinks: 6}, "schedule horizon NaN"},
+		{&Schedule{Horizon: inf, NumLinks: 6}, "schedule horizon +Inf"},
+		{outage(nan, 40), "outage of link 2 from NaN to 40"},
+		{outage(math.Inf(-1), 40), "outage of link 2 from -Inf to 40"},
+		{outage(10, inf), "outage of link 2 from 10 to +Inf"},
+		{outage(0, 40).Compress(nan), "schedule horizon NaN"},
+		{outage(0, 40).Compress(inf), "schedule horizon +Inf"},
+	} {
+		for _, mode := range []Mode{NoProtection, FRR, FRRReopt} {
+			if _, err := p.Plan(tc.sched, mode, ctrl); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: Plan error %v, want one containing %q", mode, err, tc.want)
+			}
+			if _, err := p.Availability(tc.sched, mode); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: Availability error %v, want one containing %q", mode, err, tc.want)
+			}
+		}
+	}
+	for _, h := range []float64{nan, inf, math.Inf(-1), -1} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("resilience: DrawSchedule horizon %v", h)
+				if r := recover(); r != want {
+					t.Errorf("DrawSchedule at horizon %v: panic %v, want %q", h, r, want)
+				}
+			}()
+			DrawSchedule(LinkElements(6, 3600, 300), 6, h, 1)
+		}()
 	}
 }
 
@@ -518,7 +570,7 @@ func TestPlanAgreesAcrossEngines(t *testing.T) {
 			Nodes:     5,
 			Links:     protLinks(),
 			Comms:     protComms(),
-			Splits:    p.Primaries(),
+			Splits:    p.primaries,
 			Failures:  plan.Failures,
 			Updates:   plan.Updates,
 			FlowBytes: 4 << 20,

@@ -124,7 +124,9 @@ var badValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
 // TestConstructionRejectsBadValues: the rates UpdateCapacities rejects are
 // rejected when a controller is built over them, and
 // NewController rejects the same values as demands; the error names the
-// link or the commodity.
+// link or the commodity. A NaN or +Inf Stretch or UtilFloor is refused,
+// by Solve too, naming the field; -Inf, like any negative value, keeps
+// its default meaning.
 func TestConstructionRejectsBadValues(t *testing.T) {
 	bb := ctltest.Backbone()
 	comms := ctltest.Commodities()
@@ -141,6 +143,28 @@ func TestConstructionRejectsBadValues(t *testing.T) {
 			t.Errorf("NewController over demand %v: error %v, want one naming %q", v, err, want)
 		}
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, c := range []struct {
+			field string
+			cfg   te.Config
+		}{
+			{"Stretch", te.Config{Stretch: v}},
+			{"UtilFloor", te.Config{UtilFloor: units.Utilization(v)}},
+		} {
+			if _, err := te.Solve(bb.Nodes, bb.Links(), comms, c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("Solve at %s %v: error %v, want one naming %s", c.field, v, err, c.field)
+			}
+		}
+	}
+	neg, err := te.NewController(bb.Nodes, bb.Links(), comms, te.Config{Stretch: math.Inf(-1), UtilFloor: units.Utilization(math.Inf(-1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := te.NewController(bb.Nodes, bb.Links(), comms, te.Config{Stretch: -1, UtilFloor: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "at -Inf Stretch and UtilFloor", neg, ref)
 }
 
 func sameSolution(t *testing.T, when string, ctrl, ref *te.Controller) {

@@ -47,6 +47,19 @@ type Config struct {
 	UtilFloor units.Utilization
 }
 
+// check refuses a Stretch or UtilFloor that is NaN or +Inf: a NaN stretch
+// would lift the latency cap and a NaN floor stop the LP spreading load.
+// Negative values mean the defaults, as withDefaults reads them.
+func (c Config) check() error {
+	if math.IsNaN(c.Stretch) || math.IsInf(c.Stretch, 1) {
+		return fmt.Errorf("te: Stretch %v is not a finite factor", c.Stretch)
+	}
+	if u := float64(c.UtilFloor); math.IsNaN(u) || math.IsInf(u, 1) {
+		return fmt.Errorf("te: UtilFloor %v is not a finite utilization", u)
+	}
+	return nil
+}
+
 // The scale ladder: an instance of up to lpVarLimit LP variables is one
 // dense simplex solve; a larger one is sharded into commodity blocks of
 // blockSize, refined for blockRounds Jacobi rounds.
@@ -72,13 +85,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// teComm is the control plane's view of one commodity.
+// teComm is the control plane's view of one commodity; its endpoints are
+// the Controller's commodities entry at the same position.
 type teComm struct {
-	flow     int
-	src, dst int
-	demand   float64
-	cands    []Path
-	fracs    []float64 // current split, aligned with cands
+	flow   int
+	demand float64
+	cands  []Path
+	fracs  []float64 // current split, aligned with cands
 }
 
 // Solution is an installed-able TE routing decision.
@@ -133,8 +146,12 @@ type Controller struct {
 
 // NewController builds the TE graph, enumerates candidate paths for every
 // commodity in parallel, and solves the initial splits. It rejects a NaN,
-// infinite or negative link rate or commodity demand.
+// infinite or negative link rate or commodity demand, and a NaN or +Inf
+// Stretch or UtilFloor.
 func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg Config) (*Controller, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	for _, cm := range comms {
 		if d := float64(cm.Demand); !solvable(d) {
@@ -149,7 +166,7 @@ func NewController(n int, links []netsim.TopoLink, comms []netsim.Commodity, cfg
 	c.pool = c.enumerate(cfg.K)
 	c.comms = make([]teComm, len(comms))
 	for i, cm := range comms {
-		c.comms[i] = teComm{flow: cm.Flow, src: cm.Src, dst: cm.Dst, demand: float64(cm.Demand), cands: slices.Clip(c.pool[i])}
+		c.comms[i] = teComm{flow: cm.Flow, demand: float64(cm.Demand), cands: slices.Clip(c.pool[i])}
 	}
 	if err := c.reroute(allIndices(len(c.comms))); err != nil {
 		return nil, err
@@ -337,7 +354,7 @@ func (c *Controller) reroute(idxs []int) error {
 			if search == nil {
 				search = netsim.NewDelaySearch(c.g.index, c.g.links)
 			}
-			for _, p := range yen(c.g, search, cm.src, cm.dst, c.cfg.K, c.cfg.Stretch) {
+			for _, p := range yen(c.g, search, c.commodities[i].Src, c.commodities[i].Dst, c.cfg.K, c.cfg.Stretch) {
 				dup := false
 				for _, q := range cm.cands {
 					if slices.Equal(p.edges, q.edges) {
@@ -364,7 +381,7 @@ func (c *Controller) reroute(idxs []int) error {
 		for k, pi := range usable {
 			sub[k] = cm.cands[pi]
 		}
-		shadows = append(shadows, &teComm{flow: cm.flow, src: cm.src, dst: cm.dst, demand: cm.demand, cands: sub})
+		shadows = append(shadows, &teComm{flow: cm.flow, demand: cm.demand, cands: sub})
 		owners = append(owners, cm)
 		usables = append(usables, usable)
 	}

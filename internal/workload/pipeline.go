@@ -180,8 +180,15 @@ type runSpec struct {
 
 // Run executes a compiled scenario end to end. The four (substrate,
 // engine) replays fan out on the shared worker pool; results are
-// chunk-ordered, so the report is bit-identical at every worker count.
+// chunk-ordered, so the report is bit-identical at every worker count. A
+// NaN or infinite Window or Horizon is refused before anything runs.
 func (p Pipeline) Run(c *Compiled) (*ScenarioReport, error) {
+	if math.IsNaN(p.Window) || math.IsInf(p.Window, 0) {
+		return nil, fmt.Errorf("workload: pipeline Window %v s", p.Window)
+	}
+	if math.IsNaN(p.Horizon) || math.IsInf(p.Horizon, 0) {
+		return nil, fmt.Errorf("workload: pipeline Horizon %v s", p.Horizon)
+	}
 	p = p.withDefaults()
 	b := p.Backbone
 	if b == nil {

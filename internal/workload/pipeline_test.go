@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -196,6 +197,33 @@ func TestPipelineDisasterResilience(t *testing.T) {
 	}
 	if rep.AvailCISP.Mode.String() != "reopt" || rep.AvailFiber.Mode.String() != "reopt" {
 		t.Fatalf("availability walked under %v/%v, want reopt", rep.AvailCISP.Mode, rep.AvailFiber.Mode)
+	}
+}
+
+// TestPipelineRejectsNonFiniteDurations: a NaN or infinite Window or
+// Horizon is refused up front, naming the field. Past the defaults a NaN
+// window reached TE as a NaN demand, an infinite one panicked in a replay
+// leg, and a NaN or infinite horizon compressed the failure schedule into
+// times fast reroute could not order.
+func TestPipelineRejectsNonFiniteDurations(t *testing.T) {
+	b := testBackbone()
+	c, err := Compile(Spec{Kind: Disaster, Mix: goldenMix()}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			field string
+			p     Pipeline
+		}{
+			{"Window", Pipeline{Backbone: b, TotalFlows: 40, Window: v, Horizon: 120}},
+			{"Horizon", Pipeline{Backbone: b, TotalFlows: 40, Window: 5, Horizon: v}},
+		} {
+			want := fmt.Sprintf("workload: pipeline %s %v s", tc.field, v)
+			if rep, err := tc.p.Run(c); err == nil || err.Error() != want {
+				t.Errorf("%s %v: report %v, error %v; want %q", tc.field, v, rep != nil, err, want)
+			}
+		}
 	}
 }
 
